@@ -17,14 +17,13 @@ from .evaluate import (ComparisonReport, CurveReport, FoldPlan,
                        nemenyi_cd, report_json)
 from .forest import (BAGGING, EXTRA_TREES, RANDOM_FOREST, SUBSET_RULES,
                      Ensemble, EnsembleConfig, build, load_ensemble,
-                     oob_error, save_ensemble, subset_size)
+                     save_ensemble, subset_size)
 from .rankers import METHODS, make_ranker
 from .scores import (Ranking, genie3, random_forest_score, ranking_rows,
                      ranking_to_csv, ranking_to_json, symbolic)
 from .synth import SynthSpec, make_planted, write_planted
-from .tree import (ALL_THRESHOLDS, ONE_RANDOM_THRESHOLD, FlatTree, Internal,
-                   Leaf, SplitSearchPolicy, Test, TreeNode, best_test,
-                   grow_tree, impurity, predict, tree_from_dict, tree_to_dict)
+from .tree import (ALL_THRESHOLDS, ONE_RANDOM_THRESHOLD, FlatTree,
+                   SplitSearchPolicy, Test, best_test, grow_tree, impurity)
 from .urelief import (UReliefConfig, UReliefState, attr_distance,
                       example_distance, urelief, urelief_state)
 
@@ -35,17 +34,15 @@ __all__ = [
     "ONE_RANDOM_THRESHOLD", "RANDOM_FOREST", "SUBSET_RULES",
     "AttributeKind", "AttributeStats", "ComparisonReport", "ComputationError",
     "CurveReport", "Dataset", "Ensemble", "EnsembleConfig", "FlatTree",
-    "FoldPlan", "IngestionError", "Internal", "Leaf", "Nominal", "Numeric",
-    "Ranking", "SplitSearchPolicy", "SynthSpec", "Test", "TreeNode",
-    "UReliefConfig", "UReliefState",
+    "FoldPlan", "IngestionError", "Nominal", "Numeric", "Ranking",
+    "SplitSearchPolicy", "SynthSpec", "Test", "UReliefConfig", "UReliefState",
     "adjusted_rand_index", "attr_distance", "best_test", "build",
     "clustering_hypothesis_ari", "compare_methods", "comparison_to_csv",
     "compute_stats", "curve_points_csv", "cv_mse", "error_curve",
     "example_distance", "genie3", "grow_tree", "impurity", "k_grid", "kmeans",
     "knn_predict", "load_csv", "load_ensemble", "make_planted", "make_ranker",
-    "nemenyi_cd", "oob_error", "predict", "random_forest_score",
-    "ranking_rows", "ranking_to_csv", "ranking_to_json", "report_json",
-    "save_ensemble", "subset_size", "summary", "summary_json", "symbolic",
-    "tree_from_dict", "tree_to_dict", "urelief", "urelief_state", "write_csv",
-    "write_planted",
+    "nemenyi_cd", "random_forest_score", "ranking_rows", "ranking_to_csv",
+    "ranking_to_json", "report_json", "save_ensemble", "subset_size",
+    "summary", "summary_json", "symbolic", "urelief", "urelief_state",
+    "write_csv", "write_planted",
 ]

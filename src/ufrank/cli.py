@@ -30,6 +30,7 @@ from .evaluate import (FoldPlan, clustering_hypothesis_ari, compare_methods,
 from .rankers import METHODS, make_ranker
 from .scores import ranking_rows, ranking_to_csv
 from .synth import SynthSpec, write_planted
+from .urelief import UReliefConfig
 
 
 class UsageError(Exception):
@@ -204,10 +205,8 @@ def _load(args) -> Dataset:
 def _method_config(args, d: Dataset) -> dict:
     cfg = {"method": args.method, "seed": args.seed}
     if args.method == "urelief":
-        m = d.m
-        cfg["neighbors"] = (min(30, m - 1) if args.neighbors is None
-                            else args.neighbors)
-        cfg["iterations"] = m if args.iterations is None else args.iterations
+        cfg["neighbors"], cfg["iterations"] = UReliefConfig(
+            args.neighbors, args.iterations, args.seed).resolve(d.m)
     else:
         cfg["ensemble"] = args.ensemble
         cfg["trees"] = args.trees

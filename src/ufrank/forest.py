@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +23,7 @@ import numpy as np
 from . import parallel, streams
 from .data import AttributeStats, Dataset, compute_stats
 from .tree import (ALL_THRESHOLDS, ONE_RANDOM_THRESHOLD, FlatTree,
-                   SplitSearchPolicy, SplitWorkspace, TreeNode, grow_tree,
-                   tree_from_dict, tree_to_dict)
+                   SplitSearchPolicy, SplitWorkspace, grow_tree)
 
 BAGGING = "bagging"
 RANDOM_FOREST = "rf"
@@ -80,25 +79,10 @@ class Ensemble:
     flats: list[FlatTree]
     in_bags: list[np.ndarray]
     oobs: list[np.ndarray]
-    _trees: list[TreeNode | None] = field(default_factory=list, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self._trees:
-            self._trees = [None] * len(self.flats)
 
     @property
     def n_trees(self) -> int:
         return len(self.flats)
-
-    def tree(self, t: int) -> TreeNode:
-        """Node-object view of tree t (materialized lazily from the arrays)."""
-        if self._trees[t] is None:
-            self._trees[t] = self.flats[t].to_node()
-        return self._trees[t]
-
-    @property
-    def trees(self) -> list[TreeNode]:
-        return [self.tree(t) for t in range(self.n_trees)]
 
 
 def _bootstrap_and_grow(d: Dataset, stats: AttributeStats,
@@ -109,8 +93,7 @@ def _bootstrap_and_grow(d: Dataset, stats: AttributeStats,
     rng = streams.stream(seed, streams.TREE, t)
     in_bag = rng.integers(0, d.m, size=d.m)
     oob = np.setdiff1d(np.arange(d.m), in_bag)
-    root = grow_tree(d, in_bag, policy, stats, rng, workspace)
-    return FlatTree.from_node(root, d.n), in_bag, oob
+    return grow_tree(d, in_bag, policy, stats, rng, workspace), in_bag, oob
 
 
 def _grow_chunk(args):
@@ -167,33 +150,12 @@ def _permutation_for(e: Ensemble, t: int, stream_id: int, size: int) -> np.ndarr
                           stream_id).permutation(size)
 
 
-def oob_error(e: Ensemble, t: int, rows, permuted_attr=None) -> float:
-    """Reconstruction error of tree t over the given rows.
-
-    ``permuted_attr`` (an attribute index, or a pair of attribute index and
-    stream id) shuffles that attribute's values among the rows before
-    routing, so the permutation perturbs both the path an example takes and
-    the value its reconstruction is checked against. The shuffle is drawn
-    from the (ensemble seed, tree, stream id) stream; by default the stream
-    id is the attribute index itself.
-    """
-    rows = np.asarray(rows, dtype=np.intp)
-    if rows.size == 0:
-        raise ValueError("error over an empty row set is undefined")
-    X = e.dataset.X[rows]
-    if permuted_attr is not None:
-        if isinstance(permuted_attr, tuple):
-            attr, stream_id = permuted_attr
-        else:
-            attr, stream_id = permuted_attr, permuted_attr
-        perm = _permutation_for(e, t, int(stream_id), rows.size)
-        X = X.copy()
-        X[:, attr] = X[perm, attr]
-    return float(_row_errors(e, X, e.flats[t].predictions(X)).mean())
-
-
 def save_ensemble(e: Ensemble, directory) -> None:
-    """Write a manifest plus one JSON file per tree."""
+    """Write two files into ``directory``: ``manifest.json`` (the ensemble
+    configuration plus the dataset's name, m and n) and ``trees.npz``, which
+    holds for each tree t its nine FlatTree arrays under ``t{t}.<field>``
+    and its bootstrap and out-of-bag rows under ``t{t}.in_bag`` and
+    ``t{t}.oob``. Arrays are stored exactly and load without pickle."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -204,16 +166,17 @@ def save_ensemble(e: Ensemble, directory) -> None:
         "dataset": e.dataset.name,
         "m": e.dataset.m,
         "n": e.dataset.n,
-        "in_bags": [[int(i) for i in bag] for bag in e.in_bags],
-        "oobs": [[int(i) for i in oob] for oob in e.oobs],
     }
     with open(directory / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    for t in range(e.n_trees):
-        with open(directory / f"tree_{t:04d}.json", "w", encoding="utf-8") as fh:
-            json.dump(tree_to_dict(e.tree(t)), fh, sort_keys=True)
-            fh.write("\n")
+    arrays = {}
+    for t, flat in enumerate(e.flats):
+        for f in fields(FlatTree):
+            arrays[f"t{t}.{f.name}"] = getattr(flat, f.name)
+        arrays[f"t{t}.in_bag"] = e.in_bags[t]
+        arrays[f"t{t}.oob"] = e.oobs[t]
+    np.savez(directory / "trees.npz", **arrays)
 
 
 def load_ensemble(directory, d: Dataset) -> Ensemble:
@@ -226,10 +189,9 @@ def load_ensemble(directory, d: Dataset) -> Ensemble:
     cfg = EnsembleConfig(manifest["method"], manifest["n_trees"],
                          manifest["subset_rule"], manifest["seed"])
     d = d.without_target()
-    flats = []
-    for t in range(cfg.n_trees):
-        with open(directory / f"tree_{t:04d}.json", encoding="utf-8") as fh:
-            flats.append(FlatTree.from_node(tree_from_dict(json.load(fh)), d.n))
-    in_bags = [np.asarray(bag, dtype=np.intp) for bag in manifest["in_bags"]]
-    oobs = [np.asarray(oob, dtype=np.intp) for oob in manifest["oobs"]]
+    with np.load(directory / "trees.npz", allow_pickle=False) as z:
+        flats = [FlatTree(**{f.name: z[f"t{t}.{f.name}"] for f in fields(FlatTree)})
+                 for t in range(cfg.n_trees)]
+        in_bags = [z[f"t{t}.in_bag"] for t in range(cfg.n_trees)]
+        oobs = [z[f"t{t}.oob"] for t in range(cfg.n_trees)]
     return Ensemble(cfg, d, compute_stats(d), flats, in_bags, oobs)

@@ -15,7 +15,7 @@ two rows or no candidate test achieves h > 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,13 +54,9 @@ class Test:
         if (self.threshold is None) == (self.category is None):
             raise ValueError("a test carries exactly one of threshold/category")
 
-    def routes_yes(self, x: np.ndarray) -> bool:
-        v = x[self.attr]
-        if self.threshold is not None:
-            return bool(v <= self.threshold)
-        return bool(v == self.category)
 
-
+# Growth scaffolding: grow_tree links these nodes and hands the root to
+# FlatTree.from_node, which is the only reader.
 @dataclass
 class Leaf:
     prototype: np.ndarray
@@ -72,11 +68,8 @@ class Internal:
     test: Test
     h_star: float
     n_reached: int
-    yes: "TreeNode | None" = None
-    no: "TreeNode | None" = None
-
-
-TreeNode = Leaf | Internal
+    yes: "Leaf | Internal | None" = None
+    no: "Leaf | Internal | None" = None
 
 
 @dataclass(frozen=True)
@@ -355,14 +348,13 @@ def prototype(d: Dataset, rows: np.ndarray) -> np.ndarray:
 
 def grow_tree(d: Dataset, rows, policy: SplitSearchPolicy, stats: AttributeStats,
               rng: np.random.Generator, workspace: SplitWorkspace | None = None,
-              max_depth: int | None = None) -> TreeNode:
+              ) -> "FlatTree":
     """Grow a fully expanded tree on the given row multiset (duplicate
     indices count with multiplicity everywhere).
 
     Nodes are expanded in preorder, yes child first; together with the
     per-node consumption documented on best_test this fixes the random
-    stream layout, so one seed always yields one tree. ``max_depth`` is a
-    debugging aid for tests, not a quality mechanism.
+    stream layout, so one seed always yields one tree.
     """
     rows = np.asarray(rows, dtype=np.intp)
     if rows.size == 0:
@@ -371,7 +363,7 @@ def grow_tree(d: Dataset, rows, policy: SplitSearchPolicy, stats: AttributeStats
         raise ValueError("row indices out of range")
     ws = workspace if workspace is not None else SplitWorkspace(d, stats)
 
-    root_box: list[TreeNode | None] = [None]
+    root_box: list[Leaf | Internal | None] = [None]
 
     def attach(container, slot, node):
         if isinstance(container, list):
@@ -381,11 +373,11 @@ def grow_tree(d: Dataset, rows, policy: SplitSearchPolicy, stats: AttributeStats
         else:
             container.no = node
 
-    stack: list[tuple[np.ndarray, object, object, int]] = [(rows, root_box, 0, 0)]
+    stack: list[tuple[np.ndarray, object, object]] = [(rows, root_box, 0)]
     while stack:
-        node_rows, container, slot, depth = stack.pop()
+        node_rows, container, slot = stack.pop()
         res = None
-        if node_rows.size >= 2 and (max_depth is None or depth < max_depth):
+        if node_rows.size >= 2:
             res = best_test(d, node_rows, policy, stats, rng, ws)
         if res is None:
             attach(container, slot, Leaf(prototype(d, node_rows),
@@ -394,59 +386,14 @@ def grow_tree(d: Dataset, rows, policy: SplitSearchPolicy, stats: AttributeStats
         node = Internal(res.test, res.h_star, int(node_rows.size))
         attach(container, slot, node)
         # pushed no-first so the yes child pops (and consumes randomness) first
-        stack.append((res.no_rows, node, "no", depth + 1))
-        stack.append((res.yes_rows, node, "yes", depth + 1))
-    return root_box[0]
-
-
-def predict(tree: TreeNode, x: np.ndarray) -> np.ndarray:
-    """Route one example to a leaf and return that leaf's prototype."""
-    node = tree
-    while isinstance(node, Internal):
-        node = node.yes if node.test.routes_yes(x) else node.no
-    return node.prototype
-
-
-def iter_nodes(tree: TreeNode):
-    """Preorder traversal (yes child first)."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, Internal):
-            stack.append(node.no)
-            stack.append(node.yes)
-
-
-def tree_to_dict(node: TreeNode) -> dict:
-    """JSON-ready nested form, exact float round-trip via repr-compatible
-    float values."""
-    if isinstance(node, Leaf):
-        return {"kind": "leaf", "n_reached": node.n_reached,
-                "prototype": [float(v) for v in node.prototype]}
-    test: dict = {"attr": node.test.attr}
-    if node.test.threshold is not None:
-        test["threshold"] = node.test.threshold
-    else:
-        test["category"] = node.test.category
-    return {"kind": "internal", "test": test, "h_star": node.h_star,
-            "n_reached": node.n_reached,
-            "yes": tree_to_dict(node.yes), "no": tree_to_dict(node.no)}
-
-
-def tree_from_dict(obj: dict) -> TreeNode:
-    if obj["kind"] == "leaf":
-        return Leaf(np.array(obj["prototype"]), int(obj["n_reached"]))
-    t = obj["test"]
-    test = Test(int(t["attr"]), threshold=t.get("threshold"),
-                category=t.get("category"))
-    return Internal(test, float(obj["h_star"]), int(obj["n_reached"]),
-                    tree_from_dict(obj["yes"]), tree_from_dict(obj["no"]))
+        stack.append((res.no_rows, node, "no"))
+        stack.append((res.yes_rows, node, "yes"))
+    return FlatTree.from_node(root_box[0], d.n)
 
 
 @dataclass
 class FlatTree:
-    """Array view of a tree for batch routing and vectorized node sweeps.
+    """A grown tree as arrays, for batch routing and vectorized node sweeps.
 
     Node order is preorder (yes first). ``attr`` is -1 at leaves; ``child``
     rows hold (yes, no) node ids; ``leaf_slot`` maps leaf nodes into the
@@ -464,8 +411,16 @@ class FlatTree:
     leaf_proto: np.ndarray
 
     @classmethod
-    def from_node(cls, root: TreeNode, n_attrs: int) -> "FlatTree":
-        nodes: list[TreeNode] = list(iter_nodes(root))
+    def from_node(cls, root: Leaf | Internal, n_attrs: int) -> "FlatTree":
+        """Flatten the linked nodes grow_tree builds."""
+        nodes: list[Leaf | Internal] = []
+        stack = [root]
+        while stack:  # preorder, yes child first
+            node = stack.pop()
+            nodes.append(node)
+            if isinstance(node, Internal):
+                stack.append(node.no)
+                stack.append(node.yes)
         index = {id(node): i for i, node in enumerate(nodes)}
         count = len(nodes)
         attr = np.full(count, -1, dtype=np.intp)
@@ -496,24 +451,6 @@ class FlatTree:
                       else np.empty((0, n_attrs)))
         return cls(attr, threshold, category, is_nominal, child, n_reached,
                    h_star, leaf_slot, leaf_proto)
-
-    def to_node(self) -> TreeNode:
-        count = len(self.attr)
-        built: list[TreeNode | None] = [None] * count
-        for i in range(count - 1, -1, -1):
-            if self.attr[i] < 0:
-                built[i] = Leaf(self.leaf_proto[self.leaf_slot[i]].copy(),
-                                int(self.n_reached[i]))
-            else:
-                if self.is_nominal[i]:
-                    test = Test(int(self.attr[i]), category=float(self.category[i]))
-                else:
-                    test = Test(int(self.attr[i]), threshold=float(self.threshold[i]))
-                built[i] = Internal(test, float(self.h_star[i]),
-                                    int(self.n_reached[i]),
-                                    built[self.child[i, 0]],
-                                    built[self.child[i, 1]])
-        return built[0]
 
     def route(self, X: np.ndarray) -> np.ndarray:
         """Node id of the leaf reached by each row of X."""

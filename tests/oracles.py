@@ -3,16 +3,19 @@
 Everything here recomputes results from first principles with elementary
 numpy, sharing no arithmetic helpers with the package: split quality via
 the literal weighted-impurity difference, URelief via an explicit loop
-over all (reference, neighbor) pairs, nearest neighbors via a plain scan.
+over all (reference, neighbor) pairs, nearest neighbors via a plain scan,
+tree routing via a walk along the child pointers from the root.
 Agreement between these and the package is the point of the tests that
 import them.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
-from ufrank import Dataset, Nominal, Numeric
+from ufrank import Dataset, FlatTree, Nominal, Numeric, streams
 
 
 def ref_denominators(d, train_rows):
@@ -226,3 +229,121 @@ def random_mixed_dataset(rng, m, n, force_num=None, min_nominal_arity=3):
     X = np.column_stack(cols)
     names = tuple(f"a{j}" for j in range(n))
     return Dataset(f"random_{m}x{n}", names, tuple(kinds), X)
+
+
+def flat_leaf(prototype, n_reached):
+    """Hand-made one-node tree: a lone leaf."""
+    return FlatTree(attr=np.array([-1], dtype=np.intp),
+                    threshold=np.array([np.nan]),
+                    category=np.array([np.nan]),
+                    is_nominal=np.array([False]),
+                    child=np.array([[-1, -1]], dtype=np.intp),
+                    n_reached=np.array([n_reached], dtype=np.intp),
+                    h_star=np.array([0.0]),
+                    leaf_slot=np.array([0], dtype=np.intp),
+                    leaf_proto=np.array([prototype], dtype=np.float64))
+
+
+def flat_stump(attr, threshold, h_star, yes, no):
+    """Hand-made three-node tree: the root tests x[attr] <= threshold; yes
+    and no are (prototype, n_reached) of its two leaves."""
+    (yes_proto, yes_n), (no_proto, no_n) = yes, no
+    return FlatTree(attr=np.array([attr, -1, -1], dtype=np.intp),
+                    threshold=np.array([threshold, np.nan, np.nan]),
+                    category=np.full(3, np.nan),
+                    is_nominal=np.zeros(3, dtype=bool),
+                    child=np.array([[1, 2], [-1, -1], [-1, -1]], dtype=np.intp),
+                    n_reached=np.array([yes_n + no_n, yes_n, no_n], dtype=np.intp),
+                    h_star=np.array([h_star, 0.0, 0.0]),
+                    leaf_slot=np.array([-1, 0, 1], dtype=np.intp),
+                    leaf_proto=np.array([yes_proto, no_proto], dtype=np.float64))
+
+
+def flat_fingerprint(flat):
+    """(field, dtype, shape, bytes) of every FlatTree array. Two trees have
+    equal fingerprints exactly when all nine arrays are equal element by
+    element, NaNs included."""
+    out = []
+    for f in fields(FlatTree):
+        a = np.ascontiguousarray(getattr(flat, f.name))
+        out.append((f.name, a.dtype.str, a.shape, a.tobytes()))
+    return out
+
+
+def _goes_yes(flat, node, value):
+    """Whether a value (or an array of them) takes node's yes branch."""
+    if flat.is_nominal[node]:
+        return value == flat.category[node]
+    return value <= flat.threshold[node]
+
+
+def ref_node_rows(d, flat, rows):
+    """Row multiset reaching each node, by recursive descent along the child
+    pointers from the root: entry i holds node i's rows. Every node must be
+    reached exactly once."""
+    out = [None] * len(flat.attr)
+
+    def walk(node, node_rows):
+        assert out[node] is None, f"node {node} reached twice"
+        out[node] = node_rows
+        attr = int(flat.attr[node])
+        if attr < 0:
+            return
+        mask = _goes_yes(flat, node, d.X[node_rows, attr])
+        walk(int(flat.child[node, 0]), node_rows[mask])
+        walk(int(flat.child[node, 1]), node_rows[~mask])
+
+    walk(0, np.asarray(rows, dtype=np.intp))
+    assert all(r is not None for r in out), "a node is unreachable from the root"
+    return out
+
+
+def ref_predict(flat, x):
+    """Prototype of the leaf one example reaches, following the child
+    pointers node by node."""
+    node = 0
+    while flat.attr[node] >= 0:
+        node = int(flat.child[node, 0 if _goes_yes(flat, node, x[flat.attr[node]])
+                              else 1])
+    return flat.leaf_proto[flat.leaf_slot[node]]
+
+
+def oob_error(e, t, rows, permuted_attr=None):
+    """Reconstruction error of tree t over the given rows: the mean over
+    rows of the mean over attributes of (x - prototype)^2 / variance
+    (numeric; 0 when the ensemble's training variance is 0) or the 0/1
+    mismatch (nominal), one example at a time.
+
+    ``permuted_attr`` (an attribute index, or a pair of attribute index and
+    stream id, the id defaulting to the index) first shuffles that column
+    among the rows: row r takes the value of row perm[r], where perm is
+    drawn from the (ensemble seed, OOB_PERMUTATION, t, stream id) stream.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.size == 0:
+        raise ValueError("error over an empty row set is undefined")
+    d, flat = e.dataset, e.flats[t]
+    X = d.X[rows].copy()
+    if permuted_attr is not None:
+        attr, stream_id = (permuted_attr if isinstance(permuted_attr, tuple)
+                           else (permuted_attr, permuted_attr))
+        perm = streams.stream(e.config.seed, streams.OOB_PERMUTATION, t,
+                              int(stream_id)).permutation(rows.size)
+        column = X[:, attr].copy()
+        for r in range(rows.size):
+            X[r, attr] = column[perm[r]]
+    variance = e.stats.denominator
+    per_row = np.empty(rows.size)
+    for r, x in enumerate(X):
+        proto = ref_predict(flat, x)
+        terms = np.zeros(d.n)
+        for j, kind in enumerate(d.kinds):
+            if isinstance(kind, Nominal):
+                terms[j] = 1.0 if x[j] != proto[j] else 0.0
+            elif variance[j] > 0:
+                delta = x[j] - proto[j]
+                # multiply by the inverse, as the package does, so that the
+                # rf-score cross-check can demand bit equality
+                terms[j] = delta * delta * (1.0 / variance[j])
+        per_row[r] = terms.mean()
+    return float(per_row.mean())

@@ -17,10 +17,10 @@ import pytest
 
 import oracles
 from ufrank import (ALL_THRESHOLDS, ComputationError, Dataset, EnsembleConfig,
-                    FoldPlan, Internal, Numeric, SplitSearchPolicy, SynthSpec,
+                    FoldPlan, Numeric, SplitSearchPolicy, SynthSpec,
                     UReliefConfig, best_test, compare_methods, compute_stats,
                     cv_mse, error_curve, genie3, load_csv, make_planted,
-                    make_ranker, random_forest_score, tree_to_dict, urelief)
+                    make_ranker, random_forest_score, urelief)
 from ufrank.cli import main as cli_main
 from ufrank.forest import build
 
@@ -81,14 +81,13 @@ def test_criterion_01_split_search_matches_brute_force():
 # --- 2: genie3 importance mass equals the h accumulated in the trees ------
 
 def total_h_star(e):
+    """Sum of h* over the internal nodes met by descending each tree's bag
+    along its child pointers."""
     total = 0.0
-    for t in range(e.n_trees):
-        stack = [e.tree(t)]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Internal):
-                total += node.h_star
-                stack.extend((node.yes, node.no))
+    for flat, bag in zip(e.flats, e.in_bags):
+        for i, _ in enumerate(oracles.ref_node_rows(e.dataset, flat, bag)):
+            if flat.attr[i] >= 0:
+                total += float(flat.h_star[i])
     return total
 
 
@@ -224,7 +223,7 @@ def test_criterion_06_curves_meet_at_k_equal_n():
 # --- 7: random forests with the full attribute set are bagging -------------
 
 def fingerprint(e):
-    return ([tree_to_dict(e.tree(t)) for t in range(e.n_trees)],
+    return ([oracles.flat_fingerprint(flat) for flat in e.flats],
             [bag.tolist() for bag in e.in_bags],
             [oob.tolist() for oob in e.oobs])
 

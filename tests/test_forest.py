@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import oob_error
 from ufrank import (ALL_THRESHOLDS, ONE_RANDOM_THRESHOLD, Dataset,
-                    EnsembleConfig, FlatTree, Internal, Leaf, Nominal,
-                    Numeric, build, compute_stats, load_ensemble, oob_error,
-                    save_ensemble, subset_size, tree_to_dict)
-from ufrank import Test as NodeTest
-from ufrank import streams
+                    EnsembleConfig, Nominal, Numeric, build, compute_stats,
+                    genie3, load_ensemble, random_forest_score, save_ensemble,
+                    subset_size, streams)
 from ufrank.forest import SUBSET_RULES, Ensemble
 
 
@@ -64,7 +63,7 @@ def small_dataset(seed=0, m=30, n=5):
 
 
 def ensemble_fingerprint(e):
-    return ([tree_to_dict(e.tree(t)) for t in range(e.n_trees)],
+    return ([oracles.flat_fingerprint(flat) for flat in e.flats],
             [bag.tolist() for bag in e.in_bags],
             [oob.tolist() for oob in e.oobs])
 
@@ -134,39 +133,29 @@ class TestBuild:
         d = small_dataset(7, m=20, n=3)
         e = build(d, EnsembleConfig(method="bagging", n_trees=3, seed=9))
         active = e.stats.denominator > 0
-        for t in range(e.n_trees):
-            def walk(node, rows):
-                if isinstance(node, Leaf):
-                    sub = d.X[rows][:, active]
-                    assert (sub == sub[0]).all()
-                    return
-                col = d.X[rows, node.test.attr]
-                if node.test.threshold is not None:
-                    mask = col <= node.test.threshold
-                else:
-                    mask = col == node.test.category
-                walk(node.yes, rows[mask])
-                walk(node.no, rows[~mask])
-
-            walk(e.tree(t), e.in_bags[t])
+        for flat, bag in zip(e.flats, e.in_bags):
+            node_rows = oracles.ref_node_rows(d, flat, bag)
+            for i in np.flatnonzero(flat.attr < 0):
+                sub = d.X[node_rows[i]][:, active]
+                assert (sub == sub[0]).all()
 
 
-def hand_ensemble(d, root, in_bag, oob, cfg=None):
+def hand_ensemble(d, tree, in_bag, oob, cfg=None):
     """Ensemble wrapper around an explicitly constructed single tree."""
     return Ensemble(cfg or EnsembleConfig(method="rf", n_trees=1, seed=3),
-                    d, compute_stats(d), [FlatTree.from_node(root, d.n)],
+                    d, compute_stats(d), [tree],
                     [np.asarray(in_bag, dtype=np.intp)],
                     [np.asarray(oob, dtype=np.intp)])
 
 
 class TestOOBError:
+    """The oracle that rf-score is cross-checked against, on hand cases."""
+
     def stump_fixture(self):
         d = Dataset("stump", ["a", "b"], [Numeric(), Numeric()],
                     np.array([[0.0, 1.0], [0.0, 3.0],
                               [10.0, 5.0], [10.0, 7.0]]))
-        root = Internal(NodeTest(0, threshold=5.0), h_star=1.0, n_reached=4,
-                        yes=Leaf(np.array([0.0, 2.0]), 2),
-                        no=Leaf(np.array([10.0, 6.0]), 2))
+        root = oracles.flat_stump(0, 5.0, 1.0, ([0.0, 2.0], 2), ([10.0, 6.0], 2))
         return d, hand_ensemble(d, root, [1, 1, 2, 2], [0, 3])
 
     def test_hand_stump_arithmetic(self):
@@ -208,7 +197,7 @@ class TestOOBError:
                               [5.0, 0.0], [5.0, 1.0]]))
         # constant numeric: scale 0; leaf predicts code 0, so rows with
         # code 1 score (0 + 1) / 2 and rows with code 0 score 0
-        root = Leaf(np.array([5.0, 0.0]), 4)
+        root = oracles.flat_leaf([5.0, 0.0], 4)
         e = hand_ensemble(d, root, [0, 1, 2, 3], [0, 1])
         assert oob_error(e, 0, [0]) == 0.0
         assert oob_error(e, 0, [1]) == pytest.approx(0.5)
@@ -225,13 +214,14 @@ class TestSaveLoad:
         d = small_dataset(8, m=20, n=4)
         e = build(d, EnsembleConfig(method="et", n_trees=3, seed=7))
         save_ensemble(e, tmp_path / "ens")
+        assert sorted(p.name for p in (tmp_path / "ens").iterdir()) == \
+            ["manifest.json", "trees.npz"]
         back = load_ensemble(tmp_path / "ens", d)
         assert back.config == e.config
         assert ensemble_fingerprint(back) == ensemble_fingerprint(e)
-        for t in range(e.n_trees):
-            if e.oobs[t].size:
-                assert oob_error(back, t, back.oobs[t]) == \
-                    oob_error(e, t, e.oobs[t])
+        for score in (genie3, random_forest_score):
+            np.testing.assert_array_equal(score(back).importance,
+                                          score(e).importance)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         d = small_dataset(9, m=12, n=3)

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 import oracles
-from ufrank import (ComputationError, Dataset, EnsembleConfig, FlatTree,
-                    Internal, Leaf, Numeric, Ranking, build, compute_stats,
-                    genie3, oob_error, random_forest_score, ranking_rows,
-                    ranking_to_csv, ranking_to_json, symbolic)
-from ufrank import Test as NodeTest
+from oracles import flat_leaf, flat_stump, oob_error
+from ufrank import (ComputationError, Dataset, EnsembleConfig, Numeric,
+                    Ranking, build, compute_stats, genie3, random_forest_score,
+                    ranking_rows, ranking_to_csv, ranking_to_json, symbolic)
 from ufrank.forest import Ensemble
 
 
@@ -37,27 +36,22 @@ class TestRanking:
             Ranking("genie3", np.zeros(3), ("a", "b"))
 
 
-def hand_ensemble(d, roots, in_bags, oobs, seed=3):
-    return Ensemble(EnsembleConfig(method="rf", n_trees=len(roots), seed=seed),
-                    d, compute_stats(d),
-                    [FlatTree.from_node(r, d.n) for r in roots],
+def hand_ensemble(d, trees, in_bags, oobs, seed=3):
+    return Ensemble(EnsembleConfig(method="rf", n_trees=len(trees), seed=seed),
+                    d, compute_stats(d), list(trees),
                     [np.asarray(b, dtype=np.intp) for b in in_bags],
                     [np.asarray(o, dtype=np.intp) for o in oobs])
 
 
 def node_weight_sums(e, weight_of):
-    """Per-attribute totals over all internal nodes of all trees, gathered
-    by plain recursion over the node objects."""
+    """Per-attribute totals over the internal nodes of all trees, visited by
+    descending each tree's bag along its child pointers;
+    ``weight_of(flat, node, rows)`` sees the node's recomputed rows."""
     total = np.zeros(e.dataset.n)
-
-    def walk(node):
-        if isinstance(node, Internal):
-            total[node.test.attr] += weight_of(node)
-            walk(node.yes)
-            walk(node.no)
-
-    for t in range(e.n_trees):
-        walk(e.tree(t))
+    for flat, bag in zip(e.flats, e.in_bags):
+        for i, rows in enumerate(oracles.ref_node_rows(e.dataset, flat, bag)):
+            if flat.attr[i] >= 0:
+                total[flat.attr[i]] += weight_of(flat, i, rows)
     return total
 
 
@@ -66,9 +60,7 @@ class TestGenie3AndSymbolic:
         d = Dataset("s", ["a", "b"], [Numeric(), Numeric()],
                     np.array([[0.0, 1.0], [0.0, 3.0],
                               [10.0, 5.0], [10.0, 7.0]]))
-        root = Internal(NodeTest(0, threshold=5.0), h_star=2.5, n_reached=4,
-                        yes=Leaf(np.array([0.0, 2.0]), 2),
-                        no=Leaf(np.array([10.0, 6.0]), 2))
+        root = flat_stump(0, 5.0, 2.5, ([0.0, 2.0], 2), ([10.0, 6.0], 2))
         e = hand_ensemble(d, [root], [[0, 1, 2, 3]], [[0]])
         np.testing.assert_array_equal(genie3(e).importance, [2.5, 0.0])
         np.testing.assert_array_equal(symbolic(e).importance, [4.0, 0.0])
@@ -77,10 +69,8 @@ class TestGenie3AndSymbolic:
         d = Dataset("s", ["a", "b"], [Numeric(), Numeric()],
                     np.array([[0.0, 1.0], [0.0, 3.0],
                               [10.0, 5.0], [10.0, 7.0]]))
-        stump = Internal(NodeTest(0, threshold=5.0), h_star=2.0, n_reached=4,
-                         yes=Leaf(np.array([0.0, 2.0]), 2),
-                         no=Leaf(np.array([10.0, 6.0]), 2))
-        lone = Leaf(np.array([5.0, 4.0]), 4)
+        stump = flat_stump(0, 5.0, 2.0, ([0.0, 2.0], 2), ([10.0, 6.0], 2))
+        lone = flat_leaf([5.0, 4.0], 4)
         e = hand_ensemble(d, [stump, lone], [[0, 1, 2, 3]] * 2, [[0], [1]])
         np.testing.assert_array_equal(genie3(e).importance, [1.0, 0.0])
         np.testing.assert_array_equal(symbolic(e).importance, [2.0, 0.0])
@@ -90,10 +80,11 @@ class TestGenie3AndSymbolic:
         d = oracles.random_mixed_dataset(np.random.default_rng(31), 40, 8)
         e = build(d, EnsembleConfig(method=method, n_trees=12, seed=13))
         g = genie3(e)
-        want = node_weight_sums(e, lambda node: node.h_star)
+        want = node_weight_sums(e, lambda flat, i, rows: flat.h_star[i])
         np.testing.assert_allclose(g.importance * e.n_trees, want, rtol=1e-9)
         s = symbolic(e)
-        want = node_weight_sums(e, lambda node: node.n_reached)
+        # the example count of each node, recounted from the bag
+        want = node_weight_sums(e, lambda flat, i, rows: rows.size)
         np.testing.assert_allclose(s.importance * e.n_trees, want, rtol=1e-9)
 
     def test_constant_attribute_scores_exactly_zero(self):
@@ -113,11 +104,9 @@ class TestRandomForestScore:
         d = Dataset("f", ["a", "b"], [Numeric(), Numeric()],
                     np.array([[0.0, 1.0], [0.0, 1.0],
                               [10.0, 2.0], [10.0, 2.0]]))
-        lone = Leaf(np.array([0.0, 1.0]), 4)
+        lone = flat_leaf([0.0, 1.0], 4)
         # reconstructs every example perfectly, so its baseline error is 0
-        perfect = Internal(NodeTest(0, threshold=5.0), h_star=1.0, n_reached=4,
-                           yes=Leaf(np.array([0.0, 1.0]), 2),
-                           no=Leaf(np.array([10.0, 2.0]), 2))
+        perfect = flat_stump(0, 5.0, 1.0, ([0.0, 1.0], 2), ([10.0, 2.0], 2))
         return d, lone, perfect
 
     def test_degenerate_trees_skipped_with_reduced_divisor(self):

@@ -1,13 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 import oracles
 from ufrank import (ALL_THRESHOLDS, ONE_RANDOM_THRESHOLD, Dataset, FlatTree,
-                    Internal, Leaf, Nominal, Numeric, SplitSearchPolicy,
-                    best_test, compute_stats, grow_tree, impurity, predict,
-                    tree_from_dict, tree_to_dict)
-from ufrank import Test as NodeTest
-from ufrank.tree import iter_nodes
+                    Nominal, Numeric, SplitSearchPolicy, best_test,
+                    compute_stats, grow_tree, impurity)
 
 
 def mixed_4x2():
@@ -185,34 +184,16 @@ class TestBestTestOracle:
             self.compare(d, np.arange(m), got, cands)
 
 
-def collect_node_rows(d, tree, rows):
-    """Recompute each node's row multiset by routing the root rows down."""
-    out = []
-
-    def walk(node, node_rows):
-        out.append((node, node_rows))
-        if isinstance(node, Internal):
-            col = d.X[node_rows, node.test.attr]
-            if node.test.threshold is not None:
-                mask = col <= node.test.threshold
-            else:
-                mask = col == node.test.category
-            walk(node.yes, node_rows[mask])
-            walk(node.no, node_rows[~mask])
-
-    walk(tree, np.asarray(rows, dtype=np.intp))
-    return out
-
-
 class TestGrowTree:
     def test_identical_rows_make_a_single_leaf(self):
         d = numeric_dataset([2.0, 2.0, 2.0])
         stats = compute_stats(d)
         tree = grow_tree(d, np.arange(3), SplitSearchPolicy(1, ALL_THRESHOLDS),
                          stats, np.random.default_rng(0))
-        assert isinstance(tree, Leaf)
-        np.testing.assert_array_equal(tree.prototype, [2.0])
-        assert tree.n_reached == 3
+        assert isinstance(tree, FlatTree)
+        np.testing.assert_array_equal(tree.attr, [-1])
+        np.testing.assert_array_equal(tree.leaf_proto, [[2.0]])
+        assert tree.n_reached[0] == 3
 
     def test_two_point_pairs_make_a_stump(self):
         # growth is to purity, so only identical pairs stop at depth one
@@ -220,11 +201,11 @@ class TestGrowTree:
         stats = compute_stats(d)
         tree = grow_tree(d, np.arange(4), SplitSearchPolicy(1, ALL_THRESHOLDS),
                          stats, np.random.default_rng(0))
-        assert isinstance(tree, Internal)
-        assert tree.test.threshold == 5.0
-        assert isinstance(tree.yes, Leaf) and isinstance(tree.no, Leaf)
-        np.testing.assert_array_equal(tree.yes.prototype, [0.0])
-        np.testing.assert_array_equal(tree.no.prototype, [10.0])
+        np.testing.assert_array_equal(tree.attr, [0, -1, -1])
+        assert tree.threshold[0] == 5.0 and not tree.is_nominal[0]
+        yes, no = tree.child[0]
+        np.testing.assert_array_equal(tree.leaf_proto[tree.leaf_slot[yes]], [0.0])
+        np.testing.assert_array_equal(tree.leaf_proto[tree.leaf_slot[no]], [10.0])
 
     def test_partition_property_and_h_star_recompute(self):
         rng = np.random.default_rng(11)
@@ -233,24 +214,24 @@ class TestGrowTree:
         rows = rng.integers(0, 40, size=40)
         tree = grow_tree(d, rows, SplitSearchPolicy(3, ALL_THRESHOLDS), stats,
                          np.random.default_rng(4))
-        pairs = collect_node_rows(d, tree, rows)
+        node_rows = oracles.ref_node_rows(d, tree, rows)
+        leaf = tree.attr < 0
 
-        leaf_rows = np.concatenate([r for node, r in pairs
-                                    if isinstance(node, Leaf)])
+        leaf_rows = np.concatenate([r for i, r in enumerate(node_rows) if leaf[i]])
         assert sorted(leaf_rows.tolist()) == sorted(rows.tolist())
 
         dens = oracles.ref_denominators(d, np.arange(d.m))
-        for node, node_rows in pairs:
-            assert node.n_reached == node_rows.size
-            if isinstance(node, Internal):
-                col = d.X[node_rows, node.test.attr]
-                if node.test.threshold is not None:
-                    mask = col <= node.test.threshold
+        for i, rows_i in enumerate(node_rows):
+            assert tree.n_reached[i] == rows_i.size
+            if not leaf[i]:
+                col = d.X[rows_i, tree.attr[i]]
+                if tree.is_nominal[i]:
+                    mask = col == tree.category[i]
                 else:
-                    mask = col == node.test.category
-                h = oracles.ref_h(d, node_rows, mask, dens)
-                assert node.h_star > 0.0
-                assert node.h_star == pytest.approx(h, rel=1e-9)
+                    mask = col <= tree.threshold[i]
+                h = oracles.ref_h(d, rows_i, mask, dens)
+                assert tree.h_star[i] > 0.0
+                assert tree.h_star[i] == pytest.approx(h, rel=1e-9)
 
     def test_same_seed_same_tree(self):
         rng = np.random.default_rng(2)
@@ -259,16 +240,7 @@ class TestGrowTree:
         policy = SplitSearchPolicy(2, ONE_RANDOM_THRESHOLD)
         t1 = grow_tree(d, np.arange(25), policy, stats, np.random.default_rng(8))
         t2 = grow_tree(d, np.arange(25), policy, stats, np.random.default_rng(8))
-        assert tree_to_dict(t1) == tree_to_dict(t2)
-
-    def test_max_depth_caps_growth(self):
-        rng = np.random.default_rng(3)
-        d = numeric_dataset(rng.uniform(size=(30, 2)))
-        stats = compute_stats(d)
-        tree = grow_tree(d, np.arange(30), SplitSearchPolicy(2, ALL_THRESHOLDS),
-                         stats, np.random.default_rng(0), max_depth=1)
-        assert isinstance(tree, Internal)
-        assert isinstance(tree.yes, Leaf) and isinstance(tree.no, Leaf)
+        assert oracles.flat_fingerprint(t1) == oracles.flat_fingerprint(t2)
 
     def test_empty_rows_rejected(self):
         d = numeric_dataset([1.0, 2.0])
@@ -279,18 +251,22 @@ class TestGrowTree:
 
 
 class TestPredictAndRouting:
-    def test_boundary_value_routes_yes(self):
-        test = NodeTest(0, threshold=5.0)
-        assert test.routes_yes(np.array([5.0]))
-        assert not test.routes_yes(np.array([5.0 + 1e-9]))
+    def test_boundary_value_takes_yes_branch(self):
+        stump = oracles.flat_stump(0, 5.0, 1.0, ([0.0], 2), ([10.0], 2))
+        X = np.array([[5.0], [5.0 + 1e-9]])
+        np.testing.assert_array_equal(stump.route(X), [1, 2])
+        np.testing.assert_array_equal(stump.predictions(X), [[0.0], [10.0]])
 
     def test_prediction_matches_leaf_prototype(self):
         d = numeric_dataset([0.0, 0.0, 10.0, 10.0])
         stats = compute_stats(d)
         tree = grow_tree(d, np.arange(4), SplitSearchPolicy(1, ALL_THRESHOLDS),
                          stats, np.random.default_rng(0))
-        np.testing.assert_array_equal(predict(tree, np.array([1.0])), [0.0])
-        np.testing.assert_array_equal(predict(tree, np.array([9.0])), [10.0])
+        X = np.array([[1.0], [9.0]])
+        np.testing.assert_array_equal(tree.predictions(X), [[0.0], [10.0]])
+        for x in X:
+            np.testing.assert_array_equal(oracles.ref_predict(tree, x),
+                                          tree.predictions(x[None, :])[0])
 
     def test_nominal_prototype_mode_ties_to_smallest_code(self):
         X = np.array([[0.0], [1.0], [1.0], [0.0]])
@@ -298,13 +274,16 @@ class TestPredictAndRouting:
         stats = compute_stats(d)
         tree = grow_tree(d, np.arange(4), SplitSearchPolicy(1, ALL_THRESHOLDS),
                          stats, np.random.default_rng(0))
-        pairs = collect_node_rows(d, tree, np.arange(4))
-        for node, rows in pairs:
-            if isinstance(node, Leaf) and rows.size == 4:
-                assert node.prototype[0] == 0.0  # 2-2 tie -> smaller code
+        node_rows = oracles.ref_node_rows(d, tree, np.arange(4))
+        for i, rows in enumerate(node_rows):
+            if tree.attr[i] < 0 and rows.size == 4:
+                # 2-2 tie -> smaller code
+                assert tree.leaf_proto[tree.leaf_slot[i]][0] == 0.0
 
 
 class TestSerialization:
+    """The array form every grown tree is kept and saved in."""
+
     def grown(self):
         rng = np.random.default_rng(21)
         d = oracles.random_mixed_dataset(rng, 30, 3)
@@ -313,30 +292,29 @@ class TestSerialization:
                          stats, np.random.default_rng(5))
         return d, tree
 
-    def test_dict_round_trip(self):
-        _, tree = self.grown()
-        clone = tree_from_dict(tree_to_dict(tree))
-        assert tree_to_dict(clone) == tree_to_dict(tree)
-
-    def test_json_round_trip(self):
-        import json
-
-        _, tree = self.grown()
-        payload = json.loads(json.dumps(tree_to_dict(tree)))
-        assert tree_to_dict(tree_from_dict(payload)) == tree_to_dict(tree)
-
-    def test_flat_tree_round_trip_and_batch_routing(self):
+    def test_flat_tree_round_trip_and_batch_routing(self, tmp_path):
         d, tree = self.grown()
-        flat = FlatTree.from_node(tree, d.n)
-        assert tree_to_dict(flat.to_node()) == tree_to_dict(tree)
-        batch = flat.predictions(d.X)
-        rows = [predict(tree, d.X[i]) for i in range(d.m)]
+        path = tmp_path / "tree.npz"
+        np.savez(path, **{f.name: getattr(tree, f.name)
+                          for f in fields(FlatTree)})
+        with np.load(path, allow_pickle=False) as z:
+            back = FlatTree(**{f.name: z[f.name] for f in fields(FlatTree)})
+        assert oracles.flat_fingerprint(back) == oracles.flat_fingerprint(tree)
+        batch = back.predictions(d.X)
+        rows = [oracles.ref_predict(tree, d.X[i]) for i in range(d.m)]
         np.testing.assert_array_equal(batch, np.vstack(rows))
 
     def test_preorder_traversal_counts(self):
         d, tree = self.grown()
-        nodes = list(iter_nodes(tree))
-        internals = [n for n in nodes if isinstance(n, Internal)]
-        leaves = [n for n in nodes if isinstance(n, Leaf)]
-        assert len(leaves) == len(internals) + 1
-        assert nodes[0] is tree
+        internal = np.flatnonzero(tree.attr >= 0)
+        leaves = np.flatnonzero(tree.attr < 0)
+        assert leaves.size == internal.size + 1
+        # preorder, yes first: an internal node's yes child follows it, and
+        # every node but the root has exactly one parent, listed before it
+        np.testing.assert_array_equal(tree.child[internal, 0], internal + 1)
+        assert (tree.child[internal] > internal[:, None]).all()
+        children = np.sort(tree.child[internal].ravel())
+        np.testing.assert_array_equal(children, np.arange(1, tree.attr.size))
+        np.testing.assert_array_equal(tree.child[leaves], -1)
+        np.testing.assert_array_equal(tree.leaf_slot[leaves],
+                                      np.arange(leaves.size))
