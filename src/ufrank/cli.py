@@ -10,8 +10,10 @@ byte-identical files.
 Options resolve as: explicit flags, then values from a --config JSON file,
 then built-in defaults.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 computation error.
-Errors print a one-line JSON record to stderr.
+Exit codes: 0 success, 1 usage error, 2 data error (also configuration
+the loaded data cannot support, such as more folds than examples), 3
+computation error. Errors print a one-line JSON record to stderr. Any
+other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -115,7 +117,9 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = commands["compare"] = sub.add_parser(
         "compare", help="rank-based comparison of eval artifacts")
     p.add_argument("inputs", nargs="+", help="eval JSON artifacts")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=float, choices=(0.05,), default=0.05,
+                   help="significance level (critical distances are "
+                        "tabulated for 0.05 only)")
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None,
                    help="JSON file of flag defaults (explicit flags win)")
@@ -324,8 +328,11 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec = SynthSpec(args.m, args.informative, args.noise, args.clusters,
-                     args.separation, args.seed, args.name)
+    try:
+        spec = SynthSpec(args.m, args.informative, args.noise, args.clusters,
+                         args.separation, args.seed, args.name)
+    except ValueError as exc:  # the flags alone are inconsistent
+        raise UsageError(str(exc)) from exc
     csv_path, truth_path = write_planted(spec, args.out)
     sys.stdout.write(json.dumps(
         {"artifact": "synth", "csv": str(csv_path), "truth": str(truth_path)},
@@ -381,9 +388,6 @@ def main(argv=None) -> int:
         return _fail(2, "data", str(exc))
     except ComputationError as exc:
         return _fail(3, "computation", str(exc))
-    except ValueError as exc:
-        # configuration found incompatible with the data after loading
-        return _fail(2, "data", str(exc))
 
 
 if __name__ == "__main__":

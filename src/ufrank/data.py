@@ -19,7 +19,9 @@ import numpy as np
 
 
 class IngestionError(ValueError):
-    """A CSV file violates the input contract (missing value, bad arity, ...)."""
+    """The input data violates the input contract (missing value, bad
+    arity, ...) or cannot support the requested configuration (more folds
+    or neighbors than examples, no target where one is needed, ...)."""
 
 
 class ComputationError(RuntimeError):
@@ -243,6 +245,9 @@ def load_csv(path, schema=None, target_column: str | None = None,
     if target_column is not None:
         if target_column not in header:
             raise IngestionError(f"{path.name}: no column named {target_column!r}")
+        if width < 2:
+            raise IngestionError(f"{path.name}: no attribute columns besides "
+                                 f"the target")
         target_idx = header.index(target_column)
 
     m = len(cells)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import stats as sstats
 
 from . import streams
-from .data import Dataset
+from .data import Dataset, IngestionError
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,7 +37,7 @@ class FoldPlan:
     @classmethod
     def make(cls, m: int, n_folds: int = 10, seed: int = 0) -> "FoldPlan":
         if not 2 <= n_folds <= m:
-            raise ValueError(f"fold count must be in [2, {m}], got {n_folds}")
+            raise IngestionError(f"fold count must be in [2, {m}], got {n_folds}")
         order = streams.stream(seed, streams.FOLDS).permutation(m)
         folds = tuple(np.sort(part) for part in np.array_split(order, n_folds))
         return cls(folds, m, seed)
@@ -124,9 +124,9 @@ def cv_mse(d: Dataset, ranker, k_features: int, plan: FoldPlan) -> float:
     top ``k_features`` attributes. The ranker sees only training-fold
     features; the target and the test fold stay hidden from it."""
     if d.target is None:
-        raise ValueError("cv_mse needs a dataset with a target")
+        raise IngestionError("cv_mse needs a dataset with a target")
     if not 1 <= k_features <= d.n:
-        raise ValueError(f"k_features must be in [1, {d.n}], got {k_features}")
+        raise IngestionError(f"k_features must be in [1, {d.n}], got {k_features}")
     per_fold = []
     for i, ranking in enumerate(_fold_rankings(d, ranker, plan)):
         attrs = np.sort(ranking.top(k_features))
@@ -172,7 +172,7 @@ def error_curve(d: Dataset, ranker, plan: FoldPlan) -> CurveReport:
     """cv_mse swept over the geometric k grid; each fold is ranked once and
     the ranking reused for every k."""
     if d.target is None:
-        raise ValueError("error_curve needs a dataset with a target")
+        raise IngestionError("error_curve needs a dataset with a target")
     ks = k_grid(d.n)
     rankings = _fold_rankings(d, ranker, plan)
     fold_mse = np.empty((plan.n_folds, len(ks)))
@@ -205,7 +205,7 @@ def kmeans(X: np.ndarray, k: int, rng: np.random.Generator,
     """
     m = len(X)
     if not 1 <= k <= m:
-        raise ValueError(f"k must be in [1, {m}], got {k}")
+        raise IngestionError(f"k must be in [1, {m}], got {k}")
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[int(rng.integers(m))]
     closest = ((X - centers[0]) ** 2).sum(axis=1)
@@ -280,10 +280,10 @@ def clustering_hypothesis_ari(d: Dataset, class_count: int | None = None,
     assignments (k = the number of target classes unless overridden) and the
     class labels."""
     if d.target is None:
-        raise ValueError("the clustering check needs a dataset with a target")
+        raise IngestionError("the clustering check needs a dataset with a target")
     classes = np.unique(d.target)
     if classes.size < 2:
-        raise ValueError("the clustering check needs at least two classes")
+        raise IngestionError("the clustering check needs at least two classes")
     if runs < 1:
         raise ValueError("runs must be at least 1")
     k = class_count if class_count is not None else int(classes.size)
@@ -306,8 +306,8 @@ def nemenyi_cd(n_methods: int, n_datasets: int, alpha: float = 0.05) -> float:
     if alpha != 0.05:
         raise ValueError("critical distances are tabulated for alpha=0.05 only")
     if n_methods not in _NEMENYI_Q_05:
-        raise ValueError(f"critical value table covers 2..10 methods, "
-                         f"got {n_methods}")
+        raise IngestionError(f"critical value table covers 2..10 methods, "
+                             f"got {n_methods}")
     q = _NEMENYI_Q_05[n_methods]
     return q * np.sqrt(n_methods * (n_methods + 1) / (6.0 * n_datasets))
 
@@ -357,10 +357,10 @@ def compare_methods(results, method_names=None, dataset_names=None,
     """
     R = np.asarray(results, dtype=np.float64)
     if R.ndim != 2 or R.shape[0] < 2 or R.shape[1] < 2:
-        raise ValueError("results must be a (datasets x methods) matrix, "
-                         "at least 2x2")
+        raise IngestionError("results must be a (datasets x methods) matrix, "
+                             "at least 2x2")
     if not np.isfinite(R).all():
-        raise ValueError("results contain non-finite values")
+        raise IngestionError("results contain non-finite values")
     n_data, n_methods = R.shape
     if method_names is None:
         method_names = tuple(f"method_{j}" for j in range(n_methods))

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import parallel, streams
-from .data import AttributeStats, Dataset, compute_stats
+from .data import AttributeStats, Dataset, IngestionError, compute_stats
 from .tree import (ALL_THRESHOLDS, ONE_RANDOM_THRESHOLD, FlatTree,
                    SplitSearchPolicy, SplitWorkspace, grow_tree)
 
@@ -89,7 +89,7 @@ def _bootstrap_and_grow(d: Dataset, stats: AttributeStats,
                         policy: SplitSearchPolicy, seed: int, t: int,
                         workspace: SplitWorkspace):
     """One tree: the child stream first draws the m-sample bootstrap, then
-    drives node expansion (preorder, yes child first)."""
+    drives growth, one block of draws per depth level (see grow_tree)."""
     rng = streams.stream(seed, streams.TREE, t)
     in_bag = rng.integers(0, d.m, size=d.m)
     oob = np.setdiff1d(np.arange(d.m), in_bag)
@@ -108,7 +108,7 @@ def build(d: Dataset, cfg: EnsembleConfig, workers: int = 1) -> Ensemble:
     seed regardless of ``workers``: work is split by tree index and every
     tree's randomness is keyed by (seed, tree index) alone."""
     if d.m < 2:
-        raise ValueError("an ensemble needs at least two examples")
+        raise IngestionError("an ensemble needs at least two examples")
     d = d.without_target()
     stats = compute_stats(d)
     policy = cfg.policy(d.n)

@@ -11,6 +11,11 @@ same quantity on the training rows. A split's heuristic is
 and a node keeps the first-enumerated test that strictly maximizes h.
 Trees are fully grown: a node becomes a leaf only when it has fewer than
 two rows or no candidate test achieves h > 0.
+
+Growth goes one depth level at a time: one call of search_frontier
+searches every node of the level at once, and best_test is its one-node
+case. A node's test and h depend only on its own rows and its own random
+draws, never on which other nodes share its level.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import AttributeStats, Dataset, Nominal
+from .data import AttributeStats, Dataset
+from .segments import first_max, group_sums, running_sums, sorted_runs
 
 ALL_THRESHOLDS = "all-thresholds"
 ONE_RANDOM_THRESHOLD = "one-random-threshold"
@@ -55,23 +61,6 @@ class Test:
             raise ValueError("a test carries exactly one of threshold/category")
 
 
-# Growth scaffolding: grow_tree links these nodes and hands the root to
-# FlatTree.from_node, which is the only reader.
-@dataclass
-class Leaf:
-    prototype: np.ndarray
-    n_reached: int
-
-
-@dataclass
-class Internal:
-    test: Test
-    h_star: float
-    n_reached: int
-    yes: "Leaf | Internal | None" = None
-    no: "Leaf | Internal | None" = None
-
-
 @dataclass(frozen=True)
 class SplitResult:
     test: Test
@@ -104,245 +93,249 @@ def impurity(d: Dataset, rows, stats: AttributeStats) -> float:
     return float(terms.mean())
 
 
-def sample_candidates(rng: np.random.Generator, n_attrs: int, k: int) -> np.ndarray:
-    """Draw k of the n attributes without replacement. The draw order is the
-    candidate enumeration order, which settles ties under strict h > h*."""
-    return rng.choice(n_attrs, size=k, replace=False)
-
-
 class SplitWorkspace:
     """Precomputed matrix shared by every node of one tree (or one ensemble):
     Z = [x_c | one-hot blocks] over the columns whose training denominator is
-    positive. Each node centers the value block on its own column means and
-    squares it, giving a scoring matrix [v | v^2 | one-hots] whose column
-    sums over any row multiset yield the weighted-impurity term
+    positive, each column weighted by w = 1 / its attribute's denominator.
 
-        U(S) = |S| * n * impurity(S)   (summed over active columns only)
+    Split a node's M rows into a yes side of L_y rows and a no side of L_n,
+    with column sums S_y, S_n and S = S_y + S_n over them. The squared-value
+    terms of the three impurities cancel, leaving a weighted between-sides
+    sum of squares:
 
-    for every candidate split. Centering per node keeps the v^2 - v*v/L
-    subtraction from cancelling when a column's spread is small next to its
-    magnitude; variance is shift invariant, so h is unchanged.
+        n * h = sum over columns of w * (S_y^2 / L_y + S_n^2 / L_n - S^2 / M)
+
+    Each node first centers its value columns on its own means. The three
+    terms then carry no large common offset, so they do not cancel when a
+    column's spread is small next to its magnitude; h is shift invariant.
     """
 
     def __init__(self, d: Dataset, stats: AttributeStats):
-        self.d = d
         self.n = d.n
         num = d.numeric_mask
         num_active = np.flatnonzero(num & (stats.denominator > 0))
-        self.num_den = stats.denominator[num_active]
         blocks = [d.X[:, num_active]]
-        oh_weight: list[np.ndarray] = []
-        gini_inv_sum = 0.0
-        for j in np.flatnonzero(~num):
-            den = stats.denominator[j]
-            if den <= 0:
-                continue
-            size = len(d.kinds[j].domain)
-            codes = d.X[:, j].astype(np.intp)
-            onehot = np.zeros((d.m, size))
-            onehot[np.arange(d.m), codes] = 1.0
-            blocks.append(onehot)
-            oh_weight.append(np.full(size, 1.0 / den))
-            gini_inv_sum += 1.0 / den
+        weights = [1.0 / stats.denominator[num_active]]
+        for j in np.flatnonzero(~num & (stats.denominator > 0)):
+            codes = np.arange(len(d.kinds[j].domain))
+            blocks.append((d.X[:, j, None] == codes).astype(np.float64))
+            weights.append(np.full(codes.size, 1.0 / stats.denominator[j]))
         self.P = num_active.size
-        self.oh_weight = (np.concatenate(oh_weight) if oh_weight
-                          else np.empty(0))
-        self.gini_inv_sum = gini_inv_sum
+        self.nominal = ~num
+        self.weight = np.concatenate(weights)
         self.Z = np.ascontiguousarray(np.concatenate(blocks, axis=1))
-        # position of each active numeric attribute's value column inside Z
-        self.num_col = {int(a): i for i, a in enumerate(num_active)}
 
-    def u_terms(self, S: np.ndarray, L: np.ndarray) -> np.ndarray:
-        """U for each candidate row of column sums S with subset sizes L.
-        Callers guarantee L >= 1."""
-        P = self.P
-        S1, S2 = S[:, :P], S[:, P:2 * P]
-        U = ((S2 - S1 * S1 / L[:, None]) / self.num_den).sum(axis=1)
-        if self.oh_weight.size:
-            counts = S[:, 2 * P:]
-            U = U + L * self.gini_inv_sum - ((counts * counts) @ self.oh_weight) / L
-        return U
+    def scoring(self, rows: np.ndarray, heads: np.ndarray,
+                counts: np.ndarray) -> np.ndarray:
+        """Z's rows for a frontier whose node f owns the ``counts[f]`` rows
+        from ``heads[f]`` on, each node's value columns centered on that
+        node's own means."""
+        sub = self.Z[rows]
+        if self.P:
+            V = sub[:, :self.P]
+            mean = np.add.reduceat(V, heads, axis=0) / counts[:, None]
+            V -= np.repeat(mean, counts, axis=0)
+        return sub
+
+    def square_sums(self, S: np.ndarray) -> np.ndarray:
+        """sum over columns of w * S^2, for each row of column sums S."""
+        q = S * S
+        q *= self.weight
+        return q.sum(axis=1)
+
+    def gains(self, totals: np.ndarray, base: np.ndarray, size: np.ndarray,
+              S: np.ndarray, L: np.ndarray) -> np.ndarray:
+        """h per candidate row: yes side with sums S and size L, in a node
+        with sums ``totals``, ``size`` rows and ``base`` square_sums(totals)
+        / size."""
+        return (self.square_sums(S) / L
+                + self.square_sums(totals - S) / (size - L) - base) / self.n
+
+
+# Bytes one all-thresholds pass may hold; slots are searched in groups.
+_BLOCK_BUDGET = 16_000_000
+
+
+@dataclass(frozen=True)
+class FrontierSplits:
+    """Per node, the chosen test (``attr`` -1, ``value`` NaN without one;
+    a code where ``nominal``, else a threshold) and its h; per row, yes."""
+
+    attr: np.ndarray
+    value: np.ndarray
+    nominal: np.ndarray
+    h: np.ndarray
+    yes: np.ndarray
+
+
+def draw_frontier(rng: np.random.Generator, n_nodes: int, n_attrs: int,
+                  policy: SplitSearchPolicy):
+    """One level's randomness: an (n_nodes, n_attrs) block of uniform keys,
+    then, in one-random-threshold mode only, an (n_nodes, k) block with
+    k = min(n_candidates, n_attrs). Row f of each belongs to node f."""
+    keys = rng.random((n_nodes, n_attrs))
+    if policy.threshold_mode != ONE_RANDOM_THRESHOLD:
+        return keys, None
+    return keys, rng.random((n_nodes, min(policy.n_candidates, n_attrs)))
+
+
+def search_frontier(d: Dataset, ws: SplitWorkspace, policy: SplitSearchPolicy,
+                    rows: np.ndarray, starts: np.ndarray, keys: np.ndarray,
+                    u: np.ndarray | None = None) -> FrontierSplits:
+    """Search the splits of every node of a frontier at once. Node f owns
+    ``rows[starts[f]:starts[f + 1]]`` and the draws ``keys[f]``, ``u[f]``
+    (see draw_frontier). Its candidates are the first min(n_candidates, n)
+    attributes by ascending key (stable argsort), in that order. With one
+    random threshold, candidate s uses u = u[f, s]: a numeric attribute
+    with range [lo, hi] on the node tests x <= lo + (hi - lo) * u if that
+    is strictly inside (lo, hi); a nominal one with p >= 2 codes present
+    tests x == the floor(u * p)-th of them, ascending. With all thresholds,
+    every midpoint between consecutive distinct values and every present
+    category is a candidate. A node keeps the first strict maximizer of h,
+    if h > 0, in the order attributes as sampled, then thresholds or
+    categories ascending. Every sum is taken within one node in its rows'
+    order, so a node's result is bit-identical whichever nodes share its
+    frontier."""
+    counts = np.diff(starts)
+    F = counts.size
+    best = (np.full(F, -1, dtype=np.intp), np.full(F, np.nan),
+            np.zeros(F, dtype=bool), np.zeros(F))
+    if counts.max() < 2:  # single rows cannot split
+        return FrontierSplits(*best, np.zeros(rows.size, dtype=bool))
+    heads = starts[:-1]
+    seg = np.repeat(np.arange(F), counts)
+    k = min(policy.n_candidates, d.n)
+    cand = np.argsort(keys, axis=1, kind="stable")[:, :k]
+    scored = ws.scoring(rows, heads, counts)
+    totals = np.add.reduceat(scored, heads, axis=0)
+    base = ws.square_sums(totals) / counts
+    vals = d.X[rows[:, None], cand[seg]]
+    nominal = ws.nominal[cand]
+
+    group = max(1, _BLOCK_BUDGET // (24 * rows.size * max(scored.shape[1], 1)))
+    parts = []
+    for s0 in range(0, k, group):
+        part = slice(s0, s0 + group)
+        if u is None:
+            found = _threshold_candidates(seg, counts, scored, vals[:, part],
+                                          nominal[:, part])
+        else:
+            found = _one_random_candidates(seg, heads, scored, vals[:, part],
+                                           nominal[:, part], u[:, part])
+        owner, slot, value, S, L = found
+        h = ws.gains(totals[owner], base[owner], counts[owner], S, L)
+        parts.append((owner, s0 + slot, value, h))
+    # every node's candidates stay listed in enumeration order
+    owner, slot, value, h = (parts[0] if len(parts) == 1 else
+                             [np.concatenate(c) for c in zip(*parts)])
+    win = first_max(owner, h)
+    win = win[h[win] > 0.0]
+    f, s = owner[win], slot[win]
+    for out, got in zip(best, (cand[f, s], value[win], nominal[f, s], h[win])):
+        out[f] = got
+    attr, threshold_or_code, is_nominal, _ = best
+    # a node without a test has a NaN value, which no row takes
+    col = d.X[rows, np.maximum(attr, 0)[seg]]
+    v = threshold_or_code[seg]
+    yes = col <= v
+    if is_nominal.any():
+        yes = np.where(is_nominal[seg], col == v, yes)
+    return FrontierSplits(*best, yes)
+
+
+def _one_random_candidates(seg, heads, scored, vals, nominal, u):
+    """Valid one-random-threshold candidates of a group of slots as (node,
+    slot, threshold or code, yes sums, yes size), each node's in order."""
+    ks = vals.shape[1]
+    lo = np.minimum.reduceat(vals, heads, axis=0)
+    hi = np.maximum.reduceat(vals, heads, axis=0)
+    value = lo + (hi - lo) * u
+    valid = (lo < value) & (value < hi)
+    if nominal.any():
+        r, s = np.nonzero(nominal[seg])
+        _, _, code, pair_head, run_head = sorted_runs(seg[r] * ks + s, vals[r, s])
+        present = np.add.reduceat(run_head, np.flatnonzero(pair_head),
+                                  dtype=np.intp)
+        pick = np.minimum((u[nominal] * present).astype(np.intp), present - 1)
+        value[nominal] = code[run_head][np.cumsum(present) - present + pick]
+        valid[nominal] = present >= 2
+        below = np.where(nominal[seg], vals == value[seg], vals <= value[seg])
+    else:
+        below = vals <= value[seg]
+    # the valid candidates' yes rows, grouped by (slot, node), in row order
+    s, r = np.nonzero((below & valid[seg]).T)
+    first = np.flatnonzero(np.diff(s * seg.size + seg[r], prepend=-1))
+    f, s = seg[r[first]], s[first]
+    return (f, s, value[f, s], group_sums(scored, r, first),
+            np.diff(np.append(first, r.size)))
+
+
+def _threshold_candidates(seg, counts, scored, vals, nominal):
+    """All-thresholds candidates, as _one_random_candidates returns them.
+    Each (node, slot) pair's rows are sorted by value: a numeric pair's
+    candidates are its cuts between distinct values, with running sums over
+    the pair as yes sides; a nominal pair's are its runs of one code."""
+    ks = vals.shape[1]
+    pair = (seg[:, None] * ks + np.arange(ks)).ravel()
+    order, sp, sv, pair_head, run_head = sorted_runs(pair, vals.ravel())
+    is_nominal = nominal.ravel()[sp]
+    runs = np.add.reduceat(run_head, np.flatnonzero(pair_head), dtype=np.intp)
+    several = np.repeat(runs >= 2, np.repeat(counts, ks))
+    at = np.flatnonzero(np.append(run_head[1:], True) & np.where(
+        is_nominal, several, ~np.append(pair_head[1:], True)))
+    scan = np.flatnonzero(pair_head | (run_head & is_nominal))
+    L = at + 1 - scan[np.searchsorted(scan, at, side="right") - 1]
+    low, high = sv[at], sv[np.minimum(at + 1, sv.size - 1)]
+    mid = low + (high - low) / 2
+    # a midpoint that rounds onto the upper value falls back to the lower
+    # one, so the test keeps the partition it was scored on
+    value = np.where(is_nominal[at] | (mid >= high), low, mid)
+    return (sp[at] // ks, sp[at] % ks, value,
+            running_sums(scored, order // ks, scan, at), L)
 
 
 def best_test(d: Dataset, rows, policy: SplitSearchPolicy, stats: AttributeStats,
               rng: np.random.Generator, workspace: SplitWorkspace | None = None,
               ) -> SplitResult | None:
-    """Search the node's candidate tests and return the strict maximizer of h,
-    or None when no candidate achieves h > 0.
-
-    Enumeration order (the tie rule): attributes in sampled order; within a
-    numeric attribute, thresholds ascending; within a nominal attribute,
-    categories in ascending code order. A later candidate replaces the
-    incumbent only when its h is strictly larger.
-
-    Random consumption per node, in order: one without-replacement draw of
-    min(n_candidates, n) attributes; then, in one-random-threshold mode only,
-    one uniform draw per numeric candidate (vectorized, candidates in sampled
-    order) followed by one integer draw per non-constant nominal candidate in
-    sampled order.
-    """
+    """The strict maximizer of h among one node's candidate tests, or None
+    when no candidate achieves h > 0: search_frontier on a one-node
+    frontier, candidates, thresholds and tie rule as documented there. It
+    draws nothing for fewer than two rows, else draw_frontier's blocks for
+    one node: ``rng.random((1, n))``, then, with one random threshold,
+    ``rng.random((1, k))``."""
     rows = np.asarray(rows, dtype=np.intp)
-    M = int(rows.size)
-    if M < 2:
+    if rows.size < 2:
         return None
     ws = workspace if workspace is not None else SplitWorkspace(d, stats)
-    cand = sample_candidates(rng, d.n, min(policy.n_candidates, d.n))
-    subZ = ws.Z[rows]
-    P = ws.P
-    V = subZ[:, :P]
-    scored = np.empty((M, P + subZ.shape[1]))
-    if P:
-        np.subtract(V, V.mean(axis=0), out=scored[:, :P])
-        np.square(scored[:, :P], out=scored[:, P:2 * P])
-    scored[:, 2 * P:] = subZ[:, P:]
-    totals = scored.sum(axis=0)
-    u_all = float(ws.u_terms(totals[None, :], np.array([float(M)]))[0])
-
-    if policy.threshold_mode == ONE_RANDOM_THRESHOLD:
-        return _one_random_split(d, ws, rows, V, scored, totals, u_all, cand, rng)
-    return _all_thresholds_split(d, ws, rows, V, scored, totals, u_all, cand)
-
-
-def _gains(ws: SplitWorkspace, totals: np.ndarray, u_all: float, M: int,
-           S: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """h for candidate yes-sides with column sums S and sizes L (all in
-    (0, M) by construction)."""
-    k = S.shape[0]
-    U = ws.u_terms(np.concatenate((S, totals[None, :] - S), axis=0),
-                   np.concatenate((L, M - L)))
-    return (u_all - U[:k] - U[k:]) / ws.n
-
-
-def _all_thresholds_split(d, ws, rows, V, scored, totals, u_all, cand):
-    M = rows.size
-    best_h = 0.0
-    best: Test | None = None
-    best_mask: np.ndarray | None = None
-    for a in cand:
-        a = int(a)
-        vals = (V[:, ws.num_col[a]] if a in ws.num_col
-                else d.X[rows, a])
-        if isinstance(d.kinds[a], Nominal):
-            present = np.unique(vals)
-            if present.size < 2:
-                continue
-            masks = vals[:, None] == present[None, :]
-            maskf = masks.astype(np.float64)
-            h = _gains(ws, totals, u_all, M, maskf.T @ scored, maskf.sum(axis=0))
-            i = int(np.argmax(h))
-            if h[i] > best_h:
-                best_h = float(h[i])
-                best = Test(a, category=float(present[i]))
-                best_mask = masks[:, i]
-        else:
-            order = np.argsort(vals, kind="stable")
-            sv = vals[order]
-            cut = np.flatnonzero(sv[1:] > sv[:-1])
-            if cut.size == 0:
-                continue
-            thresholds = sv[cut] + (sv[cut + 1] - sv[cut]) / 2
-            # if a midpoint rounds onto the upper value, fall back to the
-            # lower one so the test keeps the partition it was scored on
-            thresholds = np.where(thresholds < sv[cut + 1], thresholds, sv[cut])
-            prefix = scored[order].cumsum(axis=0)
-            h = _gains(ws, totals, u_all, M, prefix[cut],
-                       (cut + 1).astype(np.float64))
-            i = int(np.argmax(h))
-            if h[i] > best_h:
-                best_h = float(h[i])
-                best = Test(a, threshold=float(thresholds[i]))
-                best_mask = None  # recomputed below; cheaper than storing
-    if best is None:
+    keys, u = draw_frontier(rng, 1, d.n, policy)
+    found = search_frontier(d, ws, policy, rows, np.array([0, rows.size]),
+                            keys, u)
+    attr, value = int(found.attr[0]), float(found.value[0])
+    if attr < 0:
         return None
-    if best_mask is None:
-        best_mask = d.X[rows, best.attr] <= best.threshold
-    return SplitResult(best, best_h, rows[best_mask], rows[~best_mask])
+    test = (Test(attr, category=value) if found.nominal[0]
+            else Test(attr, threshold=value))
+    return SplitResult(test, float(found.h[0]), rows[found.yes],
+                       rows[~found.yes])
 
 
-def _one_random_split(d, ws, rows, V, scored, totals, u_all, cand, rng):
-    M = rows.size
-    numeric = d.numeric_mask[cand]
-    all_numeric = bool(numeric.all())
-
-    num_attrs = cand if all_numeric else cand[numeric]
-    num_masks = ok = theta = None
-    if num_attrs.size:
-        zc = [ws.num_col.get(int(a), -1) for a in num_attrs]
-        if -1 in zc:
-            # some candidate is constant on the whole training set (no Z
-            # column); fetch raw values so the draw below still happens
-            nv = d.X[np.ix_(rows, num_attrs)]
-        else:
-            nv = V[:, zc]
-        lo = nv.min(axis=0)
-        hi = nv.max(axis=0)
-        # One vectorized draw; degenerate draws (constant column, or a theta
-        # rounding onto an endpoint) are discarded as invalid candidates.
-        theta = rng.uniform(lo, hi)
-        ok = (lo < hi) & (theta > lo) & (theta < hi)
-        num_masks = nv <= theta
-
-    if all_numeric:
-        if not ok.all():
-            keep = np.flatnonzero(ok)
-            if keep.size == 0:
-                return None
-            masks = num_masks[:, keep]
-            attrs, values = cand[keep], theta[keep]
-        else:
-            masks, attrs, values = num_masks, cand, theta
-        categorical = ()
-    else:
-        nom_cols: dict[int, tuple[np.ndarray, float]] = {}
-        for j in np.flatnonzero(~numeric):
-            vj = d.X[rows, cand[j]]
-            present = np.unique(vj)
-            if present.size < 2:
-                continue
-            v = float(present[rng.integers(present.size)])
-            nom_cols[j] = (vj == v, v)
-        # Reassemble in sampled order (the enumeration order for ties).
-        cols, attrs, values, categorical = [], [], [], []
-        pos = 0
-        for j in range(cand.size):
-            if numeric[j]:
-                if ok[pos]:
-                    cols.append(num_masks[:, pos])
-                    attrs.append(int(cand[j]))
-                    values.append(float(theta[pos]))
-                    categorical.append(False)
-                pos += 1
-            elif j in nom_cols:
-                cols.append(nom_cols[j][0])
-                attrs.append(int(cand[j]))
-                values.append(nom_cols[j][1])
-                categorical.append(True)
-        if not cols:
-            return None
-        masks = np.column_stack(cols)
-
-    maskf = masks.astype(np.float64)
-    h = _gains(ws, totals, u_all, M, maskf.T @ scored, maskf.sum(axis=0))
-    i = int(np.argmax(h))
-    if h[i] <= 0.0:
-        return None
-    if categorical and categorical[i]:
-        test = Test(int(attrs[i]), category=float(values[i]))
-    else:
-        test = Test(int(attrs[i]), threshold=float(values[i]))
-    ym = masks[:, i]
-    return SplitResult(test, float(h[i]), rows[ym], rows[~ym])
-
-
-def prototype(d: Dataset, rows: np.ndarray) -> np.ndarray:
-    """Leaf prediction vector: per-attribute mean (numeric) or modal code
-    (nominal, ties to the smallest code), over the row multiset."""
+def _leaf_prototypes(d: Dataset, rows: np.ndarray,
+                     sizes: np.ndarray) -> np.ndarray:
+    """Leaf prediction vectors, leaf i owning the next ``sizes[i]`` rows:
+    per-attribute mean (numeric) or modal code (nominal, ties to the
+    smallest code)."""
     sub = d.X[rows]
-    proto = sub.mean(axis=0)
-    for j in np.flatnonzero(~d.numeric_mask):
-        counts = np.bincount(sub[:, j].astype(np.intp),
-                             minlength=len(d.kinds[j].domain))
-        proto[j] = float(np.argmax(counts))
+    proto = (np.add.reduceat(sub, np.cumsum(sizes) - sizes, axis=0)
+             / sizes[:, None])
+    nom = np.flatnonzero(~d.numeric_mask)
+    if nom.size:
+        group = (np.repeat(np.arange(sizes.size), sizes)[:, None] * nom.size
+                 + np.arange(nom.size))
+        _, sp, sv, _, run_head = sorted_runs(group.ravel(), sub[:, nom].ravel())
+        first = np.flatnonzero(run_head)
+        mode = first[first_max(sp[first],
+                                np.diff(np.append(first, sv.size)))]
+        proto[:, nom] = sv[mode].reshape(sizes.size, nom.size)
     return proto
 
 
@@ -352,9 +345,13 @@ def grow_tree(d: Dataset, rows, policy: SplitSearchPolicy, stats: AttributeStats
     """Grow a fully expanded tree on the given row multiset (duplicate
     indices count with multiplicity everywhere).
 
-    Nodes are expanded in preorder, yes child first; together with the
-    per-node consumption documented on best_test this fixes the random
-    stream layout, so one seed always yields one tree.
+    The tree grows one depth level at a time, its nodes in canonical order:
+    the root, then the children of the previous level's split nodes in
+    their parents' order, yes child first. Each level takes draw_frontier's
+    blocks for all its nodes from ``rng`` and searches them with one
+    search_frontier call. This fixes the random stream layout, so one seed
+    always yields one tree, and the root's test is the one best_test finds
+    on the same rows from the same generator state.
     """
     rows = np.asarray(rows, dtype=np.intp)
     if rows.size == 0:
@@ -363,32 +360,36 @@ def grow_tree(d: Dataset, rows, policy: SplitSearchPolicy, stats: AttributeStats
         raise ValueError("row indices out of range")
     ws = workspace if workspace is not None else SplitWorkspace(d, stats)
 
-    root_box: list[Leaf | Internal | None] = [None]
+    levels = []
+    counts = np.array([rows.size])
+    while True:
+        keys, u = draw_frontier(rng, counts.size, d.n, policy)
+        found = search_frontier(d, ws, policy, rows,
+                                np.cumsum(np.append(0, counts)), keys, u)
+        levels.append((rows, counts, found))
+        split = found.attr >= 0
+        if not split.any():
+            break
+        # children in their parents' order, yes child first, each keeping
+        # its rows' order; the rows of unsplit nodes sort last
+        n_split = int(split.sum())
+        child = np.repeat(np.where(split, 2 * np.cumsum(split) - 2,
+                                   2 * n_split), counts) + ~found.yes
+        order = np.argsort(child, kind="stable")
+        counts = np.bincount(child, minlength=2 * n_split + 2)[:2 * n_split]
+        rows = rows[order[:counts.sum()]]
 
-    def attach(container, slot, node):
-        if isinstance(container, list):
-            container[slot] = node
-        elif slot == "yes":
-            container.yes = node
-        else:
-            container.no = node
-
-    stack: list[tuple[np.ndarray, object, object]] = [(rows, root_box, 0)]
-    while stack:
-        node_rows, container, slot = stack.pop()
-        res = None
-        if node_rows.size >= 2:
-            res = best_test(d, node_rows, policy, stats, rng, ws)
-        if res is None:
-            attach(container, slot, Leaf(prototype(d, node_rows),
-                                         int(node_rows.size)))
-            continue
-        node = Internal(res.test, res.h_star, int(node_rows.size))
-        attach(container, slot, node)
-        # pushed no-first so the yes child pops (and consumes randomness) first
-        stack.append((res.no_rows, node, "no"))
-        stack.append((res.yes_rows, node, "yes"))
-    return FlatTree.from_node(root_box[0], d.n)
+    n_reached = np.concatenate([c for _, c, _ in levels])
+    attr, value, nominal, h = (np.concatenate([getattr(f, name)
+                                               for _, _, f in levels])
+                               for name in ("attr", "value", "nominal", "h"))
+    leaf = attr < 0
+    protos = _leaf_prototypes(
+        d, np.concatenate([r for r, _, _ in levels])[np.repeat(leaf, n_reached)],
+        n_reached[leaf])
+    return FlatTree.from_node(attr, np.where(nominal, np.nan, value),
+                              np.where(nominal, value, np.nan), nominal,
+                              n_reached, h, protos)
 
 
 @dataclass
@@ -411,46 +412,43 @@ class FlatTree:
     leaf_proto: np.ndarray
 
     @classmethod
-    def from_node(cls, root: Leaf | Internal, n_attrs: int) -> "FlatTree":
-        """Flatten the linked nodes grow_tree builds."""
-        nodes: list[Leaf | Internal] = []
-        stack = [root]
-        while stack:  # preorder, yes child first
-            node = stack.pop()
-            nodes.append(node)
-            if isinstance(node, Internal):
-                stack.append(node.no)
-                stack.append(node.yes)
-        index = {id(node): i for i, node in enumerate(nodes)}
-        count = len(nodes)
-        attr = np.full(count, -1, dtype=np.intp)
-        threshold = np.full(count, np.nan)
-        category = np.full(count, np.nan)
-        is_nominal = np.zeros(count, dtype=bool)
-        child = np.full((count, 2), -1, dtype=np.intp)
-        n_reached = np.zeros(count, dtype=np.intp)
-        h_star = np.zeros(count)
-        leaf_slot = np.full(count, -1, dtype=np.intp)
-        protos: list[np.ndarray] = []
-        for i, node in enumerate(nodes):
-            n_reached[i] = node.n_reached
-            if isinstance(node, Leaf):
-                leaf_slot[i] = len(protos)
-                protos.append(node.prototype)
-            else:
-                attr[i] = node.test.attr
-                h_star[i] = node.h_star
-                if node.test.threshold is not None:
-                    threshold[i] = node.test.threshold
-                else:
-                    category[i] = node.test.category
-                    is_nominal[i] = True
-                child[i, 0] = index[id(node.yes)]
-                child[i, 1] = index[id(node.no)]
-        leaf_proto = (np.vstack(protos) if protos
-                      else np.empty((0, n_attrs)))
-        return cls(attr, threshold, category, is_nominal, child, n_reached,
-                   h_star, leaf_slot, leaf_proto)
+    def from_node(cls, attr, threshold, category, is_nominal, n_reached,
+                  h_star, leaf_proto) -> "FlatTree":
+        """A tree from its node records in level order, where the r-th
+        internal node's children are nodes 2r+1 (yes) and 2r+2 (no) and
+        ``leaf_proto`` holds the leaves' prototypes in that order. The nodes
+        are laid out in preorder, yes child first, one depth at a time from
+        subtree sizes: a yes child follows its parent, a no child follows
+        its yes sibling's subtree.
+
+        The name dates from when this flattened linked node objects. It is
+        kept because the benchmark wraps ``FlatTree.from_node`` by name and
+        reports its time as ``tree.flatten_s``; without it every traced run
+        would fail.
+        """
+        inner = np.flatnonzero(attr >= 0)
+        child = np.full((attr.size, 2), -1, dtype=np.intp)
+        child[inner] = 2 * np.arange(inner.size)[:, None] + np.array([1, 2])
+        depths = [np.zeros(1, dtype=np.intp)]
+        while (inner := depths[-1][attr[depths[-1]] >= 0]).size:
+            depths.append(child[inner].ravel())
+        size = np.ones(attr.size, dtype=np.intp)
+        for level in reversed(depths):
+            inner = level[attr[level] >= 0]
+            size[inner] += size[child[inner]].sum(axis=1)
+        pre = np.zeros(attr.size, dtype=np.intp)
+        for level in depths:
+            inner = level[attr[level] >= 0]
+            yes, no = child[inner].T
+            pre[yes] = pre[inner] + 1
+            pre[no] = pre[yes] + size[yes]
+        order = np.argsort(pre)
+        leaf = attr[order] < 0
+        return cls(attr[order], threshold[order], category[order],
+                   is_nominal[order], np.where(child >= 0, pre[child], -1)[order],
+                   n_reached[order], h_star[order],
+                   np.where(leaf, np.cumsum(leaf) - 1, -1),
+                   leaf_proto[(np.cumsum(attr < 0) - 1)[order[leaf]]])
 
     def route(self, X: np.ndarray) -> np.ndarray:
         """Node id of the leaf reached by each row of X."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parallel, streams
-from .data import AttributeStats, Dataset, compute_stats
+from .data import AttributeStats, Dataset, IngestionError, compute_stats
 from .scores import Ranking
 
 _CLAMP = 1e-12
@@ -47,11 +47,11 @@ class UReliefConfig:
 
     def resolve(self, m: int) -> tuple[int, int]:
         if m < 2:
-            raise ValueError("urelief needs at least two examples")
+            raise IngestionError("urelief needs at least two examples")
         k = min(30, m - 1) if self.neighbors is None else self.neighbors
         if k > m - 1:
-            raise ValueError(f"neighbors={k} requires at least {k + 1} examples, "
-                             f"dataset has {m}")
+            raise IngestionError(f"neighbors={k} requires at least {k + 1} "
+                                 f"examples, dataset has {m}")
         return k, (m if self.iterations is None else self.iterations)
 
 

@@ -104,38 +104,36 @@ def ref_candidates_all(d, rows, dens, attr_order):
 
 
 def ref_candidates_one_random(d, rows, dens, policy_size, rng):
-    """Replay of the one-random-threshold draw sequence: one candidate draw,
-    one vectorized uniform over the numeric candidates in sampled order, one
-    integer draw per non-constant nominal candidate in sampled order. Valid
-    candidates come back in sampled order with quality judged by ref_h."""
+    """Replay of the one-random-threshold draws of a lone node: n uniform
+    keys, whose ascending order is the sampled attribute order (the first
+    k = min(policy_size, n) are the candidates), then k uniforms, one per
+    candidate in sampled order. A numeric candidate with range [lo, hi]
+    over the rows tests x <= lo + (hi - lo) * u and is valid when that lies
+    strictly inside (lo, hi); a nominal one tests x == present[floor(u *
+    len(present))] over its present codes in ascending order and is valid
+    with two or more present. Valid candidates come back in sampled order
+    with quality judged by ref_h."""
     rows = np.asarray(rows, dtype=np.intp)
-    cand = rng.choice(d.n, size=min(policy_size, d.n), replace=False)
-    numeric = np.array([not isinstance(d.kinds[int(a)], Nominal) for a in cand])
-
-    candidates = [None] * cand.size
-    if numeric.any():
-        vals = d.X[np.ix_(rows, cand[numeric])]
-        lo = vals.min(axis=0)
-        hi = vals.max(axis=0)
-        theta = rng.uniform(lo, hi)
-        for pos, j in enumerate(np.flatnonzero(numeric)):
-            if lo[pos] < theta[pos] < hi[pos]:
-                mask = d.X[rows, int(cand[j])] <= theta[pos]
-                candidates[j] = (("threshold", float(theta[pos])), mask)
-    for j in np.flatnonzero(~numeric):
-        col = d.X[rows, int(cand[j])]
-        present = np.unique(col)
-        if present.size < 2:
-            continue
-        cat = float(present[rng.integers(present.size)])
-        candidates[j] = (("category", cat), col == cat)
-
+    k = min(policy_size, d.n)
+    keys = rng.random((1, d.n))[0]
+    draws = rng.random((1, k))[0]
+    cand = sorted(range(d.n), key=lambda a: (keys[a], a))[:k]
     out = []
-    for j in range(cand.size):
-        if candidates[j] is not None:
-            descriptor, mask = candidates[j]
-            out.append((int(cand[j]), descriptor,
-                        ref_h(d, rows, mask, dens), mask))
+    for attr, u in zip(cand, draws):
+        col = d.X[rows, attr]
+        if isinstance(d.kinds[attr], Nominal):
+            present = sorted(set(col.tolist()))
+            if len(present) < 2:
+                continue
+            cat = present[int(np.floor(u * len(present)))]
+            descriptor, mask = ("category", float(cat)), col == cat
+        else:
+            lo, hi = float(col.min()), float(col.max())
+            theta = lo + (hi - lo) * u
+            if not lo < theta < hi:
+                continue
+            descriptor, mask = ("threshold", float(theta)), col <= theta
+        out.append((attr, descriptor, ref_h(d, rows, mask, dens), mask))
     return out
 
 

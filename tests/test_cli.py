@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from ufrank import SynthSpec, write_planted
+from ufrank import SynthSpec, cli, write_planted
 from ufrank.cli import main
 
 
@@ -131,6 +131,28 @@ class TestExitCodes:
                                "urelief", "--neighbors", "30")
         assert code == 2
         assert "neighbors" in json.loads(err)["error"]["message"]
+
+    def test_configuration_the_data_cannot_support_exits_2(self, planted_csv,
+                                                            capsys):
+        # 24 examples and 6 attributes: 30 folds and a top-7 are too many
+        for flags, word in ((("--folds", "30"), "fold"),
+                            (("--top-k", "7"), "k_features")):
+            code, _, err = run_cli(capsys, "eval", "--data", str(planted_csv),
+                                   "--target-column", "target", "--trees",
+                                   "3", *flags)
+            assert code == 2
+            assert word in json.loads(err)["error"]["message"]
+
+    def test_internal_value_error_is_not_a_data_error(self, planted_csv,
+                                                      monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(cli, "ranking_rows", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["rank", "--data", str(planted_csv), "--target-column",
+                  "target", "--method", "urelief"])
+        assert capsys.readouterr().err == ""
 
     def test_computation_errors_exit_3(self, tmp_path, capsys):
         flat = tmp_path / "flat.csv"

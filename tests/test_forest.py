@@ -83,10 +83,11 @@ class TestBuild:
 
     def test_worker_count_never_changes_the_forest(self):
         d = small_dataset(3)
-        cfg = EnsembleConfig(method="et", n_trees=8, seed=5)
-        one = build(d, cfg, workers=1)
-        two = build(d, cfg, workers=2)
-        assert ensemble_fingerprint(one) == ensemble_fingerprint(two)
+        for method in ("et", "rf", "bagging"):
+            cfg = EnsembleConfig(method=method, n_trees=8, seed=5)
+            one = build(d, cfg, workers=1)
+            two = build(d, cfg, workers=2)
+            assert ensemble_fingerprint(one) == ensemble_fingerprint(two)
 
     def test_bagging_equals_rf_with_all_attributes(self):
         for seed in range(5):

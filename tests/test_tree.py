@@ -7,6 +7,7 @@ import oracles
 from ufrank import (ALL_THRESHOLDS, ONE_RANDOM_THRESHOLD, Dataset, FlatTree,
                     Nominal, Numeric, SplitSearchPolicy, best_test,
                     compute_stats, grow_tree, impurity)
+from ufrank.tree import SplitWorkspace, draw_frontier, search_frontier
 
 
 def mixed_4x2():
@@ -22,6 +23,18 @@ def numeric_dataset(values):
     names = tuple(f"x{j}" for j in range(values.shape[1]))
     return Dataset("numeric", names,
                    tuple(Numeric() for _ in names), values)
+
+
+def nominal_heavy_dataset(rng, m):
+    """Four nominal columns (arities 3 to 6) and one numeric column."""
+    cols, kinds = [], []
+    for size in (3, 4, 5, 6):
+        cols.append(rng.integers(0, size, size=m).astype(np.float64))
+        kinds.append(Nominal(tuple(f"v{v}" for v in range(size))))
+    cols.append(rng.uniform(-1.0, 1.0, size=m))
+    kinds.append(Numeric())
+    names = tuple(f"c{j}" for j in range(len(cols)))
+    return Dataset("nominal_heavy", names, tuple(kinds), np.column_stack(cols))
 
 
 class TestImpurity:
@@ -184,6 +197,54 @@ class TestBestTestOracle:
             self.compare(d, np.arange(m), got, cands)
 
 
+class TestFrontierIndependence:
+    """A node searched in a frontier with other nodes gets byte for byte
+    the result it gets searched alone with the same draws."""
+
+    def frontiers(self):
+        rng = np.random.default_rng(61)
+        for case in range(16):
+            m = int(rng.integers(4, 30))
+            n = int(rng.integers(1, 6))
+            if case % 4 == 3:
+                d = nominal_heavy_dataset(rng, m)
+            else:
+                d = oracles.random_mixed_dataset(rng, m, n)
+            if case % 4 == 2:  # every example twice: duplicate rows
+                d = Dataset(d.name, d.attr_names, d.kinds, np.vstack([d.X, d.X]))
+            nodes = [rng.integers(0, d.m, size=int(rng.integers(2, d.m + 1)))
+                     for _ in range(int(rng.integers(2, 7)))]
+            yield case, d, nodes
+        # large offset, tiny spread: the per-node centering must hold up
+        X = 1e4 + 1e-3 * rng.uniform(size=(20, 3))
+        d = numeric_dataset(X)
+        yield 16, d, [rng.integers(0, 20, size=12) for _ in range(4)]
+
+    def test_each_node_matches_its_lone_search(self):
+        splits = 0
+        for case, d, nodes in self.frontiers():
+            ws = SplitWorkspace(d, compute_stats(d))
+            for mode in (ALL_THRESHOLDS, ONE_RANDOM_THRESHOLD):
+                policy = SplitSearchPolicy(1 + case % d.n, mode)
+                keys, u = draw_frontier(np.random.default_rng(case), len(nodes),
+                                        d.n, policy)
+                starts = np.cumsum([0] + [r.size for r in nodes])
+                joint = search_frontier(d, ws, policy, np.concatenate(nodes),
+                                        starts, keys, u)
+                for f, rows in enumerate(nodes):
+                    alone = search_frontier(
+                        d, ws, policy, rows, np.array([0, rows.size]),
+                        keys[f:f + 1], None if u is None else u[f:f + 1])
+                    assert joint.attr[f] == alone.attr[0]
+                    assert joint.nominal[f] == alone.nominal[0]
+                    assert joint.value[f].tobytes() == alone.value[0].tobytes()
+                    assert joint.h[f].tobytes() == alone.h[0].tobytes()
+                    np.testing.assert_array_equal(
+                        joint.yes[starts[f]:starts[f + 1]], alone.yes)
+                    splits += int(alone.attr[0] >= 0)
+        assert splits >= 100
+
+
 class TestGrowTree:
     def test_identical_rows_make_a_single_leaf(self):
         d = numeric_dataset([2.0, 2.0, 2.0])
@@ -210,12 +271,24 @@ class TestGrowTree:
     def test_partition_property_and_h_star_recompute(self):
         rng = np.random.default_rng(11)
         d = oracles.random_mixed_dataset(rng, 40, 3)
-        stats = compute_stats(d)
         rows = rng.integers(0, 40, size=40)
-        tree = grow_tree(d, rows, SplitSearchPolicy(3, ALL_THRESHOLDS), stats,
-                         np.random.default_rng(4))
+        nominal_heavy = nominal_heavy_dataset(np.random.default_rng(12), 40)
+        nominal_rows = np.random.default_rng(13).integers(0, 40, size=40)
+        for data, bag, policy, seed in (
+                (d, rows, SplitSearchPolicy(3, ALL_THRESHOLDS), 4),
+                (d, rows, SplitSearchPolicy(2, ONE_RANDOM_THRESHOLD), 4),
+                (nominal_heavy, nominal_rows,
+                 SplitSearchPolicy(5, ALL_THRESHOLDS), 5),
+                (nominal_heavy, nominal_rows,
+                 SplitSearchPolicy(3, ONE_RANDOM_THRESHOLD), 5)):
+            self.check_partition_and_h_star(data, bag, policy, seed)
+
+    def check_partition_and_h_star(self, d, rows, policy, seed):
+        stats = compute_stats(d)
+        tree = grow_tree(d, rows, policy, stats, np.random.default_rng(seed))
         node_rows = oracles.ref_node_rows(d, tree, rows)
         leaf = tree.attr < 0
+        assert (~leaf).sum() >= 3
 
         leaf_rows = np.concatenate([r for i, r in enumerate(node_rows) if leaf[i]])
         assert sorted(leaf_rows.tolist()) == sorted(rows.tolist())
@@ -232,6 +305,40 @@ class TestGrowTree:
                 h = oracles.ref_h(d, rows_i, mask, dens)
                 assert tree.h_star[i] > 0.0
                 assert tree.h_star[i] == pytest.approx(h, rel=1e-9)
+
+    def test_root_is_best_test_on_the_same_rows(self):
+        # grow_tree's first level is best_test's one-node frontier: same
+        # draws from the same generator state, same test, same h and rows
+        rng = np.random.default_rng(41)
+        roots = 0
+        for case in range(30):
+            m = int(rng.integers(3, 25))
+            d = oracles.random_mixed_dataset(rng, m, int(rng.integers(1, 5)))
+            stats = compute_stats(d)
+            rows = rng.integers(0, m, size=m)
+            mode = (ALL_THRESHOLDS, ONE_RANDOM_THRESHOLD)[case % 2]
+            policy = SplitSearchPolicy(int(rng.integers(1, d.n + 1)), mode)
+            tree = grow_tree(d, rows, policy, stats,
+                             np.random.default_rng(500 + case))
+            res = best_test(d, rows, policy, stats,
+                            np.random.default_rng(500 + case))
+            if res is None:
+                np.testing.assert_array_equal(tree.attr, [-1])
+                continue
+            roots += 1
+            assert tree.attr[0] == res.test.attr
+            if res.test.threshold is not None:
+                assert tree.threshold[0] == res.test.threshold
+                assert not tree.is_nominal[0]
+            else:
+                assert tree.category[0] == res.test.category
+                assert tree.is_nominal[0]
+            assert tree.h_star[0].tobytes() == np.float64(res.h_star).tobytes()
+            node_rows = oracles.ref_node_rows(d, tree, rows)
+            yes, no = tree.child[0]
+            np.testing.assert_array_equal(node_rows[yes], res.yes_rows)
+            np.testing.assert_array_equal(node_rows[no], res.no_rows)
+        assert roots >= 20
 
     def test_same_seed_same_tree(self):
         rng = np.random.default_rng(2)
