@@ -9,23 +9,21 @@ and compares methods across datasets by average rank.
 
 from .data import (AttributeKind, AttributeStats, ComputationError, Dataset,
                    IngestionError, Nominal, Numeric, compute_stats, load_csv,
-                   summary, summary_json, write_csv)
+                   write_csv)
 from .evaluate import (ComparisonReport, CurveReport, FoldPlan,
                        adjusted_rand_index, clustering_hypothesis_ari,
                        compare_methods, comparison_to_csv, curve_points_csv,
                        cv_mse, error_curve, k_grid, kmeans, knn_predict,
-                       nemenyi_cd, report_json)
+                       nemenyi_cd)
 from .forest import (BAGGING, EXTRA_TREES, RANDOM_FOREST, SUBSET_RULES,
-                     Ensemble, EnsembleConfig, build, load_ensemble,
-                     save_ensemble, subset_size)
+                     Ensemble, EnsembleConfig, build, subset_size)
 from .rankers import METHODS, make_ranker
 from .scores import (Ranking, genie3, random_forest_score, ranking_rows,
-                     ranking_to_csv, ranking_to_json, symbolic)
+                     ranking_to_csv, symbolic)
 from .synth import SynthSpec, make_planted, write_planted
 from .tree import (ALL_THRESHOLDS, ONE_RANDOM_THRESHOLD, FlatTree,
-                   SplitSearchPolicy, Test, best_test, grow_tree, impurity)
-from .urelief import (UReliefConfig, UReliefState, attr_distance,
-                      example_distance, urelief, urelief_state)
+                   SplitSearchPolicy, Test, best_test, grow_tree)
+from .urelief import UReliefConfig, UReliefState, urelief, urelief_state
 
 __version__ = "0.1.0"
 
@@ -36,13 +34,11 @@ __all__ = [
     "CurveReport", "Dataset", "Ensemble", "EnsembleConfig", "FlatTree",
     "FoldPlan", "IngestionError", "Nominal", "Numeric", "Ranking",
     "SplitSearchPolicy", "SynthSpec", "Test", "UReliefConfig", "UReliefState",
-    "adjusted_rand_index", "attr_distance", "best_test", "build",
-    "clustering_hypothesis_ari", "compare_methods", "comparison_to_csv",
-    "compute_stats", "curve_points_csv", "cv_mse", "error_curve",
-    "example_distance", "genie3", "grow_tree", "impurity", "k_grid", "kmeans",
-    "knn_predict", "load_csv", "load_ensemble", "make_planted", "make_ranker",
-    "nemenyi_cd", "random_forest_score", "ranking_rows", "ranking_to_csv",
-    "ranking_to_json", "report_json", "save_ensemble", "subset_size",
-    "summary", "summary_json", "symbolic", "urelief", "urelief_state",
+    "adjusted_rand_index", "best_test", "build", "clustering_hypothesis_ari",
+    "compare_methods", "comparison_to_csv", "compute_stats",
+    "curve_points_csv", "cv_mse", "error_curve", "genie3", "grow_tree",
+    "k_grid", "kmeans", "knn_predict", "load_csv", "make_planted",
+    "make_ranker", "nemenyi_cd", "random_forest_score", "ranking_rows",
+    "ranking_to_csv", "subset_size", "symbolic", "urelief", "urelief_state",
     "write_csv", "write_planted",
 ]

@@ -2,10 +2,12 @@
 
 Commands: rank, eval, curve, compare, synth, ari-check. Every artifact is
 JSON (with CSV mirrors where a table shape is natural) and embeds the
-resolved configuration that produced it, minus execution-only knobs
-(worker count, output directory), so a report can be reproduced from its
-own config block and re-running with a different --workers value yields
-byte-identical files.
+configuration that produced it, minus execution-only knobs (worker count,
+output directory), so a report can be reproduced from its own config block
+and re-running with a different --workers value yields byte-identical
+files. A rank artifact records URelief's K and I as resolved on the table
+it ranked. Eval and curve rank each training fold on its own, so they
+record K and I as given, null meaning resolved on each fold's rows.
 
 Options resolve as: explicit flags, then values from a --config JSON file,
 then built-in defaults.
@@ -19,20 +21,21 @@ other exception is a bug and propagates with its traceback.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .data import ComputationError, Dataset, IngestionError, load_csv
 from .evaluate import (FoldPlan, clustering_hypothesis_ari, compare_methods,
                        comparison_to_csv, curve_points_csv, cv_mse,
-                       error_curve, report_json)
+                       error_curve)
+from .forest import ENSEMBLES, SUBSET_RULES, EnsembleConfig
 from .rankers import METHODS, make_ranker
 from .scores import ranking_rows, ranking_to_csv
 from .synth import SynthSpec, write_planted
-from .urelief import UReliefConfig
+from .urelief import DEFAULT_NEIGHBORS, UReliefConfig
 
 
 class UsageError(Exception):
@@ -58,6 +61,14 @@ def _positive(value: str) -> int:
     return n
 
 
+def _default(fn, name: str):
+    """The default of parameter ``name`` in ``fn``'s signature."""
+    return inspect.signature(fn).parameters[name].default
+
+
+_FOLDS = _default(FoldPlan.make, "n_folds")
+
+
 def _add_data_flags(p: _Parser) -> None:
     p.add_argument("--data", required=True, help="input CSV (header row)")
     p.add_argument("--target-column", default=None,
@@ -66,14 +77,19 @@ def _add_data_flags(p: _Parser) -> None:
 
 def _add_method_flags(p: _Parser) -> None:
     p.add_argument("--method", choices=METHODS, default="genie3")
-    p.add_argument("--trees", type=_positive, default=100,
+    p.add_argument("--trees", type=_positive, default=EnsembleConfig.n_trees,
                    help="ensemble size (tree methods)")
-    p.add_argument("--ensemble", choices=["bagging", "rf", "et"], default="et")
-    p.add_argument("--subset-rule", choices=["log2", "sqrt", "all"],
-                   default="log2", help="per-node attribute sample size")
-    p.add_argument("--neighbors", type=_positive, default=None,
-                   help="urelief neighborhood size (default min(30, m-1))")
-    p.add_argument("--iterations", type=_positive, default=None,
+    p.add_argument("--ensemble", choices=ENSEMBLES,
+                   default=EnsembleConfig.method)
+    p.add_argument("--subset-rule", choices=SUBSET_RULES,
+                   default=EnsembleConfig.subset_rule,
+                   help="per-node attribute sample size")
+    p.add_argument("--neighbors", type=_positive,
+                   default=UReliefConfig.neighbors,
+                   help=f"urelief neighborhood size (default "
+                        f"min({DEFAULT_NEIGHBORS}, m-1))")
+    p.add_argument("--iterations", type=_positive,
+                   default=UReliefConfig.iterations,
                    help="urelief iteration count (default m)")
 
 
@@ -103,7 +119,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         "eval", help="cross-validated 1NN MSE at a fixed k")
     _add_data_flags(p)
     _add_method_flags(p)
-    p.add_argument("--folds", type=_positive, default=10)
+    p.add_argument("--folds", type=_positive, default=_FOLDS)
     p.add_argument("--top-k", type=_positive, default=16)
     _add_common_flags(p)
 
@@ -111,7 +127,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         "curve", help="error curve over the geometric k grid")
     _add_data_flags(p)
     _add_method_flags(p)
-    p.add_argument("--folds", type=_positive, default=10)
+    p.add_argument("--folds", type=_positive, default=_FOLDS)
     _add_common_flags(p)
 
     p = commands["compare"] = sub.add_parser(
@@ -126,13 +142,14 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = commands["synth"] = sub.add_parser(
         "synth", help="generate a planted-feature dataset")
-    p.add_argument("--m", type=_positive, default=200)
-    p.add_argument("--informative", type=_positive, default=5)
-    p.add_argument("--noise", type=_nonneg, default=45)
-    p.add_argument("--clusters", type=_positive, default=4)
-    p.add_argument("--separation", type=float, default=6.0)
-    p.add_argument("--name", default=None)
-    p.add_argument("--seed", type=_nonneg, default=0)
+    p.add_argument("--m", type=_positive, default=SynthSpec.m)
+    p.add_argument("--informative", type=_positive,
+                   default=SynthSpec.n_informative)
+    p.add_argument("--noise", type=_nonneg, default=SynthSpec.n_noise)
+    p.add_argument("--clusters", type=_positive, default=SynthSpec.clusters)
+    p.add_argument("--separation", type=float, default=SynthSpec.separation)
+    p.add_argument("--name", default=SynthSpec.name)
+    p.add_argument("--seed", type=_nonneg, default=SynthSpec.seed)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None,
                    help="JSON file of flag defaults (explicit flags win)")
@@ -140,9 +157,11 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = commands["ari-check"] = sub.add_parser(
         "ari-check", help="median ARI of k-means clusters vs class labels")
     _add_data_flags(p)
-    p.add_argument("--classes", type=_positive, default=None,
+    p.add_argument("--classes", type=_positive,
+                   default=_default(clustering_hypothesis_ari, "class_count"),
                    help="k for k-means (default: number of target classes)")
-    p.add_argument("--runs", type=_positive, default=10)
+    p.add_argument("--runs", type=_positive,
+                   default=_default(clustering_hypothesis_ari, "runs"))
     _add_common_flags(p)
 
     return parser, commands
@@ -196,21 +215,19 @@ def _apply_config_defaults(commands: dict[str, _Parser], path: str) -> None:
             sub.set_defaults(**{dest: converted})
 
 
-@dataclass
-class RunConfig:
-    command: str
-    args: argparse.Namespace
-
-
 def _load(args) -> Dataset:
     return load_csv(args.data, target_column=args.target_column)
 
 
-def _method_config(args, d: Dataset) -> dict:
+def _method_config(args, m: int | None = None) -> dict:
+    """The ranker's settings. URelief's K and I are resolved on ``m`` rows
+    when given, else recorded as given (None: resolved per training fold)."""
     cfg = {"method": args.method, "seed": args.seed}
     if args.method == "urelief":
-        cfg["neighbors"], cfg["iterations"] = UReliefConfig(
-            args.neighbors, args.iterations, args.seed).resolve(d.m)
+        k, iterations = args.neighbors, args.iterations
+        if m is not None:
+            k, iterations = UReliefConfig(k, iterations, args.seed).resolve(m)
+        cfg["neighbors"], cfg["iterations"] = k, iterations
     else:
         cfg["ensemble"] = args.ensemble
         cfg["trees"] = args.trees
@@ -244,7 +261,7 @@ def _cmd_rank(args) -> int:
         "artifact": "ranking",
         "config": {"command": "rank", "data": args.data,
                    "target_column": args.target_column,
-                   **_method_config(args, d)},
+                   **_method_config(args, d.m)},
         "dataset": {"name": d.name, "m": d.m, "n": d.n},
         "ranking": ranking_rows(ranking),
     }
@@ -263,7 +280,7 @@ def _cmd_eval(args) -> int:
         "artifact": "eval",
         "config": {"command": "eval", "data": args.data,
                    "target_column": args.target_column, "folds": args.folds,
-                   "top_k": args.top_k, **_method_config(args, d)},
+                   "top_k": args.top_k, **_method_config(args)},
         "dataset": {"name": d.name, "m": d.m, "n": d.n},
         "method": args.method,
         "mse": mse,
@@ -280,7 +297,7 @@ def _cmd_curve(args) -> int:
         "artifact": "curve",
         "config": {"command": "curve", "data": args.data,
                    "target_column": args.target_column, "folds": args.folds,
-                   **_method_config(args, d)},
+                   **_method_config(args)},
         **report.to_dict(),
     }
     stem = f"{d.name}_{args.method}_curve_{args.seed}"
@@ -363,10 +380,6 @@ _COMMANDS = {"rank": _cmd_rank, "eval": _cmd_eval, "curve": _cmd_curve,
              "ari-check": _cmd_ari}
 
 
-def run(cfg: RunConfig) -> int:
-    return _COMMANDS[cfg.command](cfg.args)
-
-
 def _fail(code: int, kind: str, message: str) -> int:
     record = {"error": {"exit_code": code, "kind": kind, "message": message}}
     sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
@@ -381,7 +394,7 @@ def main(argv=None) -> int:
         if config_path is not None:
             _apply_config_defaults(commands, config_path)
         args = parser.parse_args(argv)
-        return run(RunConfig(args.command, args))
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         return _fail(1, "usage", str(exc))
     except IngestionError as exc:

@@ -11,7 +11,6 @@ methods.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -143,7 +142,6 @@ class AttributeStats:
     maximum: np.ndarray
     variance: np.ndarray
     gini: np.ndarray
-    frequencies: tuple[np.ndarray | None, ...]
     denominator: np.ndarray
     value_range: np.ndarray
     n_rows: int
@@ -163,8 +161,7 @@ def compute_stats(d: Dataset, rows=None) -> AttributeStats:
 
     Variance is the population variance. Rows are put in a canonical order
     before any accumulation, so any permutation of the same multiset yields
-    bit-identical statistics. Nominal frequencies are taken over the full
-    ingestion-time domain; values absent from the subset get frequency 0.
+    bit-identical statistics.
     """
     if rows is None:
         rows = np.arange(d.m)
@@ -176,7 +173,6 @@ def compute_stats(d: Dataset, rows=None) -> AttributeStats:
     maximum = np.full(d.n, np.nan)
     variance = np.full(d.n, np.nan)
     gini = np.full(d.n, np.nan)
-    freqs: list[np.ndarray | None] = [None] * d.n
     denominator = np.zeros(d.n)
 
     num = d.numeric_mask
@@ -190,13 +186,12 @@ def compute_stats(d: Dataset, rows=None) -> AttributeStats:
         size = len(d.kinds[j].domain)
         counts = np.bincount(sub[:, j].astype(np.intp), minlength=size)
         p = counts / count
-        freqs[j] = p
         gini[j] = 1.0 - float(p @ p)
         denominator[j] = gini[j]
 
     value_range = maximum - minimum
-    return AttributeStats(minimum, maximum, variance, gini, tuple(freqs),
-                          denominator, value_range, count)
+    return AttributeStats(minimum, maximum, variance, gini, denominator,
+                          value_range, count)
 
 
 def load_csv(path, schema=None, target_column: str | None = None,
@@ -337,28 +332,3 @@ def write_csv(d: Dataset, path, target_name: str = "target") -> None:
             if d.target is not None:
                 row.append(repr(float(d.target[i])))
             writer.writerow(row)
-
-
-def summary(d: Dataset, stats: AttributeStats | None = None) -> dict:
-    """JSON-ready description: name, shape, per-attribute kind and stats."""
-    stats = stats or compute_stats(d)
-    attrs = []
-    for j, kind in enumerate(d.kinds):
-        entry: dict = {"name": d.attr_names[j]}
-        if isinstance(kind, Numeric):
-            entry["kind"] = "numeric"
-            entry["min"] = float(stats.minimum[j])
-            entry["max"] = float(stats.maximum[j])
-            entry["variance"] = float(stats.variance[j])
-        else:
-            entry["kind"] = "nominal"
-            entry["domain"] = list(kind.domain)
-            entry["gini"] = float(stats.gini[j])
-            entry["frequencies"] = [float(p) for p in stats.frequencies[j]]
-        attrs.append(entry)
-    return {"name": d.name, "m": d.m, "n": d.n, "has_target": d.target is not None,
-            "attributes": attrs}
-
-
-def summary_json(d: Dataset, stats: AttributeStats | None = None) -> str:
-    return json.dumps(summary(d, stats), indent=2, sort_keys=True) + "\n"

@@ -14,8 +14,7 @@ matches the class labels via the adjusted Rand index.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,8 +53,9 @@ class FoldPlan:
 
 
 def _nn_targets(d: Dataset, train_rows: np.ndarray, queries: np.ndarray,
-                attrs: np.ndarray, k_neighbors: int) -> np.ndarray:
-    """Predicted target for each query row (a matrix of raw feature rows).
+                attrs: np.ndarray) -> np.ndarray:
+    """Target of the nearest training row for each query row (a matrix of
+    raw feature rows).
 
     Distances are squared Euclidean over the selected attributes, expanded
     as |a|^2 + |b|^2 - 2ab so the same arithmetic serves every query size;
@@ -66,11 +66,7 @@ def _nn_targets(d: Dataset, train_rows: np.ndarray, queries: np.ndarray,
     B = d.X[np.ix_(train_rows, attrs)]
     d2 = ((A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :]
           - 2.0 * (A @ B.T))
-    targets = d.target[train_rows]
-    if k_neighbors == 1:
-        return targets[d2.argmin(axis=1)]
-    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k_neighbors]
-    return targets[nearest].mean(axis=1)
+    return d.target[train_rows][d2.argmin(axis=1)]
 
 
 def _check_selection(d: Dataset, selected_attrs) -> np.ndarray:
@@ -84,9 +80,8 @@ def _check_selection(d: Dataset, selected_attrs) -> np.ndarray:
     return attrs
 
 
-def knn_predict(d: Dataset, train_rows, test_row, selected_attrs,
-                k_neighbors: int = 1) -> float:
-    """Predict one example's target from its nearest training rows over the
+def knn_predict(d: Dataset, train_rows, test_row, selected_attrs) -> float:
+    """Predict one example's target from its nearest training row over the
     selected attributes (unweighted Euclidean; distance ties go to the
     smallest row index)."""
     if d.target is None:
@@ -94,13 +89,11 @@ def knn_predict(d: Dataset, train_rows, test_row, selected_attrs,
     train_rows = np.sort(np.asarray(train_rows, dtype=np.intp))
     if train_rows.size == 0:
         raise ValueError("training fold is empty")
-    if not 1 <= k_neighbors <= train_rows.size:
-        raise ValueError("k_neighbors out of range")
     attrs = _check_selection(d, selected_attrs)
     x = np.asarray(test_row, dtype=np.float64)
     if x.shape != (d.n,):
         raise ValueError(f"test row must have arity {d.n}")
-    return float(_nn_targets(d, train_rows, x[None, :], attrs, k_neighbors)[0])
+    return float(_nn_targets(d, train_rows, x[None, :], attrs)[0])
 
 
 def _fold_rankings(d: Dataset, ranker, plan: FoldPlan) -> list:
@@ -110,11 +103,10 @@ def _fold_rankings(d: Dataset, ranker, plan: FoldPlan) -> list:
             for i in range(plan.n_folds)]
 
 
-def _fold_mse(d: Dataset, plan: FoldPlan, i: int, attrs: np.ndarray,
-              k_neighbors: int = 1) -> float:
+def _fold_mse(d: Dataset, plan: FoldPlan, i: int, attrs: np.ndarray) -> float:
     train = plan.train_rows(i)
     test = plan.test_rows(i)
-    preds = _nn_targets(d, train, d.X[test], attrs, k_neighbors)
+    preds = _nn_targets(d, train, d.X[test], attrs)
     diff = preds - d.target[test]
     return float((diff * diff).mean())
 
@@ -401,8 +393,3 @@ def comparison_to_csv(report: ComparisonReport, path) -> None:
             writer.writerow([name, *(repr(float(v)) for v in report.mse[i])])
         writer.writerow(["average_rank",
                          *(repr(v) for v in report.average_ranks)])
-
-
-def report_json(obj) -> str:
-    payload = obj.to_dict() if hasattr(obj, "to_dict") else obj
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

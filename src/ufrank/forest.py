@@ -13,10 +13,8 @@ which order they finish.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, fields
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +26,7 @@ from .tree import (ALL_THRESHOLDS, ONE_RANDOM_THRESHOLD, FlatTree,
 BAGGING = "bagging"
 RANDOM_FOREST = "rf"
 EXTRA_TREES = "et"
+ENSEMBLES = (BAGGING, RANDOM_FOREST, EXTRA_TREES)
 
 SUBSET_RULES = ("log2", "sqrt", "all")
 
@@ -53,7 +52,7 @@ class EnsembleConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.method not in (BAGGING, RANDOM_FOREST, EXTRA_TREES):
+        if self.method not in ENSEMBLES:
             raise ValueError(f"unknown ensemble method {self.method!r}")
         if self.n_trees < 1:
             raise ValueError("an ensemble needs at least one tree")
@@ -129,69 +128,3 @@ def build(d: Dataset, cfg: EnsembleConfig, workers: int = 1) -> Ensemble:
     in_bags = [g[1] for g in grown]
     oobs = [g[2] for g in grown]
     return Ensemble(cfg, d, stats, flats, in_bags, oobs)
-
-
-def _row_errors(e: Ensemble, X: np.ndarray, predicted: np.ndarray) -> np.ndarray:
-    """Per-row reconstruction error: mean over attributes of the squared
-    difference scaled by the training variance (numeric; zero-variance
-    attributes contribute 0) or the 0/1 mismatch (nominal)."""
-    nom = ~e.dataset.numeric_mask
-    var = e.stats.denominator
-    scale = np.divide(1.0, var, out=np.zeros_like(var), where=(var > 0) & ~nom)
-    diff = X - predicted
-    err = diff * diff * scale
-    if nom.any():
-        err[:, nom] = (X[:, nom] != predicted[:, nom]).astype(np.float64)
-    return err.mean(axis=1)
-
-
-def _permutation_for(e: Ensemble, t: int, stream_id: int, size: int) -> np.ndarray:
-    return streams.stream(e.config.seed, streams.OOB_PERMUTATION, t,
-                          stream_id).permutation(size)
-
-
-def save_ensemble(e: Ensemble, directory) -> None:
-    """Write two files into ``directory``: ``manifest.json`` (the ensemble
-    configuration plus the dataset's name, m and n) and ``trees.npz``, which
-    holds for each tree t its nine FlatTree arrays under ``t{t}.<field>``
-    and its bootstrap and out-of-bag rows under ``t{t}.in_bag`` and
-    ``t{t}.oob``. Arrays are stored exactly and load without pickle."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "method": e.config.method,
-        "n_trees": e.config.n_trees,
-        "subset_rule": e.config.subset_rule,
-        "seed": e.config.seed,
-        "dataset": e.dataset.name,
-        "m": e.dataset.m,
-        "n": e.dataset.n,
-    }
-    with open(directory / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    arrays = {}
-    for t, flat in enumerate(e.flats):
-        for f in fields(FlatTree):
-            arrays[f"t{t}.{f.name}"] = getattr(flat, f.name)
-        arrays[f"t{t}.in_bag"] = e.in_bags[t]
-        arrays[f"t{t}.oob"] = e.oobs[t]
-    np.savez(directory / "trees.npz", **arrays)
-
-
-def load_ensemble(directory, d: Dataset) -> Ensemble:
-    """Rebuild an ensemble saved by save_ensemble against its dataset."""
-    directory = Path(directory)
-    with open(directory / "manifest.json", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest["m"] != d.m or manifest["n"] != d.n:
-        raise ValueError("dataset shape does not match the saved manifest")
-    cfg = EnsembleConfig(manifest["method"], manifest["n_trees"],
-                         manifest["subset_rule"], manifest["seed"])
-    d = d.without_target()
-    with np.load(directory / "trees.npz", allow_pickle=False) as z:
-        flats = [FlatTree(**{f.name: z[f"t{t}.{f.name}"] for f in fields(FlatTree)})
-                 for t in range(cfg.n_trees)]
-        in_bags = [z[f"t{t}.in_bag"] for t in range(cfg.n_trees)]
-        oobs = [z[f"t{t}.oob"] for t in range(cfg.n_trees)]
-    return Ensemble(cfg, d, compute_stats(d), flats, in_bags, oobs)

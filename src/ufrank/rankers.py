@@ -38,10 +38,12 @@ class UReliefRanker:
         return urelief(d, self.config, workers=self.workers)
 
 
-def make_ranker(method: str, *, trees: int = 100, ensemble: str = "et",
-                subset_rule: str = "log2", neighbors: int | None = None,
-                iterations: int | None = None, seed: int = 0,
-                workers: int = 1):
+def make_ranker(method: str, *, trees: int = EnsembleConfig.n_trees,
+                ensemble: str = EnsembleConfig.method,
+                subset_rule: str = EnsembleConfig.subset_rule,
+                neighbors: int | None = UReliefConfig.neighbors,
+                iterations: int | None = UReliefConfig.iterations,
+                seed: int = 0, workers: int = 1):
     """Build a ranker for any supported method with its relevant knobs."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; pick one of {METHODS}")

@@ -17,14 +17,14 @@ the totals do not depend on accumulation order.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import streams
 from .data import ComputationError
-from .forest import Ensemble, _permutation_for, _row_errors
+from .forest import Ensemble
 
 
 @dataclass
@@ -144,9 +144,26 @@ def random_forest_score(e: Ensemble, attr_ids=None) -> Ranking:
     return Ranking("rf-score", imp, d.attr_names, prov)
 
 
+def _row_errors(e: Ensemble, X: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+    """Per-row reconstruction error: mean over attributes of the squared
+    difference scaled by the training variance (numeric; zero-variance
+    attributes contribute 0) or the 0/1 mismatch (nominal)."""
+    nom = ~e.dataset.numeric_mask
+    var = e.stats.denominator
+    scale = np.divide(1.0, var, out=np.zeros_like(var), where=(var > 0) & ~nom)
+    diff = X - predicted
+    err = diff * diff * scale
+    if nom.any():
+        err[:, nom] = (X[:, nom] != predicted[:, nom]).astype(np.float64)
+    return err.mean(axis=1)
+
+
 def _permuted_copy(e: Ensemble, t: int, rows_matrix: np.ndarray, attr: int,
                    stream_id: int) -> np.ndarray:
-    perm = _permutation_for(e, t, int(stream_id), len(rows_matrix))
+    """The rows with column ``attr`` shuffled by a permutation drawn from
+    the (seed, OOB_PERMUTATION, t, stream_id) stream."""
+    perm = streams.stream(e.config.seed, streams.OOB_PERMUTATION, t,
+                          int(stream_id)).permutation(len(rows_matrix))
     out = rows_matrix.copy()
     out[:, attr] = out[perm, attr]
     return out
@@ -169,12 +186,6 @@ def ranking_rows(r: Ranking) -> list[dict]:
              "attribute": r.attr_names[i],
              "importance": float(r.importance[i])}
             for pos, i in enumerate(r.order)]
-
-
-def ranking_to_json(r: Ranking) -> str:
-    payload = {"method": r.method, "provenance": r.provenance,
-               "ranking": ranking_rows(r)}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def ranking_to_csv(r: Ranking, path) -> None:

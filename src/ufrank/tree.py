@@ -69,30 +69,6 @@ class SplitResult:
     no_rows: np.ndarray
 
 
-def impurity(d: Dataset, rows, stats: AttributeStats) -> float:
-    """Mean over attributes of the subset impurity divided by its value on
-    the reference rows; attributes constant on the reference rows (zero
-    denominator) contribute 0."""
-    rows = np.asarray(rows, dtype=np.intp)
-    if rows.size == 0:
-        raise ValueError("impurity of an empty row set is undefined")
-    sub = d.X[rows]
-    terms = np.zeros(d.n)
-    num = d.numeric_mask
-    if num.any():
-        v = sub[:, num].var(axis=0)
-        den = stats.variance[num]
-        terms[num] = np.divide(v, den, out=np.zeros_like(v), where=den > 0)
-    for j in np.flatnonzero(~num):
-        den = stats.gini[j]
-        if den > 0:
-            counts = np.bincount(sub[:, j].astype(np.intp),
-                                 minlength=len(d.kinds[j].domain))
-            p = counts / rows.size
-            terms[j] = (1.0 - float(p @ p)) / den
-    return float(terms.mean())
-
-
 class SplitWorkspace:
     """Precomputed matrix shared by every node of one tree (or one ensemble):
     Z = [x_c | one-hot blocks] over the columns whose training denominator is

@@ -26,12 +26,15 @@ from .scores import Ranking
 
 _CLAMP = 1e-12
 
+# the default K, where the table leaves that many other rows
+DEFAULT_NEIGHBORS = 30
+
 
 @dataclass(frozen=True)
 class UReliefConfig:
-    """``neighbors=None`` resolves to min(30, m-1); an explicit value must
-    leave at least K other rows (no silent shrinking). ``iterations=None``
-    resolves to m, visiting every row exactly once."""
+    """``neighbors=None`` resolves to min(DEFAULT_NEIGHBORS, m-1); an
+    explicit value must leave at least K other rows (no silent shrinking).
+    ``iterations=None`` resolves to m, visiting every row exactly once."""
 
     neighbors: int | None = None
     iterations: int | None = None
@@ -48,7 +51,8 @@ class UReliefConfig:
     def resolve(self, m: int) -> tuple[int, int]:
         if m < 2:
             raise IngestionError("urelief needs at least two examples")
-        k = min(30, m - 1) if self.neighbors is None else self.neighbors
+        k = (min(DEFAULT_NEIGHBORS, m - 1) if self.neighbors is None
+             else self.neighbors)
         if k > m - 1:
             raise IngestionError(f"neighbors={k} requires at least {k + 1} "
                                  f"examples, dataset has {m}")
@@ -65,26 +69,11 @@ class UReliefState:
     p_diff_clus: float
 
 
-def attr_distance(d: Dataset, stats: AttributeStats, i: int, a: int, b: int) -> float:
-    """Distance in [0, 1] between rows a and b on attribute i: the indicator
-    of inequality (nominal) or |difference| / training range (numeric, 0 for
-    a constant attribute)."""
-    va, vb = d.X[a, i], d.X[b, i]
-    if not d.numeric_mask[i]:
-        return float(va != vb)
-    rng = stats.value_range[i]
-    if rng == 0:
-        return 0.0
-    return float(abs(va - vb) / rng)
-
-
-def example_distance(d: Dataset, stats: AttributeStats, a: int, b: int) -> float:
-    """Mean of attr_distance over all attributes."""
-    return float(_distances_to(d, stats, a)[1][b])
-
-
 def _distances_to(d: Dataset, stats: AttributeStats, r: int):
-    """d_i to every row (m x n) and d_X to every row (m,), for reference r."""
+    """d_i to every row (m x n) and d_X to every row (m,), for reference r.
+    d_i lies in [0, 1]: |difference| / training range on a numeric
+    attribute (0 when the attribute is constant), the inequality indicator
+    on a nominal one. d_X is the mean of d_i over the attributes."""
     num = d.numeric_mask
     dm = np.empty((d.m, d.n))
     if num.any():

@@ -182,6 +182,36 @@ class TestEvalCurveCompare:
         assert payload["mse"] >= 0.0
         assert payload["config"]["folds"] == 4
 
+    def test_urelief_record_reruns_to_the_same_curve(self, planted_csv,
+                                                     capsys):
+        # every fold resolves K and I on its own training rows, so the
+        # record must leave them unresolved for a re-run to match
+        argv = ["curve", "--data", str(planted_csv), "--target-column",
+                "target", "--method", "urelief", "--folds", "4"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        first = stdout_json(out)
+        given = [flag for key in ("neighbors", "iterations")
+                 if first["config"][key] is not None
+                 for flag in (f"--{key}", str(first["config"][key]))]
+        code, out, _ = run_cli(capsys, *argv, *given)
+        assert code == 0
+        assert stdout_json(out)["fold_mse"] == first["fold_mse"]
+
+    def test_urelief_settings_recorded_as_run(self, planted_csv, capsys):
+        common = ["--data", str(planted_csv), "--target-column", "target",
+                  "--method", "urelief", "--neighbors", "5"]
+        code, out, _ = run_cli(capsys, "eval", *common, "--folds", "4",
+                               "--top-k", "3")
+        assert code == 0
+        config = stdout_json(out)["config"]
+        assert (config["neighbors"], config["iterations"]) == (5, None)
+        # rank runs on the whole table, so it records what that resolves to
+        code, out, _ = run_cli(capsys, "rank", *common)
+        assert code == 0
+        config = stdout_json(out)["config"]
+        assert (config["neighbors"], config["iterations"]) == (5, 24)
+
     def test_eval_requires_target(self, planted_csv, capsys):
         code, _, err = run_cli(capsys, "eval", "--data", str(planted_csv),
                                "--trees", "5")

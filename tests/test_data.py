@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ufrank import (Dataset, IngestionError, Nominal, Numeric, compute_stats,
-                    load_csv, summary, summary_json, write_csv)
+                    load_csv, write_csv)
 
 
 def small_mixed():
@@ -92,10 +92,10 @@ class TestComputeStats:
         assert s.denominator[1] == s.gini[1]
         assert s.n_rows == 4
 
-    def test_nominal_frequencies_cover_full_domain(self):
+    def test_nominal_gini_is_zero_on_a_constant_subset(self):
         d = small_mixed()
         s = compute_stats(d, rows=np.array([0, 1]))  # codes 0,0 only
-        np.testing.assert_array_equal(s.frequencies[1], [1.0, 0.0, 0.0])
+        assert s.gini[1] == 0.0
         assert s.denominator[1] == 0.0  # constant on the subset
 
     def test_row_permutation_is_bit_identical(self):
@@ -116,7 +116,7 @@ class TestComputeStats:
         a = compute_stats(d, rows=np.array([0, 0, 1]))
         b = compute_stats(dup)
         np.testing.assert_array_equal(a.variance[:1], b.variance[:1])
-        np.testing.assert_array_equal(a.frequencies[1], b.frequencies[1])
+        np.testing.assert_array_equal(a.gini[1:], b.gini[1:])
 
 
 class TestCsv:
@@ -194,18 +194,3 @@ class TestCsv:
         labels = [d.kinds[1].domain[int(v)] for v in d.X[:, 1]]
         back_labels = [back.kinds[1].domain[int(v)] for v in back.X[:, 1]]
         assert back_labels == labels
-
-
-class TestSummary:
-    def test_summary_shape_and_kinds(self):
-        info = summary(small_mixed())
-        assert info["m"] == 4 and info["n"] == 2
-        kinds = [a["kind"] for a in info["attributes"]]
-        assert kinds == ["numeric", "nominal"]
-
-    def test_summary_json_round_trips(self):
-        import json
-
-        payload = json.loads(summary_json(small_mixed()))
-        assert payload["m"] == 4
-        assert payload["attributes"][1]["domain"] == ["a", "b", "c"]

@@ -5,8 +5,7 @@ import oracles
 from oracles import oob_error
 from ufrank import (ALL_THRESHOLDS, ONE_RANDOM_THRESHOLD, Dataset,
                     EnsembleConfig, Nominal, Numeric, build, compute_stats,
-                    genie3, load_ensemble, random_forest_score, save_ensemble,
-                    subset_size, streams)
+                    genie3, random_forest_score, subset_size, streams)
 from ufrank.forest import SUBSET_RULES, Ensemble
 
 
@@ -208,26 +207,3 @@ class TestOOBError:
         _, e = self.stump_fixture()
         with pytest.raises(ValueError, match="empty"):
             oob_error(e, 0, np.array([], dtype=np.intp))
-
-
-class TestSaveLoad:
-    def test_round_trip(self, tmp_path):
-        d = small_dataset(8, m=20, n=4)
-        e = build(d, EnsembleConfig(method="et", n_trees=3, seed=7))
-        save_ensemble(e, tmp_path / "ens")
-        assert sorted(p.name for p in (tmp_path / "ens").iterdir()) == \
-            ["manifest.json", "trees.npz"]
-        back = load_ensemble(tmp_path / "ens", d)
-        assert back.config == e.config
-        assert ensemble_fingerprint(back) == ensemble_fingerprint(e)
-        for score in (genie3, random_forest_score):
-            np.testing.assert_array_equal(score(back).importance,
-                                          score(e).importance)
-
-    def test_shape_mismatch_rejected(self, tmp_path):
-        d = small_dataset(9, m=12, n=3)
-        e = build(d, EnsembleConfig(n_trees=2, seed=0))
-        save_ensemble(e, tmp_path / "ens")
-        other = small_dataset(9, m=13, n=3)
-        with pytest.raises(ValueError, match="shape"):
-            load_ensemble(tmp_path / "ens", other)

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from ufrank import (ALL_THRESHOLDS, ONE_RANDOM_THRESHOLD, Dataset, FlatTree,
                     Nominal, Numeric, SplitSearchPolicy, best_test,
-                    compute_stats, grow_tree, impurity)
+                    compute_stats, grow_tree)
 from ufrank.tree import SplitWorkspace, draw_frontier, search_frontier
 
 
@@ -25,6 +25,14 @@ def numeric_dataset(values):
                    tuple(Numeric() for _ in names), values)
 
 
+def with_constant_columns(d):
+    """d plus a constant numeric and a constant nominal column, both with
+    a zero training denominator."""
+    X = np.column_stack([d.X, np.full(d.m, 2.5), np.zeros(d.m)])
+    return Dataset(d.name, d.attr_names + ("flat_num", "flat_nom"),
+                   d.kinds + (Numeric(), Nominal(("only",))), X)
+
+
 def nominal_heavy_dataset(rng, m):
     """Four nominal columns (arities 3 to 6) and one numeric column."""
     cols, kinds = [], []
@@ -38,40 +46,40 @@ def nominal_heavy_dataset(rng, m):
 
 
 class TestImpurity:
+    """The reference impurity that the split-search oracles score h with,
+    on hand-computed values. The package has no impurity of a row set of
+    its own: SplitWorkspace scores h directly, and the oracle tests below
+    compare that h against this reference."""
+
+    def ref(self, d, rows):
+        return oracles.ref_impurity(d, rows,
+                                    oracles.ref_denominators(d, np.arange(d.m)))
+
     def test_full_training_rows_self_normalize_to_one(self):
         d = mixed_4x2()
-        stats = compute_stats(d)
-        assert impurity(d, np.arange(4), stats) == 1.0
+        assert self.ref(d, np.arange(4)) == 1.0
 
     def test_hand_computed_subset(self):
         # rows [0,1]: numeric [0,1] var 0.25 over train var 1.25 -> 0.2;
         # nominal [0,0] constant -> 0; mean -> 0.1
         d = mixed_4x2()
-        stats = compute_stats(d)
-        assert impurity(d, np.array([0, 1]), stats) == pytest.approx(0.1, rel=1e-15)
+        assert self.ref(d, np.array([0, 1])) == pytest.approx(0.1, rel=1e-15)
 
     def test_zero_denominator_contributes_zero(self):
         X = np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 4.0]])
         d = numeric_dataset(X)
-        stats = compute_stats(d)
         # first attribute constant on train: only the second one counts
         v = np.var([1.0, 2.0])
         expected = (0.0 + v / np.var([1.0, 2.0, 4.0])) / 2.0
-        assert impurity(d, np.array([0, 1]), stats) == pytest.approx(expected,
-                                                                     rel=1e-12)
+        assert self.ref(d, np.array([0, 1])) == pytest.approx(expected,
+                                                              rel=1e-12)
 
     def test_multiset_rows_count_with_multiplicity(self):
+        # rows [0,0,1]: numeric [0,0,1] var 2/9 over 1.25 -> 8/45; nominal
+        # [0,0,0] constant -> 0; mean -> 4/45
         d = mixed_4x2()
-        stats = compute_stats(d)
-        dup = impurity(d, np.array([0, 0, 1]), stats)
-        ref = oracles.ref_impurity(d, np.array([0, 0, 1]),
-                                   oracles.ref_denominators(d, np.arange(4)))
-        assert dup == pytest.approx(ref, rel=1e-12)
-
-    def test_empty_rows_rejected(self):
-        d = mixed_4x2()
-        with pytest.raises(ValueError):
-            impurity(d, np.array([], dtype=np.intp), compute_stats(d))
+        assert self.ref(d, np.array([0, 0, 1])) == pytest.approx(4 / 45,
+                                                                 rel=1e-12)
 
 
 class TestBestTestHandCases:
@@ -170,6 +178,13 @@ class TestBestTestOracle:
             n = int(rng.integers(1, 4))
             d = oracles.random_mixed_dataset(rng, m, n)
             self.check_all_thresholds(d, np.arange(m), seed=1000 + case)
+        # columns constant on the training rows add nothing to h
+        rng = np.random.default_rng(20240818)
+        for case in range(10):
+            m = int(rng.integers(4, 13))
+            d = with_constant_columns(oracles.random_mixed_dataset(
+                rng, m, int(rng.integers(1, 4))))
+            self.check_all_thresholds(d, np.arange(m), seed=1100 + case)
 
     def test_exhaustive_agreement_on_bootstrap_multisets(self):
         rng = np.random.default_rng(7)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import oracles
-from ufrank import (Dataset, Nominal, Numeric, UReliefConfig, attr_distance,
-                    compute_stats, example_distance, urelief, urelief_state)
+from ufrank import (Dataset, Nominal, Numeric, UReliefConfig, compute_stats,
+                    urelief, urelief_state)
+from ufrank.urelief import _distances_to
 
 
 def numeric_dataset(values, name="t"):
@@ -15,33 +16,40 @@ def numeric_dataset(values, name="t"):
 
 
 class TestDistances:
+    """The per-attribute distances d_i and the example distance d_X that
+    URelief computes from one reference row to every row."""
+
     def test_numeric_scaled_by_training_range(self):
         d = numeric_dataset([0.0, 5.0, 10.0])
         stats = compute_stats(d)
-        assert attr_distance(d, stats, 0, 0, 2) == 1.0
-        assert attr_distance(d, stats, 0, 0, 1) == 0.5
-        assert attr_distance(d, stats, 0, 1, 1) == 0.0
+        dm, _ = _distances_to(d, stats, 0)
+        assert dm[2, 0] == 1.0
+        assert dm[1, 0] == 0.5
+        assert _distances_to(d, stats, 1)[0][1, 0] == 0.0
 
     def test_constant_numeric_attribute_contributes_zero(self):
         d = numeric_dataset([[3.0, 1.0], [3.0, 2.0]])
         stats = compute_stats(d)
-        assert attr_distance(d, stats, 0, 0, 1) == 0.0
-        assert attr_distance(d, stats, 1, 0, 1) == 1.0
+        dm, _ = _distances_to(d, stats, 0)
+        assert dm[1, 0] == 0.0
+        assert dm[1, 1] == 1.0
 
     def test_nominal_is_the_inequality_indicator(self):
         d = Dataset("n", ["k"], [Nominal(("u", "v", "w"))],
                     np.array([[0.0], [1.0], [0.0]]))
         stats = compute_stats(d)
-        assert attr_distance(d, stats, 0, 0, 1) == 1.0
-        assert attr_distance(d, stats, 0, 0, 2) == 0.0
+        dm, _ = _distances_to(d, stats, 0)
+        assert dm[1, 0] == 1.0
+        assert dm[2, 0] == 0.0
 
     def test_example_distance_is_the_mean(self):
         d = Dataset("m", ["a", "k"], [Numeric(), Nominal(("u", "v"))],
                     np.array([[0.0, 0.0], [4.0, 1.0], [8.0, 0.0]]))
         stats = compute_stats(d)
-        assert example_distance(d, stats, 0, 1) == pytest.approx((0.5 + 1) / 2)
-        assert example_distance(d, stats, 0, 2) == pytest.approx((1.0 + 0) / 2)
-        assert example_distance(d, stats, 0, 0) == 0.0
+        _, dx = _distances_to(d, stats, 0)
+        assert dx[1] == pytest.approx((0.5 + 1) / 2)
+        assert dx[2] == pytest.approx((1.0 + 0) / 2)
+        assert dx[0] == 0.0
 
 
 class TestConfig:
@@ -88,6 +96,10 @@ class TestExactEnumeration:
     def test_numeric_only_fixture(self):
         rng = np.random.default_rng(41)
         self.check(numeric_dataset(rng.uniform(size=(15, 3))))
+        # a constant numeric column has distance 0 between every pair
+        X = rng.uniform(size=(12, 3))
+        X[:, 1] = 4.0
+        self.check(numeric_dataset(X))
 
     def test_visit_order_cannot_matter_when_every_row_is_visited(self):
         d = oracles.random_mixed_dataset(np.random.default_rng(42), 12, 3)
