@@ -8,7 +8,11 @@ Three scores share the same ensembles:
   examples that reached the node instead of h*.
 * rf-score — the permutation importance: the mean relative increase of a
   tree's out-of-bag reconstruction error when the attribute's out-of-bag
-  values are shuffled.
+  values are shuffled. Each tree's matrix of per-row, per-attribute error
+  terms is computed once; a shuffle of attribute i only changes column i
+  of it and the rows whose path through the tree tests i, so each shuffle
+  patches a copy of the matrix instead of recomputing it, with the same
+  terms and the same order of summation.
 
 Per-tree contributions are stacked and reduced with one pairwise sum, so
 the totals do not depend on accumulation order.
@@ -25,6 +29,7 @@ import numpy as np
 from . import streams
 from .data import ComputationError
 from .forest import Ensemble
+from .tree import FlatTree
 
 
 @dataclass
@@ -86,7 +91,8 @@ def symbolic(e: Ensemble) -> Ranking:
     return Ranking("symbolic", imp, e.dataset.attr_names, _provenance(e, "symbolic"))
 
 
-# memory cap for one batched routing pass, in float64 elements
+# memory cap for one group's stack of patched error matrices, in float64
+# elements
 _BLOCK_BUDGET = 8_000_000
 
 
@@ -101,6 +107,16 @@ def random_forest_score(e: Ensemble, attr_ids=None) -> Ranking:
     information for a ratio and are skipped, with the divisor reduced
     accordingly.
 
+    Each tree routes its out-of-bag rows once and keeps the |oob| x n
+    matrix E of per-attribute error terms; e_t is the mean of its row
+    means. A shuffle of column i is then a patch of a copy of E: column i
+    takes the terms of the shuffled values against the same predictions,
+    and the rows whose root-to-leaf path tests attribute i are routed again
+    and take their full rows of terms. No other row can change leaf, since
+    no test on its path reads column i, so the patched copy holds exactly
+    the terms a full recomputation would give, and its row means and their
+    mean are taken in the same order, so e_t^i is bit for bit the same.
+
     ``attr_ids`` optionally renames the permutation streams: entry j is the
     stream id used when shuffling column j (default: the column index). The
     contribution of column j is then reproducible under any relabeling of
@@ -113,6 +129,9 @@ def random_forest_score(e: Ensemble, attr_ids=None) -> Ranking:
     attr_ids = np.asarray(attr_ids, dtype=np.intp)
     if attr_ids.shape != (n,):
         raise ValueError("attr_ids must give one stream id per attribute")
+    nominal = ~d.numeric_mask
+    var = e.stats.denominator
+    scale = np.divide(1.0, var, out=np.zeros_like(var), where=(var > 0) & ~nominal)
 
     contributions: list[np.ndarray] = []
     for t in range(e.n_trees):
@@ -121,18 +140,33 @@ def random_forest_score(e: Ensemble, attr_ids=None) -> Ranking:
             continue
         base_rows = d.X[oob]
         flat = e.flats[t]
-        e_base = float(_row_errors(e, base_rows, flat.predictions(base_rows)).mean())
+        slot = flat.leaf_slot[flat.route(base_rows)]
+        predicted = flat.leaf_proto[slot]
+        E = _row_errors(base_rows, predicted, scale, nominal)
+        e_base = float(E.mean(axis=1).mean())
         if e_base == 0.0:
             continue
+        rerouted = _path_attrs(flat, n)[slot]
         errors = np.empty(n)
         group = max(1, _BLOCK_BUDGET // (oob.size * n))
         for start in range(0, n, group):
-            attrs = range(start, min(start + group, n))
-            batch = np.concatenate([_permuted_copy(e, t, base_rows, i, attr_ids[i])
-                                    for i in attrs])
-            row_err = _row_errors(e, batch, flat.predictions(batch))
-            for pos, i in enumerate(attrs):
-                errors[i] = float(row_err[pos * oob.size:(pos + 1) * oob.size].mean())
+            attrs = np.arange(start, min(start + group, n))
+            perms = np.array([
+                streams.stream(e.config.seed, streams.OOB_PERMUTATION, t,
+                               int(attr_ids[i])).permutation(oob.size)
+                for i in attrs])
+            # shuffled[j, r]: row r's value of attrs[j] after the shuffle
+            shuffled = base_rows[perms, attrs[:, None]]
+            stack = np.repeat(E[None], attrs.size, axis=0)
+            stack[np.arange(attrs.size), :, attrs] = _row_errors(
+                shuffled.T, predicted[:, attrs], scale[attrs], nominal[attrs]).T
+            j, r = np.nonzero(rerouted[:, attrs].T)
+            if r.size:
+                moved = base_rows[r]
+                moved[np.arange(r.size), attrs[j]] = shuffled[j, r]
+                stack[j, r] = _row_errors(moved, flat.predictions(moved),
+                                          scale, nominal)
+            errors[attrs] = stack.mean(axis=2).mean(axis=1)
         contributions.append((errors - e_base) / e_base)
     if not contributions:
         raise ComputationError(
@@ -144,28 +178,35 @@ def random_forest_score(e: Ensemble, attr_ids=None) -> Ranking:
     return Ranking("rf-score", imp, d.attr_names, prov)
 
 
-def _row_errors(e: Ensemble, X: np.ndarray, predicted: np.ndarray) -> np.ndarray:
-    """Per-row reconstruction error: mean over attributes of the squared
-    difference scaled by the training variance (numeric; zero-variance
-    attributes contribute 0) or the 0/1 mismatch (nominal)."""
-    nom = ~e.dataset.numeric_mask
-    var = e.stats.denominator
-    scale = np.divide(1.0, var, out=np.zeros_like(var), where=(var > 0) & ~nom)
-    diff = X - predicted
-    err = diff * diff * scale
-    if nom.any():
-        err[:, nom] = (X[:, nom] != predicted[:, nom]).astype(np.float64)
-    return err.mean(axis=1)
+def _row_errors(X: np.ndarray, predicted: np.ndarray, scale: np.ndarray,
+                nominal: np.ndarray) -> np.ndarray:
+    """Reconstruction error terms along the last axis: the squared
+    difference times ``scale`` (the inverse training variance of a numeric
+    attribute, 0 where that variance is 0) or, where ``nominal``, the 0/1
+    mismatch."""
+    err = X - predicted
+    err *= err
+    err *= scale
+    if nominal.any():
+        err[..., nominal] = X[..., nominal] != predicted[..., nominal]
+    return err
 
 
-def _permuted_copy(e: Ensemble, t: int, rows_matrix: np.ndarray, attr: int,
-                   stream_id: int) -> np.ndarray:
-    """The rows with column ``attr`` shuffled by a permutation drawn from
-    the (seed, OOB_PERMUTATION, t, stream_id) stream."""
-    perm = streams.stream(e.config.seed, streams.OOB_PERMUTATION, t,
-                          int(stream_id)).permutation(len(rows_matrix))
-    out = rows_matrix.copy()
-    out[:, attr] = out[perm, attr]
+def _path_attrs(flat: FlatTree, n: int) -> np.ndarray:
+    """(leaf slots, n) bool: entry (l, i) says whether an internal node on
+    the path from the root to the leaf in slot l tests attribute i. Built
+    one depth at a time: each child starts from its parent's row with the
+    parent's own attribute added."""
+    tested = np.zeros((flat.attr.size, n), dtype=bool)
+    level = np.zeros(1, dtype=np.intp)
+    while (inner := level[flat.attr[level] >= 0]).size:
+        tested[inner, flat.attr[inner]] = True
+        kids = flat.child[inner]
+        tested[kids] = tested[inner][:, None]
+        level = kids.ravel()
+    leaf = flat.attr < 0
+    out = np.empty((leaf.sum(), n), dtype=bool)
+    out[flat.leaf_slot[leaf]] = tested[leaf]
     return out
 
 

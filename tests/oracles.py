@@ -296,6 +296,25 @@ def ref_node_rows(d, flat, rows):
     return out
 
 
+def ref_path_attrs(flat, n):
+    """(leaf slots, n) bool by recursive descent along the child pointers:
+    entry (l, i) says whether some internal node on the path from the root
+    to the leaf in slot l tests attribute i."""
+    out = np.zeros((len(flat.leaf_proto), n), dtype=bool)
+
+    def walk(node, tested):
+        attr = int(flat.attr[node])
+        if attr < 0:
+            for i in tested:
+                out[flat.leaf_slot[node], i] = True
+            return
+        for child in flat.child[node]:
+            walk(int(child), tested | {attr})
+
+    walk(0, frozenset())
+    return out
+
+
 def ref_predict(flat, x):
     """Prototype of the leaf one example reaches, following the child
     pointers node by node."""

@@ -5,9 +5,10 @@ import pytest
 
 import oracles
 from oracles import flat_leaf, flat_stump, oob_error
-from ufrank import (ComputationError, Dataset, EnsembleConfig, Numeric,
-                    Ranking, build, compute_stats, genie3, random_forest_score,
-                    ranking_rows, ranking_to_csv, symbolic)
+from ufrank import (ComputationError, Dataset, EnsembleConfig, Nominal,
+                    Numeric, Ranking, build, compute_stats, genie3,
+                    random_forest_score, ranking_rows, ranking_to_csv, scores,
+                    streams, symbolic)
 from ufrank.forest import Ensemble
 
 
@@ -171,6 +172,128 @@ class TestRandomForestScore:
         e = hand_ensemble(d, [lone], [[0, 1, 2, 3]], [[0, 3]])
         with pytest.raises(ValueError, match="attr_ids"):
             random_forest_score(e, attr_ids=[0, 1, 2])
+
+
+def oracle_rf_score(e, attr_ids=None):
+    """rf-score from the per-row oob_error walk: per usable tree, the
+    relative error increase of every attribute's shuffle, averaged."""
+    ids = range(e.dataset.n) if attr_ids is None else attr_ids
+    contributions = []
+    for t in range(e.n_trees):
+        oob = e.oobs[t]
+        if oob.size == 0:
+            continue
+        base = oob_error(e, t, oob)
+        if base == 0.0:
+            continue
+        shuffled = np.array([oob_error(e, t, oob, permuted_attr=(i, int(ids[i])))
+                             for i in range(e.dataset.n)])
+        contributions.append((shuffled - base) / base)
+    return np.vstack(contributions).sum(axis=0) / len(contributions)
+
+
+def rf_fixture(name):
+    """Tables for the rf-score oracle: random mixed ones, one with a
+    constant numeric and a constant nominal column, one made of repeated
+    rows, and one whose numeric columns sit at 1e6 with a 1e-3 spread."""
+    rng = np.random.default_rng({"mixed0": 40, "mixed1": 41, "mixed2": 42,
+                                 "constant": 43, "duplicates": 44,
+                                 "offset": 45}[name])
+    if name.startswith("mixed"):
+        return oracles.random_mixed_dataset(rng, 30, 7)
+    if name == "constant":
+        d = oracles.random_mixed_dataset(rng, 30, 5)
+        return Dataset(name, d.attr_names + ("c_num", "c_nom"),
+                       d.kinds + (Numeric(), Nominal(("v0", "v1", "v2"))),
+                       np.column_stack([d.X, np.full(30, 7.0), np.ones(30)]))
+    if name == "duplicates":
+        d = oracles.random_mixed_dataset(rng, 15, 6)
+        return Dataset(name, d.attr_names, d.kinds,
+                       d.X[rng.integers(0, 15, size=40)])
+    d = oracles.random_mixed_dataset(rng, 30, 6)
+    X = d.X.copy()
+    X[:, d.numeric_mask] = 1e6 + 1e-3 * X[:, d.numeric_mask]
+    return Dataset(name, d.attr_names, d.kinds, X)
+
+
+class TestPatchedRandomForestScore:
+    """rf-score patches each tree's out-of-bag error matrix per shuffled
+    attribute; these tests hold it to the literal recomputation."""
+
+    def stump_fixture(self):
+        """A stump on attribute 0 whose out-of-bag rows lie on both sides."""
+        rng = np.random.default_rng(71)
+        X = np.repeat([[0.0, 0.2], [10.0, 0.8]], 6, axis=0)
+        X += rng.uniform(size=(12, 2)) * [1.0, 0.1]
+        d = Dataset("s", ["a", "b"], [Numeric(), Numeric()], X)
+        stump = flat_stump(0, 5.0, 1.0, ([0.5, 0.25], 6), ([10.5, 0.85], 6))
+        return d, stump, hand_ensemble(d, [stump], [range(12)], [range(12)])
+
+    def shuffled(self, e, attr):
+        X = e.dataset.X[e.oobs[0]].copy()
+        perm = streams.stream(e.config.seed, streams.OOB_PERMUTATION, 0,
+                              attr).permutation(len(X))
+        X[:, attr] = X[perm, attr]
+        return X
+
+    def test_shuffling_the_tested_attribute_reroutes_rows(self):
+        d, stump, e = self.stump_fixture()
+        moved = stump.route(self.shuffled(e, 0)) != stump.route(d.X)
+        assert moved.any() and not moved.all()
+        b = oob_error(e, 0, e.oobs[0])
+        want = (oob_error(e, 0, e.oobs[0], permuted_attr=0) - b) / b
+        assert random_forest_score(e).importance[0] == want
+
+    def test_shuffling_an_untested_attribute_changes_only_its_term(self):
+        d, stump, e = self.stump_fixture()
+        X = self.shuffled(e, 1)
+        np.testing.assert_array_equal(stump.route(X), stump.route(d.X))
+        b = oob_error(e, 0, e.oobs[0])
+        shuffled = oob_error(e, 0, e.oobs[0], permuted_attr=1)
+        proto = stump.predictions(d.X)[:, 1]
+        term = lambda col: (col - proto) ** 2 / e.stats.denominator[1]
+        np.testing.assert_allclose(
+            shuffled - b, (term(X[:, 1]) - term(d.X[:, 1])).mean() / d.n,
+            rtol=1e-12)
+        assert random_forest_score(e).importance[1] == (shuffled - b) / b
+
+    @pytest.mark.parametrize("fixture", ["mixed0", "mixed1", "mixed2",
+                                         "constant", "duplicates", "offset"])
+    @pytest.mark.parametrize("method", ["et", "rf", "bagging"])
+    def test_matches_oob_error_oracle(self, method, fixture):
+        d = rf_fixture(fixture)
+        e = build(d, EnsembleConfig(method=method, n_trees=8, seed=5))
+        np.testing.assert_array_equal(random_forest_score(e).importance,
+                                      oracle_rf_score(e))
+
+    @pytest.mark.parametrize("permuted_ids", [False, True])
+    def test_grouping_of_attributes_changes_nothing(self, monkeypatch,
+                                                    permuted_ids):
+        d = oracles.random_mixed_dataset(np.random.default_rng(61), 40, 7)
+        built = build(d, EnsembleConfig(method="et", n_trees=8, seed=6))
+        # equal out-of-bag sizes make a budget mean the same group size in
+        # every tree
+        k = min(o.size for o in built.oobs)
+        e = Ensemble(built.config, built.dataset, built.stats, built.flats,
+                     built.in_bags, [o[:k] for o in built.oobs])
+        ids = np.random.default_rng(62).permutation(d.n) if permuted_ids else None
+        assert scores._BLOCK_BUDGET >= k * d.n * d.n  # one group by default
+        whole = random_forest_score(e, attr_ids=ids).importance
+        np.testing.assert_array_equal(whole, oracle_rf_score(e, ids))
+        for per_group in (1, 3):
+            monkeypatch.setattr(scores, "_BLOCK_BUDGET", per_group * k * d.n)
+            np.testing.assert_array_equal(
+                random_forest_score(e, attr_ids=ids).importance, whole)
+
+    @pytest.mark.parametrize("method", ["et", "rf", "bagging"])
+    def test_path_attribute_map_matches_recursive_walk(self, method):
+        d = oracles.random_mixed_dataset(np.random.default_rng(81), 40, 8)
+        e = build(d, EnsembleConfig(method=method, n_trees=6, seed=2))
+        hand = [flat_leaf([0.0] * d.n, 1),
+                flat_stump(3, 0.0, 1.0, ([0.0] * d.n, 1), ([1.0] * d.n, 1))]
+        for flat in e.flats + hand:
+            np.testing.assert_array_equal(scores._path_attrs(flat, d.n),
+                                          oracles.ref_path_attrs(flat, d.n))
 
 
 class TestSerializationOfRankings:
