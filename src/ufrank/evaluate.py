@@ -103,9 +103,8 @@ def _fold_rankings(d: Dataset, ranker, plan: FoldPlan) -> list:
             for i in range(plan.n_folds)]
 
 
-def _fold_mse(d: Dataset, plan: FoldPlan, i: int, attrs: np.ndarray) -> float:
-    train = plan.train_rows(i)
-    test = plan.test_rows(i)
+def _fold_mse(d: Dataset, train: np.ndarray, test: np.ndarray,
+              attrs: np.ndarray) -> float:
     preds = _nn_targets(d, train, d.X[test], attrs)
     diff = preds - d.target[test]
     return float((diff * diff).mean())
@@ -122,7 +121,8 @@ def cv_mse(d: Dataset, ranker, k_features: int, plan: FoldPlan) -> float:
     per_fold = []
     for i, ranking in enumerate(_fold_rankings(d, ranker, plan)):
         attrs = np.sort(ranking.top(k_features))
-        per_fold.append(_fold_mse(d, plan, i, attrs))
+        per_fold.append(_fold_mse(d, plan.train_rows(i), plan.test_rows(i),
+                                  attrs))
     return float(np.mean(per_fold))
 
 
@@ -169,9 +169,10 @@ def error_curve(d: Dataset, ranker, plan: FoldPlan) -> CurveReport:
     rankings = _fold_rankings(d, ranker, plan)
     fold_mse = np.empty((plan.n_folds, len(ks)))
     for i, ranking in enumerate(rankings):
+        train, test = plan.train_rows(i), plan.test_rows(i)
         for j, k in enumerate(ks):
             attrs = np.sort(ranking.top(k))
-            fold_mse[i, j] = _fold_mse(d, plan, i, attrs)
+            fold_mse[i, j] = _fold_mse(d, train, test, attrs)
     means = tuple(float(np.mean(fold_mse[:, j])) for j in range(len(ks)))
     return CurveReport(rankings[0].method, d.name, ks, fold_mse, means,
                        plan.n_folds, plan.seed)
@@ -186,21 +187,28 @@ def curve_points_csv(report: CurveReport, path) -> None:
             writer.writerow([k, repr(mse)])
 
 
+def _sq_dists(X: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance from every row of X to one center."""
+    return ((X - center) ** 2).sum(axis=1)
+
+
 def kmeans(X: np.ndarray, k: int, rng: np.random.Generator,
            max_iter: int = 300, tol: float = 1e-6):
     """Lloyd iterations from a k-means++ start.
 
-    Assignment ties go to the lowest center id; an emptied cluster is
-    re-seeded on the point farthest from its current center. Stops when
-    assignments repeat or the inertia improvement falls below ``tol``
-    relative.
+    Squared distances come from direct differences, one center at a time,
+    so a table with a large offset and a small spread is assigned exactly
+    (the |a|^2 + |b|^2 - 2ab expansion cancels there). Assignment ties go
+    to the lowest center id; an emptied cluster is re-seeded on the point
+    farthest from its current center. Stops when assignments repeat or the
+    inertia improvement falls below ``tol`` relative.
     """
     m = len(X)
     if not 1 <= k <= m:
         raise IngestionError(f"k must be in [1, {m}], got {k}")
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[int(rng.integers(m))]
-    closest = ((X - centers[0]) ** 2).sum(axis=1)
+    closest = _sq_dists(X, centers[0])
     for j in range(1, k):
         total = closest.sum()
         if total > 0:
@@ -208,16 +216,15 @@ def kmeans(X: np.ndarray, k: int, rng: np.random.Generator,
         else:
             idx = int(rng.integers(m))
         centers[j] = X[idx]
-        closest = np.minimum(closest, ((X - centers[j]) ** 2).sum(axis=1))
+        closest = np.minimum(closest, _sq_dists(X, centers[j]))
 
     labels = np.full(m, -1, dtype=np.intp)
     inertia = np.inf
     for _ in range(max_iter):
-        d2 = ((X * X).sum(axis=1)[:, None] + (centers * centers).sum(axis=1)[None, :]
-              - 2.0 * X @ centers.T)
+        d2 = np.column_stack([_sq_dists(X, c) for c in centers])
         new_labels = d2.argmin(axis=1)
         point_d2 = np.take_along_axis(d2, new_labels[:, None], axis=1).ravel()
-        new_inertia = float(np.maximum(point_d2, 0).sum())
+        new_inertia = float(point_d2.sum())
         for c in range(k):
             members = new_labels == c
             if members.any():

@@ -12,6 +12,15 @@ attribute i is the contrast
 computed from those estimates. Informative attributes co-vary with the
 overall distance and land above 0; attributes independent of the data's
 structure land near 0.
+
+Distances are computed for a block of B references at a time into one
+preallocated C-order B x m x n buffer; B is the number of m x n float64
+tables that fit in _BLOCK_BUDGET (4 MB), or 1 when not even one fits. The
+K nearest rows of a reference are found by partitioning at the K-th
+distance and stable-sorting only the rows at or below it, in row order, so
+boundary ties go to the smaller row index exactly as a full stable sort
+would. Each reference's sums are taken on their own, in a fixed order, so
+the weights do not depend on B or on the worker count.
 """
 
 from __future__ import annotations
@@ -69,39 +78,88 @@ class UReliefState:
     p_diff_clus: float
 
 
+# memory cap, in bytes, for one block of references' B x m x n distance
+# buffer; a block holds at least one reference whatever m*n is
+_BLOCK_BUDGET = 4_000_000
+
+
+@dataclass(frozen=True)
+class _Kernel:
+    """Per-call setup shared by every block of references: the rows (C-order
+    float64, as Dataset keeps them), the divisor of each column (the
+    training range on a numeric attribute with positive range, 1
+    elsewhere), the nominal columns with their codes, and the numeric
+    columns of zero range, whose distance is fixed at 0."""
+
+    X: np.ndarray
+    divisor: np.ndarray
+    nominal: np.ndarray
+    codes: np.ndarray
+    constant: np.ndarray
+
+    @classmethod
+    def make(cls, d: Dataset, stats: AttributeStats) -> "_Kernel":
+        num = d.numeric_mask
+        spread = num & (stats.value_range > 0)
+        nominal = np.flatnonzero(~num)
+        return cls(d.X, np.where(spread, stats.value_range, 1.0), nominal,
+                   d.X[:, nominal], np.flatnonzero(num & ~spread))
+
+    def distances(self, refs: np.ndarray, out: np.ndarray):
+        """d_i (B x m x n, written into ``out``) and d_X (B x m) from each
+        of the B reference rows to every row. ``out`` must be C-order: the
+        mean over its last axis then sums each row's n terms exactly as the
+        one-reference m x n case does."""
+        np.subtract(self.X, self.X[refs, None, :], out=out)
+        np.abs(out, out=out)
+        np.divide(out, self.divisor, out=out)
+        if self.constant.size:
+            out[:, :, self.constant] = 0.0
+        if self.nominal.size:
+            out[:, :, self.nominal] = self.codes != self.codes[refs, None, :]
+        return out, out.mean(axis=-1)
+
+
 def _distances_to(d: Dataset, stats: AttributeStats, r: int):
     """d_i to every row (m x n) and d_X to every row (m,), for reference r.
     d_i lies in [0, 1]: |difference| / training range on a numeric
     attribute (0 when the attribute is constant), the inequality indicator
     on a nominal one. d_X is the mean of d_i over the attributes."""
-    num = d.numeric_mask
-    dm = np.empty((d.m, d.n))
-    if num.any():
-        rngs = stats.value_range[num]
-        diff = np.abs(d.X[:, num] - d.X[r, num])
-        dm[:, num] = np.divide(diff, rngs, out=np.zeros_like(diff),
-                               where=rngs > 0)
-    if not num.all():
-        dm[:, ~num] = (d.X[:, ~num] != d.X[r, ~num]).astype(np.float64)
-    return dm, dm.mean(axis=1)
+    dm, dx = _Kernel.make(d, stats).distances(np.array([r]),
+                                              np.empty((1, d.m, d.n)))
+    return dm[0], dx[0]
 
 
-def _contribution(d: Dataset, stats: AttributeStats, r: int, k: int):
-    """One iteration's raw sums over the K nearest rows of r: (sum of d_X,
+def _contributions(args):
+    """Each reference's raw sums over its K nearest rows: (sum of d_X,
     per-attribute sum of d_i, per-attribute sum of d_i * d_X). Neighbor ties
-    at the boundary resolve to the smaller row index."""
-    dm, dx = _distances_to(d, stats, r)
-    keyed = dx.copy()
-    keyed[r] = np.inf
-    nearest = np.argsort(keyed, kind="stable")[:k]
-    dx_nb = dx[nearest]
-    dm_nb = dm[nearest]
-    return float(dx_nb.sum()), dm_nb.sum(axis=0), dm_nb.T @ dx_nb
+    at the boundary resolve to the smaller row index.
 
-
-def _contribution_chunk(args):
+    References go through the kernel in blocks of B under _BLOCK_BUDGET.
+    The K nearest come from a partition to the K-th distance, then a stable
+    sort of only the rows not above it, taken in row order: the same rows
+    in the same order as a full stable sort, without sorting all m."""
     d, stats, refs, k = args
-    return [_contribution(d, stats, int(r), k) for r in refs]
+    kernel = _Kernel.make(d, stats)
+    block = max(1, min(refs.size, _BLOCK_BUDGET // (8 * d.m * d.n)))
+    buf = np.empty((block, d.m, d.n))
+    parts = []
+    for start in range(0, refs.size, block):
+        rs = refs[start:start + block]
+        dm, dx = kernel.distances(rs, buf[:rs.size])
+        keyed = dx.copy()
+        keyed[np.arange(rs.size), rs] = np.inf
+        kth = np.partition(keyed, k - 1, axis=1)[:, k - 1]
+        for b in range(rs.size):
+            # d_X is NaN where a range overflows to inf; "not above" keeps
+            # such rows, which both sorts put last, among the candidates
+            cand = np.flatnonzero(~(keyed[b] > kth[b]))
+            nearest = cand[np.argsort(keyed[b, cand], kind="stable")[:k]]
+            dx_nb = dx[b, nearest]
+            dm_nb = dm[b, nearest]
+            parts.append((float(dx_nb.sum()), dm_nb.sum(axis=0),
+                          dm_nb.T @ dx_nb))
+    return parts
 
 
 def urelief_state(d: Dataset, cfg: UReliefConfig,
@@ -125,12 +183,12 @@ def urelief_state(d: Dataset, cfg: UReliefConfig,
         refs = rng.integers(0, d.m, size=iterations)
 
     if workers <= 1 or iterations < 2 * workers:
-        parts = [_contribution(d, stats, int(r), k) for r in refs]
+        parts = _contributions((d, stats, refs, k))
     else:
         chunks = [c for c in np.array_split(refs, workers) if c.size]
         parts = []
         for out in parallel.pool(workers).map(
-                _contribution_chunk, [(d, stats, c, k) for c in chunks]):
+                _contributions, [(d, stats, c, k) for c in chunks]):
             parts.extend(out)
 
     sum_dc = np.array([p[0] for p in parts])

@@ -190,6 +190,49 @@ def ref_urelief_weights(d):
     return p_joint / p_dc - (p_da - p_joint) / (1.0 - p_dc)
 
 
+def ref_urelief_contribution(d, r, k):
+    """One URelief iteration as first written, for reference row r: the
+    distances to every row by masked assignment, the K nearest by a full
+    stable argsort (boundary ties to the smaller row index), and the raw
+    sums (sum of d_X, per-attribute sum of d_i, per-attribute sum of
+    d_i * d_X). Same arithmetic as the package, so results compare with
+    ``==``."""
+    X = d.X
+    num = np.array([not isinstance(kind, Nominal) for kind in d.kinds])
+    dm = np.empty((d.m, d.n))
+    if num.any():
+        rngs = X[:, num].max(axis=0) - X[:, num].min(axis=0)
+        diff = np.abs(X[:, num] - X[r, num])
+        dm[:, num] = np.divide(diff, rngs, out=np.zeros_like(diff),
+                               where=rngs > 0)
+    if not num.all():
+        dm[:, ~num] = (X[:, ~num] != X[r, ~num]).astype(np.float64)
+    dx = dm.mean(axis=1)
+    keyed = dx.copy()
+    keyed[r] = np.inf
+    nearest = np.argsort(keyed, kind="stable")[:k]
+    dx_nb = dx[nearest]
+    dm_nb = dm[nearest]
+    return float(dx_nb.sum()), dm_nb.sum(axis=0), dm_nb.T @ dx_nb
+
+
+def ref_kmeans_labels(X, centers):
+    """Lloyd assignment by plain scan: for each row, the center with the
+    smallest squared Euclidean distance summed attribute by attribute, ties
+    to the lowest center id."""
+    labels = np.empty(len(X), dtype=np.intp)
+    for i, x in enumerate(X):
+        best, best_d2 = -1, np.inf
+        for c, center in enumerate(centers):
+            d2 = 0.0
+            for a, b in zip(x, center):
+                d2 += (float(a) - float(b)) ** 2
+            if d2 < best_d2:
+                best, best_d2 = c, d2
+        labels[i] = best
+    return labels
+
+
 def ref_nearest_target(d, train_rows, query, attrs):
     """1NN by plain scan: squared Euclidean over the selected attributes,
     distance ties to the smallest training row index."""

@@ -276,6 +276,18 @@ class TestKMeans:
             assert labels.min() >= 0 and labels.max() < 3
             assert np.isfinite(inertia)
 
+    def test_large_offset_tiny_spread_is_assigned_exactly(self):
+        # the blobs shrunk to a 1e-4 scale on a 1e5 offset: squared
+        # distances are about 1e-6, below the cancellation error of the
+        # |a|^2 + |b|^2 - 2ab expansion at this offset
+        X, truth = self.blobs()
+        X = 1e5 + 1e-4 * X
+        for seed in range(3):
+            labels, centers, _ = kmeans(X, 3, np.random.default_rng(seed))
+            np.testing.assert_array_equal(
+                labels, oracles.ref_kmeans_labels(X, centers))
+            assert adjusted_rand_index(labels, truth) == 1.0
+
     def test_k_bounds(self):
         X = np.zeros((4, 1))
         with pytest.raises(ValueError, match="k must be"):

@@ -1,10 +1,16 @@
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
 from ufrank import (Dataset, Nominal, Numeric, UReliefConfig, compute_stats,
                     urelief, urelief_state)
-from ufrank.urelief import _distances_to
+from ufrank.urelief import _contributions, _distances_to
+
+# the package namespace binds the name ``urelief`` to the function
+urelief_module = importlib.import_module("ufrank.urelief")
 
 
 def numeric_dataset(values, name="t"):
@@ -50,6 +56,98 @@ class TestDistances:
         assert dx[1] == pytest.approx((0.5 + 1) / 2)
         assert dx[2] == pytest.approx((1.0 + 0) / 2)
         assert dx[0] == 0.0
+
+
+def kernel_tables():
+    """(dataset, K) pairs that stress the block kernel: mixed kinds, a
+    constant numeric column, a large offset with a tiny spread over enough
+    columns that the order of d_X's summation shows, distinct rows tied at
+    the K-th distance, duplicate rows that put more than K rows at the K-th
+    distance, and a range that overflows to inf, which makes some d_X NaN
+    and, for some references, the K-th distance too."""
+    rng = np.random.default_rng(51)
+    yield oracles.random_mixed_dataset(rng, 40, 6), 7
+    X = rng.uniform(size=(30, 4))
+    X[:, 2] = 7.0
+    yield numeric_dataset(X), 6
+    yield numeric_dataset(1e5 + 1e-4 * rng.normal(size=(35, 40))), 8
+    # three nominal columns: d_X takes four values, so distinct rows tie
+    X = rng.integers(0, 3, size=(40, 3)).astype(np.float64)
+    yield Dataset("ties", ["p", "q", "r"], [Nominal(("u", "v", "w"))] * 3, X), 9
+    # 6 distinct rows 12 times each, shuffled: every reference has 11 rows
+    # at distance 0, more than K = 5
+    base = np.column_stack([rng.uniform(size=6), rng.integers(0, 3, size=6),
+                            rng.uniform(size=6)])
+    X = np.repeat(base, 12, axis=0)[rng.permutation(72)]
+    kinds = [Numeric(), Nominal(("u", "v", "w")), Numeric()]
+    yield Dataset("dup", ["a", "k", "b"], kinds, X), 5
+    # rows 0-4 at +1e308 and rows 5-9 at -1e308 are NaN apart, so each of
+    # them has 14 other rows at a number and itself keyed at inf: with
+    # K = 17 its K-th distance is NaN
+    X = rng.uniform(size=(20, 3))
+    X[:5, 0] = 1e308
+    X[5:10, 0] = -1e308
+    yield numeric_dataset(X), 17
+
+
+def state_bytes(s):
+    return (s.w.tobytes(), s.p_diff_attr.tobytes(),
+            s.p_diff_attr_diff_clus.tobytes(),
+            np.float64(s.p_diff_clus).tobytes())
+
+
+def force_block(monkeypatch, d, block):
+    """Set the block budget so that exactly ``block`` references fit."""
+    monkeypatch.setattr(urelief_module, "_BLOCK_BUDGET", 8 * d.m * d.n * block)
+
+
+class TestBlockKernel:
+    """The block kernel against the per-reference form it replaced, and
+    its state across block sizes and worker counts."""
+
+    # the overflowing table warns on purpose
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("block", [1, 3, None])
+    def test_contributions_equal_the_full_sort_form(self, monkeypatch, block):
+        rng = np.random.default_rng(52)
+        for d, k in kernel_tables():
+            force_block(monkeypatch, d, block or d.m)
+            # every row once, then draws with replacement
+            refs = np.concatenate([np.arange(d.m),
+                                   rng.integers(0, d.m, size=d.m)])
+            got = _contributions((d, compute_stats(d), refs, k))
+            assert len(got) == refs.size
+            for r, part in zip(refs, got):
+                want = oracles.ref_urelief_contribution(d, int(r), k)
+                for a, b in zip(part, want):
+                    assert np.float64(a).tobytes() == np.float64(b).tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_state_is_byte_equal_across_blocks_and_workers(self, monkeypatch):
+        for d, k in kernel_tables():
+            for iterations in (d.m, 2 * d.m):
+                cfg = UReliefConfig(neighbors=k, iterations=iterations, seed=4)
+                states = []
+                for block in (1, 3, d.m):
+                    force_block(monkeypatch, d, block)
+                    states.append(urelief_state(d, cfg))
+                monkeypatch.undo()
+                states.append(urelief_state(d, cfg, workers=2))
+                want = state_bytes(states[0])
+                for got in states[1:]:
+                    assert state_bytes(got) == want
+
+    def test_peak_memory_is_one_block_plus_a_few_tables(self):
+        # a later change that grows the block past the budget shows up here
+        d = numeric_dataset(np.random.default_rng(53).normal(size=(4000, 50)))
+        table = 8 * d.m * d.n
+        tracemalloc.start()
+        try:
+            urelief_state(d, UReliefConfig(neighbors=30, iterations=20, seed=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= urelief_module._BLOCK_BUDGET + 2 * table
 
 
 class TestConfig:
