@@ -202,12 +202,17 @@ def _apply_config_defaults(commands: dict[str, _Parser], path: str) -> None:
             action = next((a for a in sub._actions if a.dest == dest), None)
             if action is None:
                 continue
-            converted = value
-            if action.type is not None and isinstance(value, (str, int, float)):
+            # a flag takes one string; null only restores a null default
+            if value is None and action.default is None:
+                converted = None
+            elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
                 try:
-                    converted = action.type(str(value))
+                    converted = (action.type or str)(str(value))
                 except (ValueError, argparse.ArgumentTypeError) as exc:
                     raise UsageError(f"config option {key!r}: {exc}") from exc
+            else:
+                raise UsageError(f"config option {key!r}: expected a string "
+                                 f"or a number, got {json.dumps(value)}")
             if action.choices is not None and converted not in action.choices:
                 raise UsageError(f"config option {key!r}: invalid choice "
                                  f"{converted!r} (choose from "

@@ -156,19 +156,9 @@ def _check_rows(rows, m: int) -> np.ndarray:
     return rows
 
 
-def compute_stats(d: Dataset, rows=None) -> AttributeStats:
-    """Statistics over exactly the given rows (all rows when omitted).
-
-    Variance is the population variance. Rows are put in a canonical order
-    before any accumulation, so any permutation of the same multiset yields
-    bit-identical statistics.
-    """
-    if rows is None:
-        rows = np.arange(d.m)
-    rows = np.sort(_check_rows(rows, d.m))
-    sub = d.X[rows]
-    count = rows.size
-
+def compute_stats(d: Dataset) -> AttributeStats:
+    """Statistics over all rows of ``d``; for a subset, pass
+    ``d.restrict_rows(rows)``. Variance is the population variance."""
     minimum = np.full(d.n, np.nan)
     maximum = np.full(d.n, np.nan)
     variance = np.full(d.n, np.nan)
@@ -177,32 +167,32 @@ def compute_stats(d: Dataset, rows=None) -> AttributeStats:
 
     num = d.numeric_mask
     if num.any():
-        block = sub[:, num]
+        block = d.X[:, num]
         minimum[num] = block.min(axis=0)
         maximum[num] = block.max(axis=0)
         variance[num] = block.var(axis=0)
         denominator[num] = variance[num]
     for j in np.flatnonzero(~num):
         size = len(d.kinds[j].domain)
-        counts = np.bincount(sub[:, j].astype(np.intp), minlength=size)
-        p = counts / count
+        counts = np.bincount(d.X[:, j].astype(np.intp), minlength=size)
+        p = counts / d.m
         gini[j] = 1.0 - float(p @ p)
         denominator[j] = gini[j]
 
     value_range = maximum - minimum
     return AttributeStats(minimum, maximum, variance, gini, denominator,
-                          value_range, count)
+                          value_range, d.m)
 
 
-def load_csv(path, schema=None, target_column: str | None = None,
-             name: str | None = None) -> Dataset:
+def load_csv(path, schema=None, target_column: str | None = None) -> Dataset:
     """Load a comma-separated file: header row, UTF-8, decimal point, no
-    missing values.
+    missing values. The dataset is named after the file's stem.
 
     Without a schema, a column is numeric iff every value parses as a finite
     real, else nominal with the domain ordered by first appearance. A schema
     is a sequence of "numeric"/"nominal" strings or AttributeKind values, one
-    per column (including the target column, whose entry is ignored).
+    per column (including the target column, whose entry is ignored: the
+    target's kind is always inferred).
     """
     path = Path(path)
     if not path.exists():
@@ -250,7 +240,8 @@ def load_csv(path, schema=None, target_column: str | None = None,
     kinds: list[AttributeKind | None] = [None] * width
     for j in range(width):
         column = [row[j] for row in cells]
-        wanted = None if schema is None else _schema_kind(schema[j])
+        wanted = (None if schema is None or j == target_idx
+                  else _schema_kind(schema[j]))
         values = _parse_numeric(column)
         if values is not None and not isinstance(wanted, Nominal) and wanted != "nominal":
             if wanted == "numeric" or wanted is None or isinstance(wanted, Numeric):
@@ -290,7 +281,7 @@ def load_csv(path, schema=None, target_column: str | None = None,
         header = [header[j] for j in keep]
         kinds = [kinds[j] for j in keep]
 
-    return Dataset(name or path.stem, tuple(header), tuple(kinds), matrix, target)
+    return Dataset(path.stem, tuple(header), tuple(kinds), matrix, target)
 
 
 def _schema_kind(entry):
@@ -314,12 +305,13 @@ def _parse_numeric(column: list[str]) -> np.ndarray | None:
     return out
 
 
-def write_csv(d: Dataset, path, target_name: str = "target") -> None:
-    """Write a dataset back out under the same CSV contract."""
+def write_csv(d: Dataset, path) -> None:
+    """Write a dataset back out under the same CSV contract; a target, if
+    any, goes last under the header ``target``."""
     path = Path(path)
     header = list(d.attr_names)
     if d.target is not None:
-        header.append(target_name)
+        header.append("target")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -192,16 +192,20 @@ def _sq_dists(X: np.ndarray, center: np.ndarray) -> np.ndarray:
     return ((X - center) ** 2).sum(axis=1)
 
 
-def kmeans(X: np.ndarray, k: int, rng: np.random.Generator,
-           max_iter: int = 300, tol: float = 1e-6):
+_KMEANS_MAX_ITER = 300
+_KMEANS_TOL = 1e-6
+
+
+def kmeans(X: np.ndarray, k: int, rng: np.random.Generator):
     """Lloyd iterations from a k-means++ start.
 
     Squared distances come from direct differences, one center at a time,
     so a table with a large offset and a small spread is assigned exactly
     (the |a|^2 + |b|^2 - 2ab expansion cancels there). Assignment ties go
     to the lowest center id; an emptied cluster is re-seeded on the point
-    farthest from its current center. Stops when assignments repeat or the
-    inertia improvement falls below ``tol`` relative.
+    farthest from its current center. Stops when assignments repeat, when
+    the inertia improvement falls below _KMEANS_TOL relative, or after
+    _KMEANS_MAX_ITER iterations.
     """
     m = len(X)
     if not 1 <= k <= m:
@@ -220,7 +224,7 @@ def kmeans(X: np.ndarray, k: int, rng: np.random.Generator,
 
     labels = np.full(m, -1, dtype=np.intp)
     inertia = np.inf
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         d2 = np.column_stack([_sq_dists(X, c) for c in centers])
         new_labels = d2.argmin(axis=1)
         point_d2 = np.take_along_axis(d2, new_labels[:, None], axis=1).ravel()
@@ -237,8 +241,8 @@ def kmeans(X: np.ndarray, k: int, rng: np.random.Generator,
             labels = new_labels
             inertia = new_inertia
             break
-        converged = (np.isfinite(inertia)
-                     and abs(inertia - new_inertia) <= tol * max(inertia, 1e-300))
+        converged = (np.isfinite(inertia) and abs(inertia - new_inertia)
+                     <= _KMEANS_TOL * max(inertia, 1e-300))
         labels = new_labels
         inertia = new_inertia
         if converged:

@@ -95,10 +95,9 @@ def _bootstrap_and_grow(d: Dataset, stats: AttributeStats,
     return grow_tree(d, in_bag, policy, stats, rng, workspace), in_bag, oob
 
 
-def _grow_chunk(args):
-    d, stats, policy, seed, tree_ids = args
+def _grow_chunk(d, stats, policy, seed, tree_ids):
     ws = SplitWorkspace(d, stats)
-    return [_bootstrap_and_grow(d, stats, policy, seed, t, ws)
+    return [_bootstrap_and_grow(d, stats, policy, seed, int(t), ws)
             for t in tree_ids]
 
 
@@ -110,20 +109,9 @@ def build(d: Dataset, cfg: EnsembleConfig, workers: int = 1) -> Ensemble:
         raise IngestionError("an ensemble needs at least two examples")
     d = d.without_target()
     stats = compute_stats(d)
-    policy = cfg.policy(d.n)
-    tree_ids = range(cfg.n_trees)
-    if workers <= 1 or cfg.n_trees == 1:
-        ws = SplitWorkspace(d, stats)
-        grown = [_bootstrap_and_grow(d, stats, policy, cfg.seed, t, ws)
-                 for t in tree_ids]
-    else:
-        chunks = [c for c in np.array_split(np.asarray(tree_ids), workers)
-                  if c.size]
-        tasks = [(d, stats, policy, cfg.seed, [int(t) for t in c])
-                 for c in chunks]
-        grown = []
-        for part in parallel.pool(workers).map(_grow_chunk, tasks):
-            grown.extend(part)
+    grown = parallel.map_chunks(_grow_chunk,
+                                (d, stats, cfg.policy(d.n), cfg.seed),
+                                np.arange(cfg.n_trees), workers)
     flats = [g[0] for g in grown]
     in_bags = [g[1] for g in grown]
     oobs = [g[2] for g in grown]

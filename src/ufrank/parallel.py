@@ -1,4 +1,4 @@
-"""Process pools shared across the package.
+"""Work split across process pools shared by the package.
 
 Pools are created lazily, one per worker count, and reused for the life of
 the process: repeated fold/tree loops then pay the spawn cost once. All
@@ -11,16 +11,28 @@ from __future__ import annotations
 
 import atexit
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
+
+import numpy as np
 
 _POOLS: dict[int, ProcessPoolExecutor] = {}
 
 
-def pool(workers: int) -> ProcessPoolExecutor:
-    if workers < 2:
-        raise ValueError("a pool needs at least two workers; run inline instead")
+def map_chunks(fn, shared: tuple, items, workers: int) -> list:
+    """``fn(*shared, chunk)`` over the non-empty chunks of
+    ``np.array_split(items, workers)``, each returning a list; the lists are
+    concatenated in item order. Runs inline, as one call on all the items,
+    when ``workers < 2`` or there are fewer than two items."""
+    items = np.asarray(items)
+    if workers < 2 or items.size < 2:
+        return fn(*shared, items)
     if workers not in _POOLS:
         _POOLS[workers] = ProcessPoolExecutor(max_workers=workers)
-    return _POOLS[workers]
+    chunks = [c for c in np.array_split(items, workers) if c.size]
+    out = []
+    for part in _POOLS[workers].map(fn, *map(repeat, shared), chunks):
+        out.extend(part)
+    return out
 
 
 @atexit.register

@@ -96,7 +96,7 @@ def symbolic(e: Ensemble) -> Ranking:
 _BLOCK_BUDGET = 8_000_000
 
 
-def random_forest_score(e: Ensemble, attr_ids=None) -> Ranking:
+def random_forest_score(e: Ensemble) -> Ranking:
     """Permutation importance over out-of-bag rows.
 
     For tree t with baseline error e_t over its out-of-bag set, attribute i
@@ -117,18 +117,11 @@ def random_forest_score(e: Ensemble, attr_ids=None) -> Ranking:
     the terms a full recomputation would give, and its row means and their
     mean are taken in the same order, so e_t^i is bit for bit the same.
 
-    ``attr_ids`` optionally renames the permutation streams: entry j is the
-    stream id used when shuffling column j (default: the column index). The
-    contribution of column j is then reproducible under any relabeling of
-    the columns that carries its id along.
+    The shuffle of attribute i in tree t draws from the stream keyed by
+    (seed, OOB_PERMUTATION, t, i).
     """
     d = e.dataset
     n = d.n
-    if attr_ids is None:
-        attr_ids = np.arange(n)
-    attr_ids = np.asarray(attr_ids, dtype=np.intp)
-    if attr_ids.shape != (n,):
-        raise ValueError("attr_ids must give one stream id per attribute")
     nominal = ~d.numeric_mask
     var = e.stats.denominator
     scale = np.divide(1.0, var, out=np.zeros_like(var), where=(var > 0) & ~nominal)
@@ -153,7 +146,7 @@ def random_forest_score(e: Ensemble, attr_ids=None) -> Ranking:
             attrs = np.arange(start, min(start + group, n))
             perms = np.array([
                 streams.stream(e.config.seed, streams.OOB_PERMUTATION, t,
-                               int(attr_ids[i])).permutation(oob.size)
+                               int(i)).permutation(oob.size)
                 for i in attrs])
             # shuffled[j, r]: row r's value of attrs[j] after the shuffle
             shuffled = base_rows[perms, attrs[:, None]]

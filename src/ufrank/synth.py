@@ -83,7 +83,7 @@ def write_planted(spec: SynthSpec, directory) -> tuple[Path, Path]:
     directory.mkdir(parents=True, exist_ok=True)
     csv_path = directory / f"{d.name}.csv"
     truth_path = directory / f"{d.name}_truth.json"
-    write_csv(d, csv_path, target_name="target")
+    write_csv(d, csv_path)
     with open(truth_path, "w", encoding="utf-8") as fh:
         json.dump({"informative": list(d.meta["informative"]),
                    "spec": d.meta["spec"]}, fh, indent=2, sort_keys=True)

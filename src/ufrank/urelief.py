@@ -130,7 +130,8 @@ def _distances_to(d: Dataset, stats: AttributeStats, r: int):
     return dm[0], dx[0]
 
 
-def _contributions(args):
+def _contributions(d: Dataset, stats: AttributeStats, k: int,
+                   refs: np.ndarray):
     """Each reference's raw sums over its K nearest rows: (sum of d_X,
     per-attribute sum of d_i, per-attribute sum of d_i * d_X). Neighbor ties
     at the boundary resolve to the smaller row index.
@@ -139,7 +140,6 @@ def _contributions(args):
     The K nearest come from a partition to the K-th distance, then a stable
     sort of only the rows not above it, taken in row order: the same rows
     in the same order as a full stable sort, without sorting all m."""
-    d, stats, refs, k = args
     kernel = _Kernel.make(d, stats)
     block = max(1, min(refs.size, _BLOCK_BUDGET // (8 * d.m * d.n)))
     buf = np.empty((block, d.m, d.n))
@@ -163,9 +163,9 @@ def _contributions(args):
 
 
 def urelief_state(d: Dataset, cfg: UReliefConfig,
-                  stats: AttributeStats | None = None,
                   workers: int = 1) -> UReliefState:
-    """Run the accumulation and return the full state.
+    """Run the accumulation and return the full state. Distances are
+    normalized by the statistics of the target-free table.
 
     Reference rows: a seeded permutation visited without replacement when
     I <= m (each row at most once), i.i.d. draws with replacement when
@@ -174,7 +174,7 @@ def urelief_state(d: Dataset, cfg: UReliefConfig,
     worker counts, and for I = m independent of visit order altogether.
     """
     d = d.without_target()
-    stats = stats if stats is not None else compute_stats(d)
+    stats = compute_stats(d)
     k, iterations = cfg.resolve(d.m)
     rng = streams.stream(cfg.seed, streams.RELIEF)
     if iterations <= d.m:
@@ -182,15 +182,7 @@ def urelief_state(d: Dataset, cfg: UReliefConfig,
     else:
         refs = rng.integers(0, d.m, size=iterations)
 
-    if workers <= 1 or iterations < 2 * workers:
-        parts = _contributions((d, stats, refs, k))
-    else:
-        chunks = [c for c in np.array_split(refs, workers) if c.size]
-        parts = []
-        for out in parallel.pool(workers).map(
-                _contributions, [(d, stats, c, k) for c in chunks]):
-            parts.extend(out)
-
+    parts = parallel.map_chunks(_contributions, (d, stats, k), refs, workers)
     sum_dc = np.array([p[0] for p in parts])
     sum_da = np.vstack([p[1] for p in parts])
     sum_joint = np.vstack([p[2] for p in parts])
@@ -208,10 +200,10 @@ def urelief_state(d: Dataset, cfg: UReliefConfig,
 
 
 def urelief(d: Dataset, cfg: UReliefConfig | None = None,
-            stats: AttributeStats | None = None, workers: int = 1) -> Ranking:
+            workers: int = 1) -> Ranking:
     """Rank attributes by URelief weight (descending)."""
     cfg = cfg or UReliefConfig()
-    state = urelief_state(d, cfg, stats, workers)
+    state = urelief_state(d, cfg, workers)
     k, iterations = cfg.resolve(d.m)
     provenance = {"method": "urelief", "dataset": d.name, "neighbors": k,
                   "iterations": iterations, "seed": cfg.seed}

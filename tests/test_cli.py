@@ -108,6 +108,36 @@ class TestConfigFile:
                                "--config", str(tmp_path / "missing.json"))
         assert code == 1
 
+    @pytest.mark.parametrize("command,values", [
+        ("rank", {"trees": None}), ("rank", {"trees": [3]}),
+        ("rank", {"method": ["genie3"]}), ("rank", {"data": {"a": 1}}),
+        ("rank", {"workers": True}), ("curve", {"seed": None}),
+        ("curve", {"folds": None})])
+    def test_config_rejects_null_and_non_scalar_values(
+            self, planted_csv, tmp_path, capsys, command, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        code, out, err = run_cli(capsys, command, "--data", str(planted_csv),
+                                 "--target-column", "target", "--config",
+                                 str(cfg))
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        record = json.loads(err)["error"]
+        assert record["kind"] == "usage"
+        assert repr(next(iter(values))) in record["message"]
+
+    def test_config_null_restores_a_null_default(self, planted_csv, tmp_path,
+                                                 capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"neighbors": None, "iterations": None,
+                                   "method": "urelief"}))
+        code, out, _ = run_cli(capsys, "rank", "--data", str(planted_csv),
+                               "--target-column", "target", "--config",
+                               str(cfg))
+        assert code == 0
+        resolved = stdout_json(out)["config"]
+        assert (resolved["neighbors"], resolved["iterations"]) == (23, 24)
+
 
 class TestExitCodes:
     def test_usage_errors_exit_1(self, capsys):

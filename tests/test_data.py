@@ -94,26 +94,16 @@ class TestComputeStats:
 
     def test_nominal_gini_is_zero_on_a_constant_subset(self):
         d = small_mixed()
-        s = compute_stats(d, rows=np.array([0, 1]))  # codes 0,0 only
+        s = compute_stats(d.restrict_rows(np.array([0, 1])))  # codes 0,0 only
         assert s.gini[1] == 0.0
         assert s.denominator[1] == 0.0  # constant on the subset
-
-    def test_row_permutation_is_bit_identical(self):
-        rng = np.random.default_rng(3)
-        X = rng.uniform(size=(9, 4))
-        d = Dataset("p", tuple("abcd"), tuple(Numeric() for _ in range(4)), X)
-        rows = np.arange(9)
-        a = compute_stats(d, rows)
-        b = compute_stats(d, rng.permutation(rows))
-        np.testing.assert_array_equal(a.variance, b.variance)
-        np.testing.assert_array_equal(a.minimum, b.minimum)
 
     def test_multiplicity_counts(self):
         # row 0 twice: stats equal those of an explicitly duplicated matrix
         d = small_mixed()
         dup = Dataset("dup", d.attr_names, d.kinds,
                       d.X[np.array([0, 0, 1])])
-        a = compute_stats(d, rows=np.array([0, 0, 1]))
+        a = compute_stats(d.restrict_rows(np.array([0, 0, 1])))
         b = compute_stats(dup)
         np.testing.assert_array_equal(a.variance[:1], b.variance[:1])
         np.testing.assert_array_equal(a.gini[1:], b.gini[1:])
@@ -175,6 +165,20 @@ class TestCsv:
         with pytest.raises(IngestionError):
             load_csv(path, schema=["numeric"])
 
+    def test_target_schema_entry_is_ignored(self, tmp_path):
+        # a "nominal" entry would recode 10, 20, 30 as 0, 1, 2
+        path = self.write(tmp_path, "a,b,y\n1,x,10\n2,y,20\n3,x,30\n")
+        d = load_csv(path, schema=["numeric", "nominal", "nominal"],
+                     target_column="y")
+        np.testing.assert_array_equal(d.target, [10.0, 20.0, 30.0])
+        assert d.kinds == (Numeric(), Nominal(("x", "y")))
+
+    def test_numeric_schema_entry_on_a_text_target_does_not_raise(self,
+                                                                  tmp_path):
+        path = self.write(tmp_path, "a,y\n1,red\n2,blue\n3,red\n")
+        d = load_csv(path, schema=["numeric", "numeric"], target_column="y")
+        np.testing.assert_array_equal(d.target, [0.0, 1.0, 0.0])
+
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         X = np.column_stack([rng.uniform(size=6),
@@ -183,9 +187,11 @@ class TestCsv:
                     (Numeric(), Nominal(("a", "b", "c"))), X,
                     target=rng.uniform(size=6))
         out = tmp_path / "rt.csv"
-        write_csv(d, out, target_name="y")
+        write_csv(d, out)
+        assert out.read_text(encoding="utf-8").startswith("num,cat,target\n")
         back = load_csv(out, schema=["numeric", "nominal", "numeric"],
-                        target_column="y")
+                        target_column="target")
+        assert back.name == "rt"
         # numeric columns and target are bit-exact via repr round-trip;
         # nominal codes are re-assigned by first appearance, so compare
         # the decoded labels instead

@@ -153,31 +153,10 @@ class TestRandomForestScore:
         np.testing.assert_array_equal(r.importance, want)
         assert r.provenance["trees_used"] == len(contributions)
 
-    def test_attr_ids_select_permutation_streams(self):
-        d, lone, _ = self.leaf_fixture()
-        e = hand_ensemble(d, [lone], [[0, 1, 2, 3]], [[0, 2, 3]])
-        base = random_forest_score(e)
-        np.testing.assert_array_equal(
-            base.importance,
-            random_forest_score(e, attr_ids=[0, 1]).importance)
-        # column 1 shuffled under column 0's stream id must match what the
-        # per-tree error reports for that (attribute, stream) pair
-        swapped = random_forest_score(e, attr_ids=[1, 0])
-        b = oob_error(e, 0, e.oobs[0])
-        want = (oob_error(e, 0, e.oobs[0], permuted_attr=(1, 0)) - b) / b
-        assert swapped.importance[1] == want
 
-    def test_attr_ids_shape_checked(self):
-        d, lone, _ = self.leaf_fixture()
-        e = hand_ensemble(d, [lone], [[0, 1, 2, 3]], [[0, 3]])
-        with pytest.raises(ValueError, match="attr_ids"):
-            random_forest_score(e, attr_ids=[0, 1, 2])
-
-
-def oracle_rf_score(e, attr_ids=None):
+def oracle_rf_score(e):
     """rf-score from the per-row oob_error walk: per usable tree, the
     relative error increase of every attribute's shuffle, averaged."""
-    ids = range(e.dataset.n) if attr_ids is None else attr_ids
     contributions = []
     for t in range(e.n_trees):
         oob = e.oobs[t]
@@ -186,7 +165,7 @@ def oracle_rf_score(e, attr_ids=None):
         base = oob_error(e, t, oob)
         if base == 0.0:
             continue
-        shuffled = np.array([oob_error(e, t, oob, permuted_attr=(i, int(ids[i])))
+        shuffled = np.array([oob_error(e, t, oob, permuted_attr=i)
                              for i in range(e.dataset.n)])
         contributions.append((shuffled - base) / base)
     return np.vstack(contributions).sum(axis=0) / len(contributions)
@@ -266,9 +245,7 @@ class TestPatchedRandomForestScore:
         np.testing.assert_array_equal(random_forest_score(e).importance,
                                       oracle_rf_score(e))
 
-    @pytest.mark.parametrize("permuted_ids", [False, True])
-    def test_grouping_of_attributes_changes_nothing(self, monkeypatch,
-                                                    permuted_ids):
+    def test_grouping_of_attributes_changes_nothing(self, monkeypatch):
         d = oracles.random_mixed_dataset(np.random.default_rng(61), 40, 7)
         built = build(d, EnsembleConfig(method="et", n_trees=8, seed=6))
         # equal out-of-bag sizes make a budget mean the same group size in
@@ -276,14 +253,13 @@ class TestPatchedRandomForestScore:
         k = min(o.size for o in built.oobs)
         e = Ensemble(built.config, built.dataset, built.stats, built.flats,
                      built.in_bags, [o[:k] for o in built.oobs])
-        ids = np.random.default_rng(62).permutation(d.n) if permuted_ids else None
         assert scores._BLOCK_BUDGET >= k * d.n * d.n  # one group by default
-        whole = random_forest_score(e, attr_ids=ids).importance
-        np.testing.assert_array_equal(whole, oracle_rf_score(e, ids))
+        whole = random_forest_score(e).importance
+        np.testing.assert_array_equal(whole, oracle_rf_score(e))
         for per_group in (1, 3):
             monkeypatch.setattr(scores, "_BLOCK_BUDGET", per_group * k * d.n)
             np.testing.assert_array_equal(
-                random_forest_score(e, attr_ids=ids).importance, whole)
+                random_forest_score(e).importance, whole)
 
     @pytest.mark.parametrize("method", ["et", "rf", "bagging"])
     def test_path_attribute_map_matches_recursive_walk(self, method):

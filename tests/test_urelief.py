@@ -115,7 +115,7 @@ class TestBlockKernel:
             # every row once, then draws with replacement
             refs = np.concatenate([np.arange(d.m),
                                    rng.integers(0, d.m, size=d.m)])
-            got = _contributions((d, compute_stats(d), refs, k))
+            got = _contributions(d, compute_stats(d), k, refs)
             assert len(got) == refs.size
             for r, part in zip(refs, got):
                 want = oracles.ref_urelief_contribution(d, int(r), k)
