@@ -54,7 +54,8 @@ class Dataset:
 
     The feature matrix is made read-only at construction; downstream code
     treats datasets as shareable values, so any number of workers may read
-    one concurrently.
+    one concurrently. ``numeric_mask``, set at construction and read-only
+    too, marks the numeric columns.
     """
 
     name: str
@@ -63,8 +64,6 @@ class Dataset:
     X: np.ndarray
     target: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
-    _numeric_mask: np.ndarray | None = field(default=None, init=False,
-                                             repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.attr_names = tuple(self.attr_names)
@@ -96,6 +95,9 @@ class Dataset:
                 raise ValueError("target length does not match the example count")
             t.setflags(write=False)
             self.target = t
+        mask = np.array([isinstance(k, Numeric) for k in self.kinds])
+        mask.setflags(write=False)
+        self.numeric_mask = mask
 
     @property
     def m(self) -> int:
@@ -104,15 +106,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.X.shape[1]
-
-    @property
-    def numeric_mask(self) -> np.ndarray:
-        mask = self._numeric_mask
-        if mask is None:
-            mask = np.array([isinstance(k, Numeric) for k in self.kinds])
-            mask.setflags(write=False)
-            object.__setattr__(self, "_numeric_mask", mask)
-        return mask
 
     def without_target(self) -> "Dataset":
         """View for ranking methods: same features, no target."""
@@ -133,18 +126,14 @@ class Dataset:
 class AttributeStats:
     """Per-attribute statistics over a reference row set.
 
-    Numeric slots of ``gini``/nominal slots of ``variance`` etc. hold NaN.
-    ``denominator`` is the impurity normalizer: variance for numeric columns,
-    Gini for nominal ones; zero marks a column constant on the reference rows.
+    ``denominator`` is the impurity normalizer: the population variance for
+    numeric columns, the Gini index for nominal ones; zero marks a column
+    constant on the reference rows. ``value_range`` is max - min on numeric
+    columns and NaN on nominal ones.
     """
 
-    minimum: np.ndarray
-    maximum: np.ndarray
-    variance: np.ndarray
-    gini: np.ndarray
     denominator: np.ndarray
     value_range: np.ndarray
-    n_rows: int
 
 
 def _check_rows(rows, m: int) -> np.ndarray:
@@ -158,30 +147,20 @@ def _check_rows(rows, m: int) -> np.ndarray:
 
 def compute_stats(d: Dataset) -> AttributeStats:
     """Statistics over all rows of ``d``; for a subset, pass
-    ``d.restrict_rows(rows)``. Variance is the population variance."""
-    minimum = np.full(d.n, np.nan)
-    maximum = np.full(d.n, np.nan)
-    variance = np.full(d.n, np.nan)
-    gini = np.full(d.n, np.nan)
+    ``d.restrict_rows(rows)``."""
     denominator = np.zeros(d.n)
-
+    value_range = np.full(d.n, np.nan)
     num = d.numeric_mask
     if num.any():
         block = d.X[:, num]
-        minimum[num] = block.min(axis=0)
-        maximum[num] = block.max(axis=0)
-        variance[num] = block.var(axis=0)
-        denominator[num] = variance[num]
+        denominator[num] = block.var(axis=0)
+        value_range[num] = block.max(axis=0) - block.min(axis=0)
     for j in np.flatnonzero(~num):
         size = len(d.kinds[j].domain)
         counts = np.bincount(d.X[:, j].astype(np.intp), minlength=size)
         p = counts / d.m
-        gini[j] = 1.0 - float(p @ p)
-        denominator[j] = gini[j]
-
-    value_range = maximum - minimum
-    return AttributeStats(minimum, maximum, variance, gini, denominator,
-                          value_range, d.m)
+        denominator[j] = 1.0 - float(p @ p)
+    return AttributeStats(denominator, value_range)
 
 
 def load_csv(path, schema=None, target_column: str | None = None) -> Dataset:

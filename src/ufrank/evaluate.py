@@ -253,12 +253,15 @@ def kmeans(X: np.ndarray, k: int, rng: np.random.Generator):
 def adjusted_rand_index(a, b) -> float:
     """Chance-corrected pair-counting agreement of two labelings: 1 for
     identical partitions, about 0 for independent ones. When both labelings
-    are trivial in the same way (the 0/0 case) the partitions are identical
-    and the index is 1 by convention."""
+    are trivial in the same way (the 0/0 case, which includes a single
+    element) the partitions are identical and the index is 1 by
+    convention."""
     a = np.asarray(a).ravel()
     b = np.asarray(b).ravel()
     if a.shape != b.shape or a.size == 0:
         raise ValueError("labelings must be equal-length and non-empty")
+    if a.size == 1:  # no pairs at all
+        return 1.0
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
     table = np.zeros((ai.max() + 1, bi.max() + 1))

@@ -37,7 +37,9 @@ class Ranking:
     """Per-attribute importance with the induced descending order.
 
     Ties order by ascending attribute index, so rankings are reproducible
-    even when many attributes share a score (all-zero noise, say).
+    even when many attributes share a score (all-zero noise, say). A
+    non-finite importance (a variance that overflows, say) has no place in
+    the order and raises ComputationError.
     """
 
     method: str
@@ -52,6 +54,10 @@ class Ranking:
             raise ValueError("importance must be a vector")
         if len(self.attr_names) != self.importance.size:
             raise ValueError("importance length does not match attribute names")
+        bad = np.flatnonzero(~np.isfinite(self.importance))
+        if bad.size:
+            raise ComputationError(f"{self.method} importance of "
+                                   f"{self.attr_names[bad[0]]!r} is not finite")
         n = self.importance.size
         self.order = np.lexsort((np.arange(n), -self.importance))
 

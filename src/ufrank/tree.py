@@ -363,23 +363,21 @@ def grow_tree(d: Dataset, rows, policy: SplitSearchPolicy, stats: AttributeStats
     protos = _leaf_prototypes(
         d, np.concatenate([r for r, _, _ in levels])[np.repeat(leaf, n_reached)],
         n_reached[leaf])
-    return FlatTree.from_node(attr, np.where(nominal, np.nan, value),
-                              np.where(nominal, value, np.nan), nominal,
-                              n_reached, h, protos)
+    return FlatTree.from_node(attr, value, nominal, n_reached, h, protos)
 
 
 @dataclass
 class FlatTree:
     """A grown tree as arrays, for batch routing and vectorized node sweeps.
 
-    Node order is preorder (yes first). ``attr`` is -1 at leaves; ``child``
-    rows hold (yes, no) node ids; ``leaf_slot`` maps leaf nodes into the
-    compact ``leaf_proto`` matrix.
+    Node order is preorder (yes first). ``attr`` is -1 at leaves; ``value``
+    is the test's category code where ``is_nominal``, else its threshold,
+    and NaN at leaves; ``child`` rows hold (yes, no) node ids; ``leaf_slot``
+    maps leaf nodes into the compact ``leaf_proto`` matrix.
     """
 
     attr: np.ndarray
-    threshold: np.ndarray
-    category: np.ndarray
+    value: np.ndarray
     is_nominal: np.ndarray
     child: np.ndarray
     n_reached: np.ndarray
@@ -388,10 +386,11 @@ class FlatTree:
     leaf_proto: np.ndarray
 
     @classmethod
-    def from_node(cls, attr, threshold, category, is_nominal, n_reached,
-                  h_star, leaf_proto) -> "FlatTree":
+    def from_node(cls, attr, value, is_nominal, n_reached, h_star,
+                  leaf_proto) -> "FlatTree":
         """A tree from its node records in level order, where the r-th
-        internal node's children are nodes 2r+1 (yes) and 2r+2 (no) and
+        internal node's children are nodes 2r+1 (yes) and 2r+2 (no), each
+        test's ``value`` is encoded as in FrontierSplits (NaN at leaves) and
         ``leaf_proto`` holds the leaves' prototypes in that order. The nodes
         are laid out in preorder, yes child first, one depth at a time from
         subtree sizes: a yes child follows its parent, a no child follows
@@ -420,8 +419,8 @@ class FlatTree:
             pre[no] = pre[yes] + size[yes]
         order = np.argsort(pre)
         leaf = attr[order] < 0
-        return cls(attr[order], threshold[order], category[order],
-                   is_nominal[order], np.where(child >= 0, pre[child], -1)[order],
+        return cls(attr[order], value[order], is_nominal[order],
+                   np.where(child >= 0, pre[child], -1)[order],
                    n_reached[order], h_star[order],
                    np.where(leaf, np.cumsum(leaf) - 1, -1),
                    leaf_proto[(np.cumsum(attr < 0) - 1)[order[leaf]]])
@@ -434,9 +433,8 @@ class FlatTree:
             if live.size == 0:
                 return cur
             node = cur[live]
-            v = X[live, self.attr[node]]
-            yes = np.where(self.is_nominal[node], v == self.category[node],
-                           v <= self.threshold[node])
+            v, test = X[live, self.attr[node]], self.value[node]
+            yes = np.where(self.is_nominal[node], v == test, v <= test)
             cur[live] = self.child[node, np.where(yes, 0, 1)]
 
     def predictions(self, X: np.ndarray) -> np.ndarray:

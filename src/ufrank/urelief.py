@@ -120,16 +120,6 @@ class _Kernel:
         return out, out.mean(axis=-1)
 
 
-def _distances_to(d: Dataset, stats: AttributeStats, r: int):
-    """d_i to every row (m x n) and d_X to every row (m,), for reference r.
-    d_i lies in [0, 1]: |difference| / training range on a numeric
-    attribute (0 when the attribute is constant), the inequality indicator
-    on a nominal one. d_X is the mean of d_i over the attributes."""
-    dm, dx = _Kernel.make(d, stats).distances(np.array([r]),
-                                              np.empty((1, d.m, d.n)))
-    return dm[0], dx[0]
-
-
 def _contributions(d: Dataset, stats: AttributeStats, k: int,
                    refs: np.ndarray):
     """Each reference's raw sums over its K nearest rows: (sum of d_X,

@@ -275,8 +275,7 @@ def random_mixed_dataset(rng, m, n, force_num=None, min_nominal_arity=3):
 def flat_leaf(prototype, n_reached):
     """Hand-made one-node tree: a lone leaf."""
     return FlatTree(attr=np.array([-1], dtype=np.intp),
-                    threshold=np.array([np.nan]),
-                    category=np.array([np.nan]),
+                    value=np.array([np.nan]),
                     is_nominal=np.array([False]),
                     child=np.array([[-1, -1]], dtype=np.intp),
                     n_reached=np.array([n_reached], dtype=np.intp),
@@ -290,8 +289,7 @@ def flat_stump(attr, threshold, h_star, yes, no):
     and no are (prototype, n_reached) of its two leaves."""
     (yes_proto, yes_n), (no_proto, no_n) = yes, no
     return FlatTree(attr=np.array([attr, -1, -1], dtype=np.intp),
-                    threshold=np.array([threshold, np.nan, np.nan]),
-                    category=np.full(3, np.nan),
+                    value=np.array([threshold, np.nan, np.nan]),
                     is_nominal=np.zeros(3, dtype=bool),
                     child=np.array([[1, 2], [-1, -1], [-1, -1]], dtype=np.intp),
                     n_reached=np.array([yes_n + no_n, yes_n, no_n], dtype=np.intp),
@@ -302,7 +300,7 @@ def flat_stump(attr, threshold, h_star, yes, no):
 
 def flat_fingerprint(flat):
     """(field, dtype, shape, bytes) of every FlatTree array. Two trees have
-    equal fingerprints exactly when all nine arrays are equal element by
+    equal fingerprints exactly when all their arrays are equal element by
     element, NaNs included."""
     out = []
     for f in fields(FlatTree):
@@ -314,8 +312,8 @@ def flat_fingerprint(flat):
 def _goes_yes(flat, node, value):
     """Whether a value (or an array of them) takes node's yes branch."""
     if flat.is_nominal[node]:
-        return value == flat.category[node]
-    return value <= flat.threshold[node]
+        return value == flat.value[node]
+    return value <= flat.value[node]
 
 
 def ref_node_rows(d, flat, rows):
@@ -374,10 +372,9 @@ def oob_error(e, t, rows, permuted_attr=None):
     (numeric; 0 when the ensemble's training variance is 0) or the 0/1
     mismatch (nominal), one example at a time.
 
-    ``permuted_attr`` (an attribute index, or a pair of attribute index and
-    stream id, the id defaulting to the index) first shuffles that column
+    ``permuted_attr`` (an attribute index) first shuffles that column
     among the rows: row r takes the value of row perm[r], where perm is
-    drawn from the (ensemble seed, OOB_PERMUTATION, t, stream id) stream.
+    drawn from the (ensemble seed, OOB_PERMUTATION, t, attribute) stream.
     """
     rows = np.asarray(rows, dtype=np.intp)
     if rows.size == 0:
@@ -385,10 +382,9 @@ def oob_error(e, t, rows, permuted_attr=None):
     d, flat = e.dataset, e.flats[t]
     X = d.X[rows].copy()
     if permuted_attr is not None:
-        attr, stream_id = (permuted_attr if isinstance(permuted_attr, tuple)
-                           else (permuted_attr, permuted_attr))
+        attr = int(permuted_attr)
         perm = streams.stream(e.config.seed, streams.OOB_PERMUTATION, t,
-                              int(stream_id)).permutation(rows.size)
+                              attr).permutation(rows.size)
         column = X[:, attr].copy()
         for r in range(rows.size):
             X[r, attr] = column[perm[r]]

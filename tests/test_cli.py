@@ -193,6 +193,23 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(err)["error"]["kind"] == "computation"
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_importance_exits_3(self, tmp_path, capsys):
+        # every value is finite, so the table passes ingestion, but column
+        # a's variance overflows and its rf-score is NaN
+        huge = tmp_path / "huge.csv"
+        rng = np.random.default_rng(0)
+        huge.write_text("\n".join(
+            ["a,b,c"] + [f"{(-1) ** i * 1e160!r},{rng.normal()!r},"
+                         f"{rng.normal()!r}" for i in range(12)]) + "\n")
+        code, out, err = run_cli(capsys, "rank", "--data", str(huge),
+                                 "--method", "rf-score", "--trees", "4")
+        assert code == 3
+        assert out == ""
+        record = json.loads(err)["error"]
+        assert record["kind"] == "computation"
+        assert "not finite" in record["message"]
+
 
 class TestEvalCurveCompare:
     def eval_artifact(self, capsys, csv_path, method, out_dir, seed="0"):

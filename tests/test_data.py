@@ -28,6 +28,9 @@ class TestDataset:
         d = small_mixed()
         with pytest.raises(ValueError):
             d.X[0, 0] = 9.0
+        np.testing.assert_array_equal(d.numeric_mask, [True, False])
+        with pytest.raises(ValueError):
+            d.numeric_mask[0] = False
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -84,18 +87,14 @@ class TestComputeStats:
         # nominal counts (2,1,1)/4: gini 1 - (4+1+1)/16 = 0.625
         d = small_mixed()
         s = compute_stats(d)
-        assert s.minimum[0] == 0.0 and s.maximum[0] == 3.0
-        assert s.variance[0] == pytest.approx(1.25, abs=0)
+        assert s.denominator[0] == pytest.approx(1.25, abs=0)
+        assert s.denominator[1] == pytest.approx(0.625, abs=0)
         assert s.value_range[0] == 3.0
-        assert s.gini[1] == pytest.approx(0.625, abs=0)
-        assert s.denominator[0] == s.variance[0]
-        assert s.denominator[1] == s.gini[1]
-        assert s.n_rows == 4
+        assert np.isnan(s.value_range[1])  # no range on a nominal column
 
     def test_nominal_gini_is_zero_on_a_constant_subset(self):
         d = small_mixed()
         s = compute_stats(d.restrict_rows(np.array([0, 1])))  # codes 0,0 only
-        assert s.gini[1] == 0.0
         assert s.denominator[1] == 0.0  # constant on the subset
 
     def test_multiplicity_counts(self):
@@ -105,8 +104,8 @@ class TestComputeStats:
                       d.X[np.array([0, 0, 1])])
         a = compute_stats(d.restrict_rows(np.array([0, 0, 1])))
         b = compute_stats(dup)
-        np.testing.assert_array_equal(a.variance[:1], b.variance[:1])
-        np.testing.assert_array_equal(a.gini[1:], b.gini[1:])
+        np.testing.assert_array_equal(a.denominator, b.denominator)
+        np.testing.assert_array_equal(a.value_range, b.value_range)
 
 
 class TestCsv:

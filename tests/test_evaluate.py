@@ -306,6 +306,12 @@ class TestAdjustedRandIndex:
         assert adjusted_rand_index([0, 0, 1, 1], [5, 5, 2, 2]) == 1.0
         assert adjusted_rand_index([3, 3, 3], [0, 0, 0]) == 1.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_one_element_labelings_score_one(self):
+        # a single element has no pairs: both partitions are {{x}}
+        assert adjusted_rand_index([0], [0]) == 1.0
+        assert adjusted_rand_index([4], [7]) == 1.0
+
     def test_constant_against_structured_scores_zero(self):
         assert adjusted_rand_index([0, 0, 0, 0], [0, 1, 0, 1]) == 0.0
         assert adjusted_rand_index([0, 1, 0, 1], [2, 2, 2, 2]) == 0.0

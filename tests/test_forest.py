@@ -180,17 +180,6 @@ class TestOOBError:
             assert oob_error(e, 0, rows, permuted_attr=attr) == \
                 pytest.approx(want)
 
-    def test_permutation_stream_id_can_differ_from_attr(self):
-        d, e = self.stump_fixture()
-        rows = np.arange(4)
-        # same attribute shuffled under two stream ids: both must be
-        # reproducible, and distinct ids may give distinct shuffles
-        vals = {sid: oob_error(e, 0, rows, permuted_attr=(1, sid))
-                for sid in range(6)}
-        for sid, v in vals.items():
-            assert oob_error(e, 0, rows, permuted_attr=(1, sid)) == v
-        assert len(set(vals.values())) > 1
-
     def test_nominal_mismatch_and_constant_numeric(self):
         d = Dataset("mix", ["c", "k"], [Numeric(), Nominal(("u", "v"))],
                     np.array([[5.0, 0.0], [5.0, 1.0],

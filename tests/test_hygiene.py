@@ -1,6 +1,6 @@
 """Static checks of the package source: no module imports a name it never
-uses, and ``ufrank.__all__`` lists each public name once, each one real.
-The demos and scripts are read, not run: every package name they import
+uses, no private function, class or method goes unused by package code,
+and ``ufrank.__all__`` lists each public name once, each one real. The demos and scripts are read, not run: every package name they import
 resolves, and every keyword they pass to a package callable is one of its
 parameters."""
 
@@ -116,3 +116,43 @@ def test_demos_and_scripts_use_only_real_names_and_keywords():
                          for kw in call.keywords
                          if kw.arg is not None and kw.arg not in names]
     assert problems == []
+
+
+def private_defs(tree):
+    """Names of the private (``_name``, not dunder) functions and classes
+    at module level, and of those classes' private methods."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    names = []
+    for node in tree.body:
+        if isinstance(node, defs):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [item.name for item in node.body
+                      if isinstance(item, defs)]
+    return [name for name in names
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def referenced_names(tree):
+    """Every name a module reads as a bare name or an attribute, or
+    imports."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_every_private_def_is_used_by_package_code():
+    # a private helper that only tests call is code the package does not
+    # need; tests are not read here, so their calls do not count
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SOURCE.glob("*.py"))}
+    used = set().union(*(referenced_names(t) for t in trees.values()))
+    unused = [f"{module}: {name}" for module, tree in trees.items()
+              for name in private_defs(tree) if name not in used]
+    assert unused == []

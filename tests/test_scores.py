@@ -36,6 +36,13 @@ class TestRanking:
         with pytest.raises(ValueError, match="match"):
             Ranking("genie3", np.zeros(3), ("a", "b"))
 
+    def test_non_finite_importance_raises(self):
+        # a NaN or infinite score has no place in the order and would not
+        # serialize as JSON
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ComputationError, match="'b' is not finite"):
+                Ranking("rf-score", np.array([1.0, bad]), ("a", "b"))
+
 
 def hand_ensemble(d, trees, in_bags, oobs, seed=3):
     return Ensemble(EnsembleConfig(method="rf", n_trees=len(trees), seed=seed),

@@ -278,7 +278,7 @@ class TestGrowTree:
         tree = grow_tree(d, np.arange(4), SplitSearchPolicy(1, ALL_THRESHOLDS),
                          stats, np.random.default_rng(0))
         np.testing.assert_array_equal(tree.attr, [0, -1, -1])
-        assert tree.threshold[0] == 5.0 and not tree.is_nominal[0]
+        assert tree.value[0] == 5.0 and not tree.is_nominal[0]
         yes, no = tree.child[0]
         np.testing.assert_array_equal(tree.leaf_proto[tree.leaf_slot[yes]], [0.0])
         np.testing.assert_array_equal(tree.leaf_proto[tree.leaf_slot[no]], [10.0])
@@ -314,9 +314,9 @@ class TestGrowTree:
             if not leaf[i]:
                 col = d.X[rows_i, tree.attr[i]]
                 if tree.is_nominal[i]:
-                    mask = col == tree.category[i]
+                    mask = col == tree.value[i]
                 else:
-                    mask = col <= tree.threshold[i]
+                    mask = col <= tree.value[i]
                 h = oracles.ref_h(d, rows_i, mask, dens)
                 assert tree.h_star[i] > 0.0
                 assert tree.h_star[i] == pytest.approx(h, rel=1e-9)
@@ -343,10 +343,10 @@ class TestGrowTree:
             roots += 1
             assert tree.attr[0] == res.test.attr
             if res.test.threshold is not None:
-                assert tree.threshold[0] == res.test.threshold
+                assert tree.value[0] == res.test.threshold
                 assert not tree.is_nominal[0]
             else:
-                assert tree.category[0] == res.test.category
+                assert tree.value[0] == res.test.category
                 assert tree.is_nominal[0]
             assert tree.h_star[0].tobytes() == np.float64(res.h_star).tobytes()
             node_rows = oracles.ref_node_rows(d, tree, rows)

@@ -7,7 +7,7 @@ import pytest
 import oracles
 from ufrank import (Dataset, Nominal, Numeric, UReliefConfig, compute_stats,
                     urelief, urelief_state)
-from ufrank.urelief import _contributions, _distances_to
+from ufrank.urelief import _Kernel, _contributions
 
 # the package namespace binds the name ``urelief`` to the function
 urelief_module = importlib.import_module("ufrank.urelief")
@@ -25,34 +25,35 @@ class TestDistances:
     """The per-attribute distances d_i and the example distance d_X that
     URelief computes from one reference row to every row."""
 
+    def distances_to(self, d, r):
+        dm, dx = _Kernel.make(d, compute_stats(d)).distances(
+            np.array([r]), np.empty((1, d.m, d.n)))
+        return dm[0], dx[0]
+
     def test_numeric_scaled_by_training_range(self):
         d = numeric_dataset([0.0, 5.0, 10.0])
-        stats = compute_stats(d)
-        dm, _ = _distances_to(d, stats, 0)
+        dm, _ = self.distances_to(d, 0)
         assert dm[2, 0] == 1.0
         assert dm[1, 0] == 0.5
-        assert _distances_to(d, stats, 1)[0][1, 0] == 0.0
+        assert self.distances_to(d, 1)[0][1, 0] == 0.0
 
     def test_constant_numeric_attribute_contributes_zero(self):
         d = numeric_dataset([[3.0, 1.0], [3.0, 2.0]])
-        stats = compute_stats(d)
-        dm, _ = _distances_to(d, stats, 0)
+        dm, _ = self.distances_to(d, 0)
         assert dm[1, 0] == 0.0
         assert dm[1, 1] == 1.0
 
     def test_nominal_is_the_inequality_indicator(self):
         d = Dataset("n", ["k"], [Nominal(("u", "v", "w"))],
                     np.array([[0.0], [1.0], [0.0]]))
-        stats = compute_stats(d)
-        dm, _ = _distances_to(d, stats, 0)
+        dm, _ = self.distances_to(d, 0)
         assert dm[1, 0] == 1.0
         assert dm[2, 0] == 0.0
 
     def test_example_distance_is_the_mean(self):
         d = Dataset("m", ["a", "k"], [Numeric(), Nominal(("u", "v"))],
                     np.array([[0.0, 0.0], [4.0, 1.0], [8.0, 0.0]]))
-        stats = compute_stats(d)
-        _, dx = _distances_to(d, stats, 0)
+        _, dx = self.distances_to(d, 0)
         assert dx[1] == pytest.approx((0.5 + 1) / 2)
         assert dx[2] == pytest.approx((1.0 + 0) / 2)
         assert dx[0] == 0.0
