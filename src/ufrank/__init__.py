@@ -22,7 +22,7 @@ from .scores import (Ranking, genie3, random_forest_score, ranking_rows,
                      ranking_to_csv, symbolic)
 from .synth import SynthSpec, make_planted, write_planted
 from .tree import (ALL_THRESHOLDS, ONE_RANDOM_THRESHOLD, FlatTree,
-                   SplitSearchPolicy, Test, best_test, grow_tree)
+                   SplitSearchPolicy, best_test, grow_tree)
 from .urelief import UReliefConfig, UReliefState, urelief, urelief_state
 
 __version__ = "0.1.0"
@@ -33,7 +33,7 @@ __all__ = [
     "AttributeKind", "AttributeStats", "ComparisonReport", "ComputationError",
     "CurveReport", "Dataset", "Ensemble", "EnsembleConfig", "FlatTree",
     "FoldPlan", "IngestionError", "Nominal", "Numeric", "Ranking",
-    "SplitSearchPolicy", "SynthSpec", "Test", "UReliefConfig", "UReliefState",
+    "SplitSearchPolicy", "SynthSpec", "UReliefConfig", "UReliefState",
     "adjusted_rand_index", "best_test", "build", "clustering_hypothesis_ari",
     "compare_methods", "comparison_to_csv", "compute_stats",
     "curve_points_csv", "cv_mse", "error_curve", "genie3", "grow_tree",

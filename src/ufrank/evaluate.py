@@ -60,7 +60,10 @@ def _nn_targets(d: Dataset, train_rows: np.ndarray, queries: np.ndarray,
     Distances are squared Euclidean over the selected attributes, expanded
     as |a|^2 + |b|^2 - 2ab so the same arithmetic serves every query size;
     ties resolve to the smallest training row index (train_rows is kept
-    sorted ascending).
+    sorted ascending). That tie rule holds only for distances that compute
+    as equal: on columns with a large offset and a small spread, the
+    expansion's cancellation can misorder them, even against an exact
+    duplicate at distance 0.
     """
     A = queries[:, attrs]
     B = d.X[np.ix_(train_rows, attrs)]

@@ -46,33 +46,13 @@ class SplitSearchPolicy:
             raise ValueError(f"unknown threshold mode {self.threshold_mode!r}")
 
 
-@dataclass(frozen=True)
-class Test:
-    """Binary node predicate. Numeric: x[attr] <= threshold (inclusive, so a
-    boundary value routes to the yes child). Nominal: x[attr] == category
-    where category is a domain code."""
-
-    attr: int
-    threshold: float | None = None
-    category: float | None = None
-
-    def __post_init__(self) -> None:
-        if (self.threshold is None) == (self.category is None):
-            raise ValueError("a test carries exactly one of threshold/category")
-
-
-@dataclass(frozen=True)
-class SplitResult:
-    test: Test
-    h_star: float
-    yes_rows: np.ndarray
-    no_rows: np.ndarray
-
-
 class SplitWorkspace:
     """Precomputed matrix shared by every node of one tree (or one ensemble):
     Z = [x_c | one-hot blocks] over the columns whose training denominator is
-    positive, each column weighted by w = 1 / its attribute's denominator.
+    positive and finite, each column weighted by w = 1 / its attribute's
+    denominator. A column whose variance overflows would weigh 1/inf = 0, so
+    it adds nothing to h; left in, its S^2 overflows too, and inf * 0 would
+    make every candidate's h NaN.
 
     Split a node's M rows into a yes side of L_y rows and a no side of L_n,
     with column sums S_y, S_n and S = S_y + S_n over them. The squared-value
@@ -89,10 +69,11 @@ class SplitWorkspace:
     def __init__(self, d: Dataset, stats: AttributeStats):
         self.n = d.n
         num = d.numeric_mask
-        num_active = np.flatnonzero(num & (stats.denominator > 0))
+        active = (stats.denominator > 0) & np.isfinite(stats.denominator)
+        num_active = np.flatnonzero(num & active)
         blocks = [d.X[:, num_active]]
         weights = [1.0 / stats.denominator[num_active]]
-        for j in np.flatnonzero(~num & (stats.denominator > 0)):
+        for j in np.flatnonzero(~num & active):
             codes = np.arange(len(d.kinds[j].domain))
             blocks.append((d.X[:, j, None] == codes).astype(np.float64))
             weights.append(np.full(codes.size, 1.0 / stats.denominator[j]))
@@ -134,8 +115,16 @@ _BLOCK_BUDGET = 16_000_000
 
 @dataclass(frozen=True)
 class FrontierSplits:
-    """Per node, the chosen test (``attr`` -1, ``value`` NaN without one;
-    a code where ``nominal``, else a threshold) and its h; per row, yes."""
+    """The split tests of a frontier's nodes, in the one encoding that
+    best_test returns and FlatTree stores.
+
+    Per node: ``attr`` is the tested attribute and ``h`` the test's
+    heuristic; ``value`` is a category code where ``nominal``, else a
+    threshold. A node without a test has ``attr`` -1, ``value`` NaN and h 0.
+    A row goes to the yes child when x[attr] <= value on a numeric test
+    (inclusive, so a boundary value goes yes) and when x[attr] == value on
+    a nominal one; no row takes a NaN value. Per row of the frontier, in
+    the order of its rows, ``yes`` is that predicate."""
 
     attr: np.ndarray
     value: np.ndarray
@@ -209,36 +198,39 @@ def search_frontier(d: Dataset, ws: SplitWorkspace, policy: SplitSearchPolicy,
     f, s = owner[win], slot[win]
     for out, got in zip(best, (cand[f, s], value[win], nominal[f, s], h[win])):
         out[f] = got
-    attr, threshold_or_code, is_nominal, _ = best
-    # a node without a test has a NaN value, which no row takes
+    attr, value, is_nominal, _ = best
     col = d.X[rows, np.maximum(attr, 0)[seg]]
-    v = threshold_or_code[seg]
-    yes = col <= v
-    if is_nominal.any():
-        yes = np.where(is_nominal[seg], col == v, yes)
-    return FrontierSplits(*best, yes)
+    return FrontierSplits(*best, _goes_yes(col, value[seg], is_nominal[seg]))
+
+
+def _goes_yes(x, value, nominal):
+    """FrontierSplits' yes predicate, elementwise: x == value where
+    ``nominal``, else x <= value."""
+    yes = x <= value
+    if nominal.any():
+        yes = np.where(nominal, x == value, yes)
+    return yes
 
 
 def _one_random_candidates(seg, heads, scored, vals, nominal, u):
     """Valid one-random-threshold candidates of a group of slots as (node,
     slot, threshold or code, yes sums, yes size), each node's in order."""
     ks = vals.shape[1]
+    nominal_at = nominal[seg]
     lo = np.minimum.reduceat(vals, heads, axis=0)
     hi = np.maximum.reduceat(vals, heads, axis=0)
     value = lo + (hi - lo) * u
     valid = (lo < value) & (value < hi)
     if nominal.any():
-        r, s = np.nonzero(nominal[seg])
+        r, s = np.nonzero(nominal_at)
         _, _, code, pair_head, run_head = sorted_runs(seg[r] * ks + s, vals[r, s])
         present = np.add.reduceat(run_head, np.flatnonzero(pair_head),
                                   dtype=np.intp)
         pick = np.minimum((u[nominal] * present).astype(np.intp), present - 1)
         value[nominal] = code[run_head][np.cumsum(present) - present + pick]
         valid[nominal] = present >= 2
-        below = np.where(nominal[seg], vals == value[seg], vals <= value[seg])
-    else:
-        below = vals <= value[seg]
     # the valid candidates' yes rows, grouped by (slot, node), in row order
+    below = _goes_yes(vals, value[seg], nominal_at)
     s, r = np.nonzero((below & valid[seg]).T)
     first = np.flatnonzero(np.diff(s * seg.size + seg[r], prepend=-1))
     f, s = seg[r[first]], s[first]
@@ -272,27 +264,30 @@ def _threshold_candidates(seg, counts, scored, vals, nominal):
 
 def best_test(d: Dataset, rows, policy: SplitSearchPolicy, stats: AttributeStats,
               rng: np.random.Generator, workspace: SplitWorkspace | None = None,
-              ) -> SplitResult | None:
-    """The strict maximizer of h among one node's candidate tests, or None
-    when no candidate achieves h > 0: search_frontier on a one-node
-    frontier, candidates, thresholds and tie rule as documented there. It
-    draws nothing for fewer than two rows, else draw_frontier's blocks for
-    one node: ``rng.random((1, n))``, then, with one random threshold,
+              ) -> FrontierSplits:
+    """The strict maximizer of h among one node's candidate tests, if one
+    achieves h > 0: search_frontier on the one-node frontier of ``rows``,
+    candidates, thresholds and tie rule as documented there, so ``yes``
+    marks each of ``rows``. Whatever the row count, it draws
+    draw_frontier's blocks for one node, as grow_tree's root level does:
+    ``rng.random((1, n))``, then, with one random threshold,
     ``rng.random((1, k))``."""
-    rows = np.asarray(rows, dtype=np.intp)
-    if rows.size < 2:
-        return None
+    rows = _node_rows(d, rows)
     ws = workspace if workspace is not None else SplitWorkspace(d, stats)
     keys, u = draw_frontier(rng, 1, d.n, policy)
-    found = search_frontier(d, ws, policy, rows, np.array([0, rows.size]),
-                            keys, u)
-    attr, value = int(found.attr[0]), float(found.value[0])
-    if attr < 0:
-        return None
-    test = (Test(attr, category=value) if found.nominal[0]
-            else Test(attr, threshold=value))
-    return SplitResult(test, float(found.h[0]), rows[found.yes],
-                       rows[~found.yes])
+    return search_frontier(d, ws, policy, rows, np.array([0, rows.size]),
+                           keys, u)
+
+
+def _node_rows(d: Dataset, rows) -> np.ndarray:
+    """``rows`` as row indices of ``d``, rejecting an empty multiset and an
+    index outside [0, m)."""
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.size == 0:
+        raise ValueError("cannot search an empty row multiset")
+    if rows.min() < 0 or rows.max() >= d.m:
+        raise ValueError("row indices out of range")
+    return rows
 
 
 def _leaf_prototypes(d: Dataset, rows: np.ndarray,
@@ -329,11 +324,7 @@ def grow_tree(d: Dataset, rows, policy: SplitSearchPolicy, stats: AttributeStats
     always yields one tree, and the root's test is the one best_test finds
     on the same rows from the same generator state.
     """
-    rows = np.asarray(rows, dtype=np.intp)
-    if rows.size == 0:
-        raise ValueError("cannot grow a tree on an empty row multiset")
-    if rows.min() < 0 or rows.max() >= d.m:
-        raise ValueError("row indices out of range")
+    rows = _node_rows(d, rows)
     ws = workspace if workspace is not None else SplitWorkspace(d, stats)
 
     levels = []
@@ -370,8 +361,8 @@ def grow_tree(d: Dataset, rows, policy: SplitSearchPolicy, stats: AttributeStats
 class FlatTree:
     """A grown tree as arrays, for batch routing and vectorized node sweeps.
 
-    Node order is preorder (yes first). ``attr`` is -1 at leaves; ``value``
-    is the test's category code where ``is_nominal``, else its threshold,
+    Node order is preorder (yes first). ``attr``, ``value`` and
+    ``is_nominal`` encode each node's test as FrontierSplits does, with -1
     and NaN at leaves; ``child`` rows hold (yes, no) node ids; ``leaf_slot``
     maps leaf nodes into the compact ``leaf_proto`` matrix.
     """
@@ -433,8 +424,8 @@ class FlatTree:
             if live.size == 0:
                 return cur
             node = cur[live]
-            v, test = X[live, self.attr[node]], self.value[node]
-            yes = np.where(self.is_nominal[node], v == test, v <= test)
+            yes = _goes_yes(X[live, self.attr[node]], self.value[node],
+                            self.is_nominal[node])
             cur[live] = self.child[node, np.where(yes, 0, 1)]
 
     def predictions(self, X: np.ndarray) -> np.ndarray:

@@ -88,14 +88,13 @@ class _Kernel:
     """Per-call setup shared by every block of references: the rows (C-order
     float64, as Dataset keeps them), the divisor of each column (the
     training range on a numeric attribute with positive range, 1
-    elsewhere), the nominal columns with their codes, and the numeric
-    columns of zero range, whose distance is fixed at 0."""
+    elsewhere) and the nominal columns with their codes. A numeric column
+    of zero range holds one finite value, so its distances are exactly 0."""
 
     X: np.ndarray
     divisor: np.ndarray
     nominal: np.ndarray
     codes: np.ndarray
-    constant: np.ndarray
 
     @classmethod
     def make(cls, d: Dataset, stats: AttributeStats) -> "_Kernel":
@@ -103,7 +102,7 @@ class _Kernel:
         spread = num & (stats.value_range > 0)
         nominal = np.flatnonzero(~num)
         return cls(d.X, np.where(spread, stats.value_range, 1.0), nominal,
-                   d.X[:, nominal], np.flatnonzero(num & ~spread))
+                   d.X[:, nominal])
 
     def distances(self, refs: np.ndarray, out: np.ndarray):
         """d_i (B x m x n, written into ``out``) and d_X (B x m) from each
@@ -113,8 +112,6 @@ class _Kernel:
         np.subtract(self.X, self.X[refs, None, :], out=out)
         np.abs(out, out=out)
         np.divide(out, self.divisor, out=out)
-        if self.constant.size:
-            out[:, :, self.constant] = 0.0
         if self.nominal.size:
             out[:, :, self.nominal] = self.codes != self.codes[refs, None, :]
         return out, out.mean(axis=-1)

@@ -36,20 +36,19 @@ def assert_is_maximizer(d, rows, got, candidates):
     distinct tests achieve equal h (same induced partition, separated only
     by float noise)."""
     hmax, ties = oracles.ref_tie_set(candidates)
-    if not ties:
-        assert got is None
-        return
-    assert got is not None, f"missed a split with h={hmax}"
-    assert got.h_star == pytest.approx(hmax, rel=1e-9)
-    if got.test.threshold is not None:
-        got_desc = (got.test.attr, ("threshold", got.test.threshold))
-    else:
-        got_desc = (got.test.attr, ("category", got.test.category))
     rows = np.asarray(rows)
+    if not ties:
+        assert got.attr.tolist() == [-1] and np.isnan(got.value[0])
+        assert got.h.tolist() == [0.0] and not got.yes.any()
+        return
+    assert got.attr[0] >= 0, f"missed a split with h={hmax}"
+    assert got.h[0] == pytest.approx(hmax, rel=1e-9)
+    kind = "category" if got.nominal[0] else "threshold"
+    got_desc = (int(got.attr[0]), (kind, float(got.value[0])))
     for attr, descriptor, h, mask in ties:
         if (attr, descriptor) == got_desc:
-            np.testing.assert_array_equal(got.yes_rows, rows[mask])
-            np.testing.assert_array_equal(got.no_rows, rows[~mask])
+            np.testing.assert_array_equal(rows[got.yes], rows[mask])
+            np.testing.assert_array_equal(rows[~got.yes], rows[~mask])
             return
     pytest.fail(f"{got_desc} is not among the tied maximizers "
                 f"{[(t[0], t[1]) for t in ties]}")

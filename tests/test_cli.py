@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from ufrank import SynthSpec, cli, write_planted
+from ufrank import (EXTRA_TREES, EnsembleConfig, SynthSpec, build, cli,
+                    load_csv, write_planted)
 from ufrank.cli import main
 
 
@@ -209,6 +210,22 @@ class TestExitCodes:
         record = json.loads(err)["error"]
         assert record["kind"] == "computation"
         assert "not finite" in record["message"]
+
+    def test_overflowing_column_does_not_block_splits(self, tmp_path, capsys):
+        # the same table: column a's variance overflows, so its weight in h
+        # is 1/inf = 0, and the finite columns must still split every tree
+        huge = tmp_path / "huge.csv"
+        rng = np.random.default_rng(0)
+        huge.write_text("\n".join(
+            ["a,b,c"] + [f"{(-1) ** i * 1e160!r},{rng.normal()!r},"
+                         f"{rng.normal()!r}" for i in range(12)]) + "\n")
+        e = build(load_csv(huge), EnsembleConfig(EXTRA_TREES, n_trees=4))
+        assert all(flat.attr.size > 1 for flat in e.flats)
+        code, out, err = run_cli(capsys, "rank", "--data", str(huge),
+                                 "--method", "genie3", "--trees", "4")
+        assert (code, err) == (0, "")
+        importance = [row["importance"] for row in stdout_json(out)["ranking"]]
+        assert max(importance) > 0.0
 
 
 class TestEvalCurveCompare:

@@ -91,6 +91,21 @@ class TestKnnPredict:
                 want = oracles.ref_nearest_target(d, train, X[q], attrs)
                 assert got == want
 
+    @pytest.mark.xfail(strict=True, reason="the |a|^2+|b|^2-2ab expansion "
+                       "cancels on a large offset and misorders distances")
+    def test_exact_duplicate_wins_on_a_large_offset(self):
+        # 200 training rows at offset 1e5 with spread 1e-4; each query is an
+        # exact duplicate of one of them, at distance 0
+        rng = np.random.default_rng(0)
+        base = 1e5 + 1e-4 * rng.standard_normal((200, 20))
+        X = np.vstack([base, base])
+        d = numeric_dataset(X, target=rng.standard_normal(400))
+        train, attrs = np.arange(200), np.arange(20)
+        got = [knn_predict(d, train, X[200 + q], attrs) for q in range(200)]
+        want = [oracles.ref_nearest_target(d, train, X[200 + q], attrs)
+                for q in range(200)]
+        assert got == want
+
     def test_validation(self):
         d = numeric_dataset([[0.0], [1.0]], target=[0.0, 1.0])
         bare = d.without_target()

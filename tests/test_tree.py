@@ -82,33 +82,50 @@ class TestImpurity:
                                                                  rel=1e-12)
 
 
+def assert_no_split(res, n_rows):
+    """best_test's one-node record of a node without a test."""
+    assert res.attr.tolist() == [-1]
+    assert np.isnan(res.value[0]) and res.h.tolist() == [0.0]
+    np.testing.assert_array_equal(res.yes, np.zeros(n_rows, dtype=bool))
+
+
 class TestBestTestHandCases:
     def test_two_value_blocks_split_at_midpoint(self):
         # [0,0,10,10]: the only candidate threshold is 5; both children are
         # pure, so h = 4*impu(all) - 0 - 0 = 4
         d = numeric_dataset([0.0, 0.0, 10.0, 10.0])
         stats = compute_stats(d)
-        res = best_test(d, np.arange(4), SplitSearchPolicy(1, ALL_THRESHOLDS),
+        rows = np.arange(4)
+        res = best_test(d, rows, SplitSearchPolicy(1, ALL_THRESHOLDS),
                         stats, np.random.default_rng(0))
-        assert res.test.attr == 0
-        assert res.test.threshold == 5.0
-        assert res.h_star == pytest.approx(4.0, rel=1e-12)
-        np.testing.assert_array_equal(np.sort(res.yes_rows), [0, 1])
-        np.testing.assert_array_equal(np.sort(res.no_rows), [2, 3])
+        assert res.attr.tolist() == [0] and res.nominal.tolist() == [False]
+        assert res.value[0] == 5.0
+        assert res.h[0] == pytest.approx(4.0, rel=1e-12)
+        np.testing.assert_array_equal(np.sort(rows[res.yes]), [0, 1])
+        np.testing.assert_array_equal(np.sort(rows[~res.yes]), [2, 3])
 
     def test_constant_rows_give_no_split(self):
         d = numeric_dataset([3.0, 3.0, 3.0])
         stats = compute_stats(d)
         res = best_test(d, np.arange(3), SplitSearchPolicy(1, ALL_THRESHOLDS),
                         stats, np.random.default_rng(0))
-        assert res is None
+        assert_no_split(res, 3)
 
     def test_single_row_gives_no_split(self):
         d = numeric_dataset([1.0, 2.0])
         stats = compute_stats(d)
         res = best_test(d, np.array([0]), SplitSearchPolicy(1, ALL_THRESHOLDS),
                         stats, np.random.default_rng(0))
-        assert res is None
+        assert_no_split(res, 1)
+
+    @pytest.mark.parametrize("search", [best_test, grow_tree])
+    @pytest.mark.parametrize("rows", [[-1, 0], [0, 2]])
+    def test_row_indices_outside_the_table_rejected(self, search, rows):
+        # a negative index must not wrap round to the last row
+        d = numeric_dataset([1.0, 2.0])
+        with pytest.raises(ValueError, match="out of range"):
+            search(d, rows, SplitSearchPolicy(1, ALL_THRESHOLDS),
+                   compute_stats(d), np.random.default_rng(0))
 
     def test_separating_attribute_beats_noise(self):
         rng = np.random.default_rng(5)
@@ -118,7 +135,7 @@ class TestBestTestHandCases:
         stats = compute_stats(d)
         res = best_test(d, np.arange(10), SplitSearchPolicy(2, ALL_THRESHOLDS),
                         stats, np.random.default_rng(1))
-        assert res.test.attr == 0
+        assert res.attr.tolist() == [0]
 
     def test_midpoint_that_rounds_up_falls_back_to_lower_value(self):
         # adjacent floats with an odd mantissa below: the midpoint rounds
@@ -131,9 +148,8 @@ class TestBestTestHandCases:
         stats = compute_stats(d)
         res = best_test(d, np.arange(2), SplitSearchPolicy(1, ALL_THRESHOLDS),
                         stats, np.random.default_rng(0))
-        assert res.test.threshold == a
-        np.testing.assert_array_equal(res.yes_rows, [0])
-        np.testing.assert_array_equal(res.no_rows, [1])
+        assert res.nominal.tolist() == [False] and res.value[0] == a
+        np.testing.assert_array_equal(res.yes, [True, False])
 
 
 class TestBestTestOracle:
@@ -153,20 +169,18 @@ class TestBestTestOracle:
         is unique, any member of the tie set when distinct tests achieve
         equal h (same induced partition, split by float noise)."""
         hmax, ties = oracles.ref_tie_set(candidates)
-        if not ties:
-            assert got is None
-            return
-        assert got is not None, f"missed a split with h={hmax}"
-        assert got.h_star == pytest.approx(hmax, rel=1e-9)
-        if got.test.threshold is not None:
-            got_desc = (got.test.attr, ("threshold", got.test.threshold))
-        else:
-            got_desc = (got.test.attr, ("category", got.test.category))
         rows = np.asarray(rows)
+        if not ties:
+            assert_no_split(got, rows.size)
+            return
+        assert got.attr[0] >= 0, f"missed a split with h={hmax}"
+        assert got.h[0] == pytest.approx(hmax, rel=1e-9)
+        kind = "category" if got.nominal[0] else "threshold"
+        got_desc = (int(got.attr[0]), (kind, float(got.value[0])))
         for attr, descriptor, h, mask in ties:
             if (attr, descriptor) == got_desc:
-                np.testing.assert_array_equal(got.yes_rows, rows[mask])
-                np.testing.assert_array_equal(got.no_rows, rows[~mask])
+                np.testing.assert_array_equal(rows[got.yes], rows[mask])
+                np.testing.assert_array_equal(rows[~got.yes], rows[~mask])
                 return
         pytest.fail(f"{got_desc} is not among the tied maximizers "
                     f"{[(t[0], t[1]) for t in ties]}")
@@ -337,22 +351,18 @@ class TestGrowTree:
                              np.random.default_rng(500 + case))
             res = best_test(d, rows, policy, stats,
                             np.random.default_rng(500 + case))
-            if res is None:
+            if res.attr[0] < 0:
                 np.testing.assert_array_equal(tree.attr, [-1])
                 continue
             roots += 1
-            assert tree.attr[0] == res.test.attr
-            if res.test.threshold is not None:
-                assert tree.value[0] == res.test.threshold
-                assert not tree.is_nominal[0]
-            else:
-                assert tree.value[0] == res.test.category
-                assert tree.is_nominal[0]
-            assert tree.h_star[0].tobytes() == np.float64(res.h_star).tobytes()
+            assert tree.attr[0] == res.attr[0]
+            assert tree.value[0] == res.value[0]
+            assert tree.is_nominal[0] == res.nominal[0]
+            assert tree.h_star[0].tobytes() == res.h[0].tobytes()
             node_rows = oracles.ref_node_rows(d, tree, rows)
             yes, no = tree.child[0]
-            np.testing.assert_array_equal(node_rows[yes], res.yes_rows)
-            np.testing.assert_array_equal(node_rows[no], res.no_rows)
+            np.testing.assert_array_equal(node_rows[yes], rows[res.yes])
+            np.testing.assert_array_equal(node_rows[no], rows[~res.yes])
         assert roots >= 20
 
     def test_same_seed_same_tree(self):
