@@ -153,7 +153,9 @@ def compute_stats(d: Dataset) -> AttributeStats:
     num = d.numeric_mask
     if num.any():
         block = d.X[:, num]
-        denominator[num] = block.var(axis=0)
+        # a column whose squares overflow keeps an inf denominator
+        with np.errstate(over="ignore"):
+            denominator[num] = block.var(axis=0)
         value_range[num] = block.max(axis=0) - block.min(axis=0)
     for j in np.flatnonzero(~num):
         size = len(d.kinds[j].domain)

@@ -13,14 +13,34 @@ computed from those estimates. Informative attributes co-vary with the
 overall distance and land above 0; attributes independent of the data's
 structure land near 0.
 
-Distances are computed for a block of B references at a time into one
-preallocated C-order B x m x n buffer; B is the number of m x n float64
-tables that fit in _BLOCK_BUDGET (4 MB), or 1 when not even one fits. The
-K nearest rows of a reference are found by partitioning at the K-th
-distance and stable-sorting only the rows at or below it, in row order, so
-boundary ties go to the smaller row index exactly as a full stable sort
-would. Each reference's sums are taken on their own, in a fixed order, so
-the weights do not depend on B or on the worker count.
+The K nearest rows of a reference are found in two steps. A screen
+computes, for a block of B references at a time, n * d_X up to rounding
+from each reference to every row in one weighted-cityblock pass (scipy's
+cdist of |x - x_r| with weight 1/divisor on the numeric columns, plus the
+count of nominal mismatches) into one preallocated B x m buffer; B is the
+number of m-row float64 screens that fit in _BLOCK_BUDGET (4 MB), or 1.
+A row is a candidate when its screen value is not above
+rho * kth + n * tiny, where kth is the reference's K-th smallest screen
+value (its own entry is inf), rho = 1 + 8(n+4) eps and tiny is the
+smallest normal float64. The exact d_i and d_X (subtract, abs, divide,
+nominal indicator, mean over the row) are computed for the candidates
+only, and a stable sort of their d_X, in row order, gives the K nearest,
+boundary ties to the smaller row index.
+
+The screen cannot change a weight. It and n * d_X add the same n
+non-negative terms |fl(x - x_r)| / divisor, so each lies within a
+relative gamma_{n+6} of the same real sum (gamma_j = j u / (1 - j u),
+u = eps / 2; Higham, Accuracy and Stability of Numerical Algorithms,
+2002, section 3.1; the 6 also covers a subnormal weight 1/divisor on a
+range above 2**1022), and underflow adds far less than n * tiny. rho is
+more than four times the (2n + 7) eps the two bounds need together, so
+every row at or below the exact K-th d_X is a candidate, and any extra
+candidate sorts after those: the K rows and their order are those of a
+full stable sort of every row's d_X, bit for bit. A range that overflows
+to inf makes the screen and d_X NaN for the same rows; "not above" keeps
+them, and an inf or NaN K-th value admits every row. Each reference's
+sums are taken on their own, in a fixed order, so the weights depend on
+neither B nor the worker count.
 """
 
 from __future__ import annotations
@@ -28,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from . import parallel, streams
 from .data import AttributeStats, Dataset, IngestionError, compute_stats
@@ -78,8 +99,8 @@ class UReliefState:
     p_diff_clus: float
 
 
-# memory cap, in bytes, for one block of references' B x m x n distance
-# buffer; a block holds at least one reference whatever m*n is
+# memory cap, in bytes, for one block of references' B x m float64 screen;
+# a block holds at least one reference whatever m is
 _BLOCK_BUDGET = 4_000_000
 
 
@@ -88,11 +109,14 @@ class _Kernel:
     """Per-call setup shared by every block of references: the rows (C-order
     float64, as Dataset keeps them), the divisor of each column (the
     training range on a numeric attribute with positive range, 1
-    elsewhere) and the nominal columns with their codes. A numeric column
-    of zero range holds one finite value, so its distances are exactly 0."""
+    elsewhere), the screen's weight of each column (1 / divisor on a
+    numeric column, 0 on a nominal one) and the nominal columns with their
+    codes. A numeric column of zero range holds one finite value, so its
+    distances are exactly 0."""
 
     X: np.ndarray
     divisor: np.ndarray
+    weight: np.ndarray
     nominal: np.ndarray
     codes: np.ndarray
 
@@ -100,21 +124,35 @@ class _Kernel:
     def make(cls, d: Dataset, stats: AttributeStats) -> "_Kernel":
         num = d.numeric_mask
         spread = num & (stats.value_range > 0)
+        divisor = np.where(spread, stats.value_range, 1.0)
         nominal = np.flatnonzero(~num)
-        return cls(d.X, np.where(spread, stats.value_range, 1.0), nominal,
+        return cls(d.X, divisor, np.where(num, 1.0 / divisor, 0.0), nominal,
                    d.X[:, nominal])
 
-    def distances(self, refs: np.ndarray, out: np.ndarray):
-        """d_i (B x m x n, written into ``out``) and d_X (B x m) from each
-        of the B reference rows to every row. ``out`` must be C-order: the
-        mean over its last axis then sums each row's n terms exactly as the
-        one-reference m x n case does."""
-        np.subtract(self.X, self.X[refs, None, :], out=out)
-        np.abs(out, out=out)
-        np.divide(out, self.divisor, out=out)
+    def screen(self, refs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """n * d_X up to rounding (B x m, written into ``out``) from each of
+        the B reference rows to every row, the reference's own entry inf:
+        the weighted cityblock sum of |x - x_r| / divisor over the numeric
+        columns plus the count of nominal mismatches."""
+        cdist(self.X[refs], self.X, "cityblock", w=self.weight, out=out)
         if self.nominal.size:
-            out[:, :, self.nominal] = self.codes != self.codes[refs, None, :]
-        return out, out.mean(axis=-1)
+            mismatches = cdist(self.codes[refs], self.codes, "hamming")
+            mismatches *= self.nominal.size
+            out += mismatches
+        out[np.arange(refs.size), refs] = np.inf
+        return out
+
+    def exact(self, r, rows: np.ndarray):
+        """d_i (len(rows) x n) and d_X (len(rows)) from reference row ``r``
+        to ``rows``. The result is C-order, so the mean over its last axis
+        sums each row's n terms exactly as the full m x n table would."""
+        dm = self.X[rows]
+        np.subtract(dm, self.X[r], out=dm)
+        np.abs(dm, out=dm)
+        np.divide(dm, self.divisor, out=dm)
+        if self.nominal.size:
+            dm[:, self.nominal] = self.codes[rows] != self.codes[r]
+        return dm, dm.mean(axis=-1)
 
 
 def _contributions(d: Dataset, stats: AttributeStats, k: int,
@@ -123,27 +161,30 @@ def _contributions(d: Dataset, stats: AttributeStats, k: int,
     per-attribute sum of d_i, per-attribute sum of d_i * d_X). Neighbor ties
     at the boundary resolve to the smaller row index.
 
-    References go through the kernel in blocks of B under _BLOCK_BUDGET.
-    The K nearest come from a partition to the K-th distance, then a stable
-    sort of only the rows not above it, taken in row order: the same rows
-    in the same order as a full stable sort, without sorting all m."""
+    References are screened in blocks of B under _BLOCK_BUDGET. A row is a
+    candidate when its screen value is not above rho * (the K-th screen
+    value) + n * tiny; the exact d_X of the candidates, stable-sorted in
+    row order, gives the same K rows in the same order as a full stable
+    sort of every row's exact d_X (see the module docstring)."""
     kernel = _Kernel.make(d, stats)
-    block = max(1, min(refs.size, _BLOCK_BUDGET // (8 * d.m * d.n)))
-    buf = np.empty((block, d.m, d.n))
+    block = max(1, min(refs.size, _BLOCK_BUDGET // (8 * d.m)))
+    buf = np.empty((block, d.m))
+    rho = 1.0 + 8 * (d.n + 4) * np.finfo(np.float64).eps
+    slack = d.n * np.finfo(np.float64).tiny
     parts = []
     for start in range(0, refs.size, block):
         rs = refs[start:start + block]
-        dm, dx = kernel.distances(rs, buf[:rs.size])
-        keyed = dx.copy()
-        keyed[np.arange(rs.size), rs] = np.inf
-        kth = np.partition(keyed, k - 1, axis=1)[:, k - 1]
-        for b in range(rs.size):
-            # d_X is NaN where a range overflows to inf; "not above" keeps
-            # such rows, which both sorts put last, among the candidates
-            cand = np.flatnonzero(~(keyed[b] > kth[b]))
-            nearest = cand[np.argsort(keyed[b, cand], kind="stable")[:k]]
-            dx_nb = dx[b, nearest]
-            dm_nb = dm[b, nearest]
+        screen = kernel.screen(rs, buf[:rs.size])
+        bound = rho * np.partition(screen, k - 1, axis=1)[:, k - 1] + slack
+        for b, r in enumerate(rs):
+            # "not above" keeps rows whose screen is NaN (a range overflowed
+            # to inf), and an inf or NaN bound admits every row
+            cand = np.flatnonzero(~(screen[b] > bound[b]))
+            dm, dx = kernel.exact(r, cand)
+            keyed = np.where(cand == r, np.inf, dx)
+            nearest = np.argsort(keyed, kind="stable")[:k]
+            dx_nb = dx[nearest]
+            dm_nb = dm[nearest]
             parts.append((float(dx_nb.sum()), dm_nb.sum(axis=0),
                           dm_nb.T @ dx_nb))
     return parts

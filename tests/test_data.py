@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,19 @@ class TestComputeStats:
         b = compute_stats(dup)
         np.testing.assert_array_equal(a.denominator, b.denominator)
         np.testing.assert_array_equal(a.value_range, b.value_range)
+
+    def test_overflowing_variance_is_inf_without_a_warning(self):
+        # column a alternates +-1e160: finite values whose squares overflow
+        rng = np.random.default_rng(0)
+        X = np.column_stack([(-1.0) ** np.arange(12) * 1e160,
+                             rng.normal(size=12), rng.normal(size=12)])
+        d = Dataset("huge", ("a", "b", "c"), (Numeric(),) * 3, X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = compute_stats(d)
+        assert s.denominator[0] == np.inf
+        assert np.isfinite(s.denominator[1:]).all()
+        assert s.value_range[0] == 2e160
 
 
 class TestCsv:

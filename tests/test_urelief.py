@@ -26,9 +26,7 @@ class TestDistances:
     URelief computes from one reference row to every row."""
 
     def distances_to(self, d, r):
-        dm, dx = _Kernel.make(d, compute_stats(d)).distances(
-            np.array([r]), np.empty((1, d.m, d.n)))
-        return dm[0], dx[0]
+        return _Kernel.make(d, compute_stats(d)).exact(r, np.arange(d.m))
 
     def test_numeric_scaled_by_training_range(self):
         d = numeric_dataset([0.0, 5.0, 10.0])
@@ -64,8 +62,10 @@ def kernel_tables():
     constant numeric column, a large offset with a tiny spread over enough
     columns that the order of d_X's summation shows, distinct rows tied at
     the K-th distance, duplicate rows that put more than K rows at the K-th
-    distance, and a range that overflows to inf, which makes some d_X NaN
-    and, for some references, the K-th distance too."""
+    distance, a range that overflows to inf, which makes some d_X NaN
+    and, for some references, the K-th distance too, and rows whose d_X from
+    a reference differ only in the last bits, where the screen's margin
+    decides which rows reach the exact check."""
     rng = np.random.default_rng(51)
     yield oracles.random_mixed_dataset(rng, 40, 6), 7
     X = rng.uniform(size=(30, 4))
@@ -89,6 +89,14 @@ def kernel_tables():
     X[:5, 0] = 1e308
     X[5:10, 0] = -1e308
     yield numeric_dataset(X), 17
+    # row 0 all zeros and row 1 all ones fix every range to [0, 1]; the
+    # other 60 rows permute one uniform vector, so from rows 0 and 1 their
+    # d_X agree up to the rounding of a sum taken in another order
+    v = rng.uniform(size=40)
+    X = np.vstack([np.zeros(40), np.ones(40)]
+                  + [rng.permutation(v) for _ in range(60)])
+    for k in (5, 20, 40):
+        yield numeric_dataset(X, name=f"near-tie-{k}"), k
 
 
 def state_bytes(s):
@@ -99,7 +107,7 @@ def state_bytes(s):
 
 def force_block(monkeypatch, d, block):
     """Set the block budget so that exactly ``block`` references fit."""
-    monkeypatch.setattr(urelief_module, "_BLOCK_BUDGET", 8 * d.m * d.n * block)
+    monkeypatch.setattr(urelief_module, "_BLOCK_BUDGET", 8 * d.m * block)
 
 
 class TestBlockKernel:
@@ -122,6 +130,24 @@ class TestBlockKernel:
                 want = oracles.ref_urelief_contribution(d, int(r), k)
                 for a, b in zip(part, want):
                     assert np.float64(a).tobytes() == np.float64(b).tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_screen_is_within_half_the_margin_of_the_exact_sum(self):
+        # the candidate bound rho * kth + n * tiny holds if the screen and
+        # n * d_X each stray from the same real sum by at most half of rho's
+        # room; this checks the two against each other directly
+        eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
+        for d, _ in kernel_tables():
+            kernel = _Kernel.make(d, compute_stats(d))
+            refs = np.arange(d.m)
+            screen = kernel.screen(refs, np.empty((d.m, d.m)))
+            exact = d.n * np.vstack([kernel.exact(r, refs)[1] for r in refs])
+            exact[refs, refs] = np.inf
+            np.testing.assert_array_equal(np.isnan(screen), np.isnan(exact))
+            np.testing.assert_array_equal(np.isinf(screen), np.isinf(exact))
+            ok = np.isfinite(exact)
+            room = 4 * (d.n + 4) * eps * exact[ok] + d.n * tiny
+            assert (np.abs(screen[ok] - exact[ok]) <= room).all()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_state_is_byte_equal_across_blocks_and_workers(self, monkeypatch):
