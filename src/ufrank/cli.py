@@ -21,13 +21,15 @@ other exception is a bug and propagates with its traceback.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import json
 import os
 import sys
 from pathlib import Path
 
-from .data import ComputationError, Dataset, IngestionError, load_csv
+from .data import (ComputationError, Dataset, IngestionError, json_text,
+                   load_csv)
 from .evaluate import (FoldPlan, clustering_hypothesis_ari, compare_methods,
                        comparison_to_csv, curve_points_csv, cv_mse,
                        error_curve)
@@ -248,7 +250,7 @@ def _ranker(args):
 
 
 def _emit(args, stem: str, payload: dict) -> Path | None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json_text(payload)
     sys.stdout.write(text)
     if args.out is None:
         return None
@@ -303,7 +305,7 @@ def _cmd_curve(args) -> int:
         "config": {"command": "curve", "data": args.data,
                    "target_column": args.target_column, "folds": args.folds,
                    **_method_config(args)},
-        **report.to_dict(),
+        **dataclasses.asdict(report),
     }
     stem = f"{d.name}_{args.method}_curve_{args.seed}"
     path = _emit(args, stem, payload)
@@ -342,7 +344,7 @@ def _cmd_compare(args) -> int:
     report = compare_methods(matrix, methods, datasets, args.alpha)
     payload = {"artifact": "compare",
                "config": {"command": "compare", "alpha": args.alpha},
-               **report.to_dict()}
+               **dataclasses.asdict(report)}
     path = _emit(args, "compare", payload)
     if path is not None:
         comparison_to_csv(report, path.with_suffix(".csv"))
@@ -356,9 +358,8 @@ def _cmd_synth(args) -> int:
     except ValueError as exc:  # the flags alone are inconsistent
         raise UsageError(str(exc)) from exc
     csv_path, truth_path = write_planted(spec, args.out)
-    sys.stdout.write(json.dumps(
-        {"artifact": "synth", "csv": str(csv_path), "truth": str(truth_path)},
-        indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(json_text({"artifact": "synth", "csv": str(csv_path),
+                                "truth": str(truth_path)}))
     return 0
 
 

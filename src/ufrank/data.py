@@ -11,6 +11,7 @@ methods.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -153,10 +154,11 @@ def compute_stats(d: Dataset) -> AttributeStats:
     num = d.numeric_mask
     if num.any():
         block = d.X[:, num]
-        # a column whose squares overflow keeps an inf denominator
-        with np.errstate(over="ignore"):
+        # a column whose squares or span overflow keeps an inf denominator
+        # or range
+        with np.errstate(over="ignore", invalid="ignore"):
             denominator[num] = block.var(axis=0)
-        value_range[num] = block.max(axis=0) - block.min(axis=0)
+            value_range[num] = block.max(axis=0) - block.min(axis=0)
     for j in np.flatnonzero(~num):
         size = len(d.kinds[j].domain)
         counts = np.bincount(d.X[:, j].astype(np.intp), minlength=size)
@@ -286,16 +288,29 @@ def _parse_numeric(column: list[str]) -> np.ndarray | None:
     return out
 
 
+def write_rows(path, rows) -> None:
+    """Write rows of cells as CSV, UTF-8 in the csv module's default
+    dialect. Every CSV artifact goes through here; floats come as ``repr``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def json_text(obj) -> str:
+    """The JSON artifact format: two-space indent, sorted keys, numpy
+    arrays as nested lists, one trailing newline."""
+    return json.dumps(obj, indent=2, sort_keys=True,
+                      default=np.ndarray.tolist) + "\n"
+
+
 def write_csv(d: Dataset, path) -> None:
     """Write a dataset back out under the same CSV contract; a target, if
     any, goes last under the header ``target``."""
-    path = Path(path)
     header = list(d.attr_names)
     if d.target is not None:
         header.append("target")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+
+    def rows():
+        yield header
         for i in range(d.m):
             row = []
             for j, kind in enumerate(d.kinds):
@@ -304,4 +319,6 @@ def write_csv(d: Dataset, path) -> None:
                            else repr(float(v)))
             if d.target is not None:
                 row.append(repr(float(d.target[i])))
-            writer.writerow(row)
+            yield row
+
+    write_rows(path, rows())

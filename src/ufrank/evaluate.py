@@ -13,15 +13,13 @@ matches the class labels via the adjusted Rand index.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import stats as sstats
 
 from . import streams
-from .data import Dataset, IngestionError
+from .data import Dataset, IngestionError, _check_rows, write_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,9 +87,7 @@ def knn_predict(d: Dataset, train_rows, test_row, selected_attrs) -> float:
     smallest row index)."""
     if d.target is None:
         raise ValueError("knn_predict needs a dataset with a target")
-    train_rows = np.sort(np.asarray(train_rows, dtype=np.intp))
-    if train_rows.size == 0:
-        raise ValueError("training fold is empty")
+    train_rows = np.sort(_check_rows(train_rows, d.m))
     attrs = _check_selection(d, selected_attrs)
     x = np.asarray(test_row, dtype=np.float64)
     if x.shape != (d.n,):
@@ -106,11 +102,18 @@ def _fold_rankings(d: Dataset, ranker, plan: FoldPlan) -> list:
             for i in range(plan.n_folds)]
 
 
-def _fold_mse(d: Dataset, train: np.ndarray, test: np.ndarray,
-              attrs: np.ndarray) -> float:
-    preds = _nn_targets(d, train, d.X[test], attrs)
-    diff = preds - d.target[test]
-    return float((diff * diff).mean())
+def _fold_errors(d: Dataset, rankings: list, plan: FoldPlan,
+                 ks) -> np.ndarray:
+    """folds x len(ks) test-fold MSE of a 1NN regressor on each fold's top-k
+    attributes."""
+    out = np.empty((plan.n_folds, len(ks)))
+    for i, ranking in enumerate(rankings):
+        train, test = plan.train_rows(i), plan.test_rows(i)
+        for j, k in enumerate(ks):
+            attrs = np.sort(ranking.top(k))
+            diff = _nn_targets(d, train, d.X[test], attrs) - d.target[test]
+            out[i, j] = (diff * diff).mean()
+    return out
 
 
 def cv_mse(d: Dataset, ranker, k_features: int, plan: FoldPlan) -> float:
@@ -121,12 +124,8 @@ def cv_mse(d: Dataset, ranker, k_features: int, plan: FoldPlan) -> float:
         raise IngestionError("cv_mse needs a dataset with a target")
     if not 1 <= k_features <= d.n:
         raise IngestionError(f"k_features must be in [1, {d.n}], got {k_features}")
-    per_fold = []
-    for i, ranking in enumerate(_fold_rankings(d, ranker, plan)):
-        attrs = np.sort(ranking.top(k_features))
-        per_fold.append(_fold_mse(d, plan.train_rows(i), plan.test_rows(i),
-                                  attrs))
-    return float(np.mean(per_fold))
+    rankings = _fold_rankings(d, ranker, plan)
+    return float(np.mean(_fold_errors(d, rankings, plan, (k_features,))))
 
 
 def k_grid(n: int) -> tuple[int, ...]:
@@ -148,19 +147,8 @@ class CurveReport:
     k_values: tuple[int, ...]
     fold_mse: np.ndarray  # folds x k grid
     mean_mse: tuple[float, ...]
-    n_folds: int
+    folds: int
     plan_seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "dataset": self.dataset,
-            "k_values": list(self.k_values),
-            "mean_mse": list(self.mean_mse),
-            "fold_mse": [[float(v) for v in row] for row in self.fold_mse],
-            "folds": self.n_folds,
-            "plan_seed": self.plan_seed,
-        }
 
 
 def error_curve(d: Dataset, ranker, plan: FoldPlan) -> CurveReport:
@@ -170,12 +158,7 @@ def error_curve(d: Dataset, ranker, plan: FoldPlan) -> CurveReport:
         raise IngestionError("error_curve needs a dataset with a target")
     ks = k_grid(d.n)
     rankings = _fold_rankings(d, ranker, plan)
-    fold_mse = np.empty((plan.n_folds, len(ks)))
-    for i, ranking in enumerate(rankings):
-        train, test = plan.train_rows(i), plan.test_rows(i)
-        for j, k in enumerate(ks):
-            attrs = np.sort(ranking.top(k))
-            fold_mse[i, j] = _fold_mse(d, train, test, attrs)
+    fold_mse = _fold_errors(d, rankings, plan, ks)
     means = tuple(float(np.mean(fold_mse[:, j])) for j in range(len(ks)))
     return CurveReport(rankings[0].method, d.name, ks, fold_mse, means,
                        plan.n_folds, plan.seed)
@@ -183,11 +166,8 @@ def error_curve(d: Dataset, ranker, plan: FoldPlan) -> CurveReport:
 
 def curve_points_csv(report: CurveReport, path) -> None:
     """Two-column plot-ready mirror: k, mean MSE."""
-    with open(Path(path), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "mean_mse"])
-        for k, mse in zip(report.k_values, report.mean_mse):
-            writer.writerow([k, repr(mse)])
+    write_rows(path, [["k", "mean_mse"],
+                      *zip(report.k_values, map(repr, report.mean_mse))])
 
 
 def _sq_dists(X: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -323,8 +303,8 @@ def nemenyi_cd(n_methods: int, n_datasets: int, alpha: float = 0.05) -> float:
 
 @dataclass
 class ComparisonReport:
-    method_names: tuple[str, ...]
-    dataset_names: tuple[str, ...]
+    methods: tuple[str, ...]
+    datasets: tuple[str, ...]
     mse: np.ndarray            # datasets x methods
     ranks: np.ndarray          # datasets x methods, average-rank ties
     average_ranks: tuple[float, ...]
@@ -335,23 +315,6 @@ class ComparisonReport:
     critical_difference: float
     alpha: float
     indistinguishable_pairs: tuple[tuple[int, int], ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "methods": list(self.method_names),
-            "datasets": list(self.dataset_names),
-            "mse": [[float(v) for v in row] for row in self.mse],
-            "ranks": [[float(v) for v in row] for row in self.ranks],
-            "average_ranks": list(self.average_ranks),
-            "friedman_chi2": self.friedman_chi2,
-            "p_value": self.p_value,
-            "iman_davenport_f": self.iman_davenport_f,
-            "iman_davenport_p": self.iman_davenport_p,
-            "critical_difference": self.critical_difference,
-            "alpha": self.alpha,
-            "indistinguishable_pairs": [list(p) for p in
-                                        self.indistinguishable_pairs],
-        }
 
 
 def compare_methods(results, method_names=None, dataset_names=None,
@@ -403,10 +366,7 @@ def compare_methods(results, method_names=None, dataset_names=None,
 def comparison_to_csv(report: ComparisonReport, path) -> None:
     """Table mirror: one row per dataset, one column per method, with the
     average ranks appended."""
-    with open(Path(path), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dataset", *report.method_names])
-        for i, name in enumerate(report.dataset_names):
-            writer.writerow([name, *(repr(float(v)) for v in report.mse[i])])
-        writer.writerow(["average_rank",
-                         *(repr(v) for v in report.average_ranks)])
+    write_rows(path, [["dataset", *report.methods],
+                      *([name, *map(repr, row)] for name, row
+                        in zip(report.datasets, report.mse.tolist())),
+                      ["average_rank", *map(repr, report.average_ranks)]])

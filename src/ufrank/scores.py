@@ -20,14 +20,12 @@ the totals do not depend on accumulation order.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import streams
-from .data import ComputationError
+from .data import ComputationError, write_rows
 from .forest import Ensemble
 from .tree import FlatTree
 
@@ -183,9 +181,11 @@ def _row_errors(X: np.ndarray, predicted: np.ndarray, scale: np.ndarray,
     difference times ``scale`` (the inverse training variance of a numeric
     attribute, 0 where that variance is 0) or, where ``nominal``, the 0/1
     mismatch."""
-    err = X - predicted
-    err *= err
-    err *= scale
+    # an overflowing term is inf or NaN and makes the importance non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = X - predicted
+        err *= err
+        err *= scale
     if nominal.any():
         err[..., nominal] = X[..., nominal] != predicted[..., nominal]
     return err
@@ -229,9 +229,6 @@ def ranking_rows(r: Ranking) -> list[dict]:
 
 
 def ranking_to_csv(r: Ranking, path) -> None:
-    with open(Path(path), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "attribute", "importance"])
-        for row in ranking_rows(r):
-            writer.writerow([row["rank"], row["attribute"],
-                             repr(row["importance"])])
+    write_rows(path, [["rank", "attribute", "importance"],
+                      *([row["rank"], row["attribute"], repr(row["importance"])]
+                        for row in ranking_rows(r))])

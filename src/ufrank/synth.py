@@ -12,14 +12,13 @@ the true informative positions are recorded in the dataset metadata.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import streams
-from .data import Dataset, Numeric, write_csv
+from .data import Dataset, Numeric, json_text, write_csv
 
 
 @dataclass(frozen=True)
@@ -84,8 +83,7 @@ def write_planted(spec: SynthSpec, directory) -> tuple[Path, Path]:
     csv_path = directory / f"{d.name}.csv"
     truth_path = directory / f"{d.name}_truth.json"
     write_csv(d, csv_path)
-    with open(truth_path, "w", encoding="utf-8") as fh:
-        json.dump({"informative": list(d.meta["informative"]),
-                   "spec": d.meta["spec"]}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    truth_path.write_text(json_text({"informative": d.meta["informative"],
+                                     "spec": d.meta["spec"]}),
+                          encoding="utf-8")
     return csv_path, truth_path

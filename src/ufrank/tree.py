@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import AttributeStats, Dataset
+from .data import AttributeStats, Dataset, _check_rows
 from .segments import first_max, group_sums, running_sums, sorted_runs
 
 ALL_THRESHOLDS = "all-thresholds"
@@ -219,7 +219,9 @@ def _one_random_candidates(seg, heads, scored, vals, nominal, u):
     nominal_at = nominal[seg]
     lo = np.minimum.reduceat(vals, heads, axis=0)
     hi = np.maximum.reduceat(vals, heads, axis=0)
-    value = lo + (hi - lo) * u
+    # an overflowing span gives an inf or NaN threshold, which is not valid
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = lo + (hi - lo) * u
     valid = (lo < value) & (value < hi)
     if nominal.any():
         r, s = np.nonzero(nominal_at)
@@ -272,22 +274,11 @@ def best_test(d: Dataset, rows, policy: SplitSearchPolicy, stats: AttributeStats
     draw_frontier's blocks for one node, as grow_tree's root level does:
     ``rng.random((1, n))``, then, with one random threshold,
     ``rng.random((1, k))``."""
-    rows = _node_rows(d, rows)
+    rows = _check_rows(rows, d.m)
     ws = workspace if workspace is not None else SplitWorkspace(d, stats)
     keys, u = draw_frontier(rng, 1, d.n, policy)
     return search_frontier(d, ws, policy, rows, np.array([0, rows.size]),
                            keys, u)
-
-
-def _node_rows(d: Dataset, rows) -> np.ndarray:
-    """``rows`` as row indices of ``d``, rejecting an empty multiset and an
-    index outside [0, m)."""
-    rows = np.asarray(rows, dtype=np.intp)
-    if rows.size == 0:
-        raise ValueError("cannot search an empty row multiset")
-    if rows.min() < 0 or rows.max() >= d.m:
-        raise ValueError("row indices out of range")
-    return rows
 
 
 def _leaf_prototypes(d: Dataset, rows: np.ndarray,
@@ -296,8 +287,10 @@ def _leaf_prototypes(d: Dataset, rows: np.ndarray,
     per-attribute mean (numeric) or modal code (nominal, ties to the
     smallest code)."""
     sub = d.X[rows]
-    proto = (np.add.reduceat(sub, np.cumsum(sizes) - sizes, axis=0)
-             / sizes[:, None])
+    # a leaf sum that overflows keeps an inf or NaN prototype
+    with np.errstate(over="ignore", invalid="ignore"):
+        proto = (np.add.reduceat(sub, np.cumsum(sizes) - sizes, axis=0)
+                 / sizes[:, None])
     nom = np.flatnonzero(~d.numeric_mask)
     if nom.size:
         group = (np.repeat(np.arange(sizes.size), sizes)[:, None] * nom.size
@@ -324,7 +317,7 @@ def grow_tree(d: Dataset, rows, policy: SplitSearchPolicy, stats: AttributeStats
     always yields one tree, and the root's test is the one best_test finds
     on the same rows from the same generator state.
     """
-    rows = _node_rows(d, rows)
+    rows = _check_rows(rows, d.m)
     ws = workspace if workspace is not None else SplitWorkspace(d, stats)
 
     levels = []

@@ -147,9 +147,11 @@ class _Kernel:
         to ``rows``. The result is C-order, so the mean over its last axis
         sums each row's n terms exactly as the full m x n table would."""
         dm = self.X[rows]
-        np.subtract(dm, self.X[r], out=dm)
-        np.abs(dm, out=dm)
-        np.divide(dm, self.divisor, out=dm)
+        # an overflowing difference gives an inf d_i, hence an inf d_X
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(dm, self.X[r], out=dm)
+            np.abs(dm, out=dm)
+            np.divide(dm, self.divisor, out=dm)
         if self.nominal.size:
             dm[:, self.nominal] = self.codes[rows] != self.codes[r]
         return dm, dm.mean(axis=-1)

@@ -28,6 +28,18 @@ def stdout_json(out):
     return json.loads(out)
 
 
+def overflow_csv(tmp_path, magnitude=1e160):
+    """12 rows: column a alternates +-magnitude, so every value is finite
+    and passes ingestion, but a's variance (and at 1e308 its span)
+    overflows; columns b and c are N(0, 1)."""
+    huge = tmp_path / "huge.csv"
+    rng = np.random.default_rng(0)
+    huge.write_text("\n".join(
+        ["a,b,c"] + [f"{(-1) ** i * magnitude!r},{rng.normal()!r},"
+                     f"{rng.normal()!r}" for i in range(12)]) + "\n")
+    return huge
+
+
 class TestRank:
     def test_artifact_names_and_content(self, planted_csv, tmp_path, capsys):
         out_dir = tmp_path / "art"
@@ -194,16 +206,11 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(err)["error"]["kind"] == "computation"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_importance_exits_3(self, tmp_path, capsys):
-        # every value is finite, so the table passes ingestion, but column
-        # a's variance overflows and its rf-score is NaN
-        huge = tmp_path / "huge.csv"
-        rng = np.random.default_rng(0)
-        huge.write_text("\n".join(
-            ["a,b,c"] + [f"{(-1) ** i * 1e160!r},{rng.normal()!r},"
-                         f"{rng.normal()!r}" for i in range(12)]) + "\n")
-        code, out, err = run_cli(capsys, "rank", "--data", str(huge),
+        # column a's rf-score is NaN
+        code, out, err = run_cli(capsys, "rank", "--data",
+                                 str(overflow_csv(tmp_path)),
                                  "--method", "rf-score", "--trees", "4")
         assert code == 3
         assert out == ""
@@ -211,14 +218,11 @@ class TestExitCodes:
         assert record["kind"] == "computation"
         assert "not finite" in record["message"]
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_column_does_not_block_splits(self, tmp_path, capsys):
-        # the same table: column a's variance overflows, so its weight in h
-        # is 1/inf = 0, and the finite columns must still split every tree
-        huge = tmp_path / "huge.csv"
-        rng = np.random.default_rng(0)
-        huge.write_text("\n".join(
-            ["a,b,c"] + [f"{(-1) ** i * 1e160!r},{rng.normal()!r},"
-                         f"{rng.normal()!r}" for i in range(12)]) + "\n")
+        # column a's weight in h is 1/inf = 0, and the finite columns must
+        # still split every tree
+        huge = overflow_csv(tmp_path)
         e = build(load_csv(huge), EnsembleConfig(EXTRA_TREES, n_trees=4))
         assert all(flat.attr.size > 1 for flat in e.flats)
         code, out, err = run_cli(capsys, "rank", "--data", str(huge),
@@ -226,6 +230,29 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         importance = [row["importance"] for row in stdout_json(out)["ranking"]]
         assert max(importance) > 0.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("magnitude, failing", [
+        (1e160, {"rf-score"}),
+        (1e308, {"rf-score", "urelief"}),
+    ], ids=["1e160", "1e308"])
+    @pytest.mark.parametrize("method",
+                             ["genie3", "symbolic", "rf-score", "urelief"])
+    def test_overflow_leaves_stderr_clean(self, tmp_path, capsys, magnitude,
+                                          failing, method):
+        # a run either succeeds with nothing on stderr or fails with
+        # exactly one JSON error record, never with a numpy warning
+        code, out, err = run_cli(capsys, "rank", "--data",
+                                 str(overflow_csv(tmp_path, magnitude)),
+                                 "--method", method, "--trees", "4",
+                                 "--workers", "1")
+        if method in failing:
+            assert (code, out) == (3, "")
+            assert len(err.splitlines()) == 1
+            assert json.loads(err)["error"]["kind"] == "computation"
+        else:
+            assert (code, err) == (0, "")
+            assert stdout_json(out)["artifact"] == "ranking"
 
 
 class TestEvalCurveCompare:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from ufrank import (CurveReport, Dataset, FoldPlan, Numeric, Ranking,
                     compare_methods, comparison_to_csv, curve_points_csv,
                     cv_mse, error_curve, k_grid, kmeans, knn_predict,
                     make_planted, nemenyi_cd, SynthSpec)
+from ufrank.data import json_text
 
 
 def numeric_dataset(X, target=None, name="t"):
@@ -121,6 +123,11 @@ class TestKnnPredict:
             knn_predict(d, [0, 1], np.array([0.5]), [1])
         with pytest.raises(ValueError, match="arity"):
             knn_predict(d, [0, 1], np.array([0.5, 0.5]), [0])
+        # a negative training row must not wrap round to the last row
+        with pytest.raises(ValueError, match="out of range"):
+            knn_predict(d, [-1], np.array([1.0]), [0])
+        with pytest.raises(ValueError, match="out of range"):
+            knn_predict(d, [0, 2], np.array([0.5]), [0])
 
 
 class TestCvMse:
@@ -203,7 +210,7 @@ class TestErrorCurve:
         assert report.method == "stub"
         assert report.dataset == "curveland"
         assert report.fold_mse.shape == (4, len(report.k_values))
-        assert report.n_folds == 4 and report.plan_seed == 5
+        assert report.folds == 4 and report.plan_seed == 5
         np.testing.assert_allclose(report.mean_mse,
                                    report.fold_mse.mean(axis=0), rtol=1e-15)
 
@@ -475,9 +482,11 @@ class TestCompareMethods:
 
 class TestReportJson:
     def test_comparison_report_round_trip(self):
-        # the compare artifact embeds to_dict(); JSON must carry it exactly
+        # the compare artifact embeds the report's fields under their own
+        # names; JSON must carry them exactly
         report = compare_methods(eighteen_eight_matrix())
-        payload = json.loads(json.dumps(report.to_dict()))
+        payload = json.loads(json_text(dataclasses.asdict(report)))
+        assert set(payload) == {f.name for f in dataclasses.fields(report)}
         assert payload["friedman_chi2"] == report.friedman_chi2
         assert payload["average_ranks"] == list(report.average_ranks)
         assert payload["mse"][0] == [0.5, 1.0]
