@@ -138,7 +138,10 @@ class AttributeStats:
 
 
 def _check_rows(rows, m: int) -> np.ndarray:
-    rows = np.asarray(rows, dtype=np.intp)
+    rows = np.asarray(rows)
+    if rows.size and rows.dtype.kind not in "iu":
+        raise ValueError(f"row indices must be integers, got dtype {rows.dtype}")
+    rows = rows.astype(np.intp, copy=False)
     if rows.ndim != 1 or rows.size == 0:
         raise ValueError("row subset must be a non-empty 1-d index array")
     if rows.min() < 0 or rows.max() >= m:

@@ -50,24 +50,118 @@ class FoldPlan:
         return np.setdiff1d(np.arange(self.n_examples), self.folds[i])
 
 
-def _nn_targets(d: Dataset, train_rows: np.ndarray, queries: np.ndarray,
-                attrs: np.ndarray) -> np.ndarray:
-    """Target of the nearest training row for each query row (a matrix of
-    raw feature rows).
+# memory cap, in bytes, for one block of queries' float64 screen against
+# every training row; a block holds at least one query whatever t is
+_BLOCK_BUDGET = 2_000_000
 
-    Distances are squared Euclidean over the selected attributes, expanded
-    as |a|^2 + |b|^2 - 2ab so the same arithmetic serves every query size;
-    ties resolve to the smallest training row index (train_rows is kept
-    sorted ascending). That tie rule holds only for distances that compute
-    as equal: on columns with a large offset and a small spread, the
-    expansion's cancellation can misorder them, even against an exact
-    duplicate at distance 0.
+
+def _column_mean(T: np.ndarray) -> np.ndarray:
+    """Column mean of the training rows, the origin of the 1NN screen; a
+    column whose sum overflows gets an inf or NaN mean, which sends every
+    query to the exact check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return T.mean(axis=0)
+
+
+def _nn_targets(T: np.ndarray, y: np.ndarray, Q: np.ndarray, mu: np.ndarray,
+                attrs: np.ndarray) -> np.ndarray:
+    """Target y[j] of the nearest training row T[j] for each query row q of
+    Q (raw feature rows, T in ascending row order): squared Euclidean
+    distance over ``attrs``, taken in ascending column order, ties to the
+    smallest j.
+
+    The distance that decides is E_j = sum((T[j] - q)**2) by direct
+    differences, as ``_sq_dists`` computes it. A screen finds the nearest
+    row without it. Queries go in blocks of as many t-long float64 rows as
+    fit in _BLOCK_BUDGET (2 MB), or one. In coordinates centered on the
+    training mean mu (a = q - mu, b_j = T[j] - mu), one matmul of the
+    block's rows [a, 1] against the rows [-2 b_j, |b_j|^2] gives
+    s_j = |b_j|^2 - 2 a.b_j, which is E_j - |a|^2 up to rounding (|a|^2 is
+    the same for every j, so it is left out). The screen's argmin is the
+    pick when the second smallest s is above lo + delta, lo the smallest,
+    with X = |a|^2 + 2 max_j |b_j|^2 and
+
+        delta = 4 (k + 4) eps X + k tiny,
+
+    k = len(attrs), tiny the smallest normal float64. Otherwise the query
+    is ambiguous: every row whose s is not above lo + delta gets its E,
+    and the smallest E, ties to the smallest j, is the pick.
+
+    Why delta suffices, to first order in u = eps / 2 (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, sections 3.1 and 3.5).
+    Let D_j be the real squared distance; it is translation invariant, so
+    the rounding of mu costs nothing. Each centered coordinate is one
+    correctly rounded subtraction, which moves |a - b_j|^2 from D_j by at
+    most 4u (|a|^2 + |b_j|^2) <= 4u X. s_j is a sum of k + 1 products in
+    whatever order the BLAS takes, so it lies within
+    (k + 1) u (|a|^2 + 2 |b_j|^2) + k u |b_j|^2 <= (1.5k + 1) u X of
+    |a - b_j|^2 - |a|^2 (the k u from rounding |b_j|^2 itself). E_j lies
+    within (k + 2) u D_j <= (2k + 4) u X of D_j. So s_j + |a|^2 and E_j
+    differ by at most (3.5k + 9) u X, and the gap between two rows moves
+    by at most (3.5k + 9) eps X. delta leaves (0.5k + 7) eps X over for
+    rounding lo + delta (|lo| <= X) and the higher-order terms, and k tiny
+    covers gradual underflow, at most u tiny per operation. Hence an
+    unambiguous pick has the strictly smallest E, and on an ambiguous
+    query every row whose E is not above the screen pick's E is a
+    candidate, ties included: the picks are those of a full scan of E,
+    whatever the block size or the BLAS.
+
+    Overflow falls through to the exact check. 4X is computed on its own
+    and overflows to inf before any E can; an inf or NaN delta (a column
+    whose mean or square overflows) leaves every row "not above" lo +
+    delta, so the query compares every E, an overflowing E being inf.
     """
-    A = queries[:, attrs]
-    B = d.X[np.ix_(train_rows, attrs)]
-    d2 = ((A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :]
-          - 2.0 * (A @ B.T))
-    return d.target[train_rows][d2.argmin(axis=1)]
+    t, k = len(T), attrs.size
+    block = max(1, min(len(Q), _BLOCK_BUDGET // (8 * t)))
+    picks = np.empty(len(Q), dtype=np.intp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = np.empty((t, k + 1))
+        np.subtract(T[:, attrs], mu[attrs], out=B[:, :k])
+        B[:, k] = np.einsum("ij,ij->i", B[:, :k], B[:, :k])
+        B[:, :k] *= -2.0
+        A = np.ones((len(Q), k + 1))
+        np.subtract(Q[:, attrs], mu[attrs], out=A[:, :k])
+        scale = 4.0 * (np.einsum("ij,ij->i", A[:, :k], A[:, :k])
+                       + 2.0 * B[:, k].max())
+        fp = np.finfo(np.float64)
+        delta = (k + 4) * fp.eps * scale + k * fp.tiny
+        buf = np.empty((block, t))
+        for start in range(0, len(Q), block):
+            stop = min(start + block, len(Q))
+            s = buf[:stop - start]
+            np.matmul(A[start:stop], B.T, out=s)
+            rows = np.arange(stop - start)
+            first = s.argmin(axis=1)
+            lo = s[rows, first]
+            s[rows, first] = np.inf
+            second = s.min(axis=1)
+            s[rows, first] = lo
+            bound = lo + delta[start:stop]
+            picks[start:stop] = first
+            # "not above" keeps NaN: an overflowed screen is ambiguous
+            ambiguous = np.flatnonzero(~(second > bound))
+            if ambiguous.size:
+                picks[start + ambiguous] = _exact_picks(
+                    T, Q[start + ambiguous], attrs, s[ambiguous],
+                    bound[ambiguous])
+    return y[picks]
+
+
+def _exact_picks(T: np.ndarray, Q: np.ndarray, attrs: np.ndarray,
+                 screen: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """For each query row of Q, the smallest direct-difference distance E
+    over the training rows whose screen value is not above the query's
+    bound, ties to the smallest row. ``screen`` (a copy, one row per
+    query) is overwritten: inf off the candidates, E on them. The
+    (query, candidate) pairs go through _sq_dists in runs that keep each
+    k-column temporary within _BLOCK_BUDGET."""
+    qi, j = np.nonzero(~(screen > bound[:, None]))
+    screen.fill(np.inf)
+    step = max(1, _BLOCK_BUDGET // (8 * attrs.size))
+    for p in range(0, qi.size, step):
+        q_, j_ = qi[p:p + step], j[p:p + step]
+        screen[q_, j_] = _sq_dists(T[np.ix_(j_, attrs)], Q[np.ix_(q_, attrs)])
+    return screen.argmin(axis=1)
 
 
 def _check_selection(d: Dataset, selected_attrs) -> np.ndarray:
@@ -83,8 +177,10 @@ def _check_selection(d: Dataset, selected_attrs) -> np.ndarray:
 
 def knn_predict(d: Dataset, train_rows, test_row, selected_attrs) -> float:
     """Predict one example's target from its nearest training row over the
-    selected attributes (unweighted Euclidean; distance ties go to the
-    smallest row index)."""
+    selected attributes: unweighted squared Euclidean by direct
+    differences, distance ties to the smallest row index (the screen and
+    exact check of ``_nn_targets``, with the training rows' mean as
+    origin)."""
     if d.target is None:
         raise ValueError("knn_predict needs a dataset with a target")
     train_rows = np.sort(_check_rows(train_rows, d.m))
@@ -92,7 +188,9 @@ def knn_predict(d: Dataset, train_rows, test_row, selected_attrs) -> float:
     x = np.asarray(test_row, dtype=np.float64)
     if x.shape != (d.n,):
         raise ValueError(f"test row must have arity {d.n}")
-    return float(_nn_targets(d, train_rows, x[None, :], attrs)[0])
+    T = d.X[train_rows]
+    return float(_nn_targets(T, d.target[train_rows], x[None, :],
+                             _column_mean(T), attrs)[0])
 
 
 def _fold_rankings(d: Dataset, ranker, plan: FoldPlan) -> list:
@@ -105,13 +203,16 @@ def _fold_rankings(d: Dataset, ranker, plan: FoldPlan) -> list:
 def _fold_errors(d: Dataset, rankings: list, plan: FoldPlan,
                  ks) -> np.ndarray:
     """folds x len(ks) test-fold MSE of a 1NN regressor on each fold's top-k
-    attributes."""
+    attributes, taken in ascending column order. Each fold's rows and
+    their mean are taken once for the whole grid."""
     out = np.empty((plan.n_folds, len(ks)))
     for i, ranking in enumerate(rankings):
         train, test = plan.train_rows(i), plan.test_rows(i)
+        T, Q, y = d.X[train], d.X[test], d.target[train]
+        mu = _column_mean(T)
         for j, k in enumerate(ks):
             attrs = np.sort(ranking.top(k))
-            diff = _nn_targets(d, train, d.X[test], attrs) - d.target[test]
+            diff = _nn_targets(T, y, Q, mu, attrs) - d.target[test]
             out[i, j] = (diff * diff).mean()
     return out
 
@@ -171,7 +272,8 @@ def curve_points_csv(report: CurveReport, path) -> None:
 
 
 def _sq_dists(X: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance from every row of X to one center."""
+    """Squared Euclidean distance from every row of X to one center, or
+    row by row to a matching array of centers."""
     return ((X - center) ** 2).sum(axis=1)
 
 

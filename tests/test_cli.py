@@ -255,6 +255,35 @@ class TestExitCodes:
             assert stdout_json(out)["artifact"] == "ranking"
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("magnitude, failing", [
+        (1e160, set()),
+        (1e308, {"urelief"}),
+    ], ids=["1e160", "1e308"])
+    @pytest.mark.parametrize("method", ["urelief", "genie3"])
+    @pytest.mark.parametrize("command, extra", [
+        ("eval", ("--top-k", "2")),
+        ("curve", ()),
+    ], ids=["eval", "curve"])
+    def test_overflow_leaves_eval_and_curve_stderr_clean(
+            self, tmp_path, capsys, magnitude, failing, method, command,
+            extra):
+        # the 1NN scoring keeps column a, whose squares overflow
+        code, out, err = run_cli(capsys, command, "--data",
+                                 str(overflow_csv(tmp_path, magnitude)),
+                                 "--target-column", "c", "--method", method,
+                                 "--folds", "3", "--trees", "4",
+                                 "--workers", "1", "--out",
+                                 str(tmp_path / "art"), *extra)
+        if method in failing:
+            assert (code, out) == (3, "")
+            assert len(err.splitlines()) == 1
+            assert json.loads(err)["error"]["kind"] == "computation"
+        else:
+            assert (code, err) == (0, "")
+            assert stdout_json(out)["artifact"] == command
+
+
 class TestEvalCurveCompare:
     def eval_artifact(self, capsys, csv_path, method, out_dir, seed="0"):
         code, _, _ = run_cli(

@@ -81,6 +81,13 @@ class TestDataset:
             d.restrict_rows(np.array([4]))
         with pytest.raises(ValueError):
             d.restrict_rows(np.array([], dtype=np.intp))
+        # float rows are not truncated, and a boolean mask is not read as
+        # the indices 0 and 1
+        with pytest.raises(ValueError, match="integer"):
+            d.restrict_rows([0.5, 1.7])
+        with pytest.raises(ValueError, match="integer"):
+            d.restrict_rows(np.array([True, False, True, False]))
+        assert d.restrict_rows(np.array([1, 3], dtype=np.uint8)).m == 2
 
 
 class TestComputeStats:

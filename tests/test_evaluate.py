@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats as sstats
 
 import oracles
+from ufrank import evaluate
 from ufrank import (CurveReport, Dataset, FoldPlan, Numeric, Ranking,
                     adjusted_rand_index, clustering_hypothesis_ari,
                     compare_methods, comparison_to_csv, curve_points_csv,
@@ -93,8 +95,6 @@ class TestKnnPredict:
                 want = oracles.ref_nearest_target(d, train, X[q], attrs)
                 assert got == want
 
-    @pytest.mark.xfail(strict=True, reason="the |a|^2+|b|^2-2ab expansion "
-                       "cancels on a large offset and misorders distances")
     def test_exact_duplicate_wins_on_a_large_offset(self):
         # 200 training rows at offset 1e5 with spread 1e-4; each query is an
         # exact duplicate of one of them, at distance 0
@@ -128,6 +128,114 @@ class TestKnnPredict:
             knn_predict(d, [-1], np.array([1.0]), [0])
         with pytest.raises(ValueError, match="out of range"):
             knn_predict(d, [0, 2], np.array([0.5]), [0])
+        # float rows must not truncate, nor a boolean mask read as 0 and 1
+        with pytest.raises(ValueError, match="integer"):
+            knn_predict(d, [0.5, 1.7], np.array([0.5]), [0])
+        with pytest.raises(ValueError, match="integer"):
+            knn_predict(d, np.array([True, True]), np.array([0.5]), [0])
+
+
+def fold_picks(d, train, test, attrs):
+    """Row picked for each test row by the batched 1NN path; the target is
+    taken as the row index so that the pick itself is compared."""
+    T = d.X[train]
+    return evaluate._nn_targets(T, train.astype(np.float64), d.X[test],
+                                evaluate._column_mean(T), np.asarray(attrs))
+
+
+def oracle_picks(d, train, test, attrs):
+    by_index = Dataset(d.name, d.attr_names, d.kinds, d.X,
+                       np.arange(d.m, dtype=np.float64))
+    # an overflowing difference is an inf distance, as in the package
+    with np.errstate(over="ignore"):
+        return np.array([oracles.ref_nearest_target(by_index, train, d.X[q],
+                                                    np.asarray(attrs))
+                         for q in test])
+
+
+def overflow_table(magnitude=1e160):
+    """12 rows: column 0 alternates +-magnitude, columns 1 and 2 N(0, 1)."""
+    rng = np.random.default_rng(0)
+    X = np.column_stack([(-1.0) ** np.arange(12) * magnitude,
+                         rng.normal(size=(12, 2))])
+    return numeric_dataset(X, target=rng.normal(size=12))
+
+
+class TestNearestNeighbourOracle:
+    """The batched 1NN path (screen plus exact check) against the plain
+    scan of tests/oracles.py, which takes direct differences and gives
+    ties to the smallest row."""
+
+    @pytest.mark.parametrize("k", [1, 2, 6])
+    def test_integer_grid_with_exact_ties(self, k):
+        # values in {0, 1, 2}: most queries have several training rows at
+        # exactly the same distance
+        rng = np.random.default_rng(5)
+        d = numeric_dataset(rng.integers(0, 3, size=(90, 6)).astype(float),
+                            target=rng.normal(size=90))
+        train, test = np.arange(0, 90, 3), np.setdiff1d(np.arange(90),
+                                                         np.arange(0, 90, 3))
+        attrs = np.sort(rng.permutation(6)[:k])
+        np.testing.assert_array_equal(fold_picks(d, train, test, attrs),
+                                      oracle_picks(d, train, test, attrs))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("magnitude", [1e160, 1e308])
+    @pytest.mark.parametrize("attrs", [[0], [0, 1], [0, 1, 2]])
+    def test_overflow_table_split_8_4(self, magnitude, attrs):
+        # the expansion's squares overflow to inf and inf - inf is NaN; the
+        # pick must still be the oracle's, with no warning
+        d = overflow_table(magnitude)
+        train, test = np.arange(8), np.arange(8, 12)
+        np.testing.assert_array_equal(fold_picks(d, train, test, attrs),
+                                      oracle_picks(d, train, test, attrs))
+
+    def test_offset_table_with_duplicate_rows(self):
+        # offset 1e5, spread 1e-4, every training row present twice and
+        # every query a duplicate of a training row
+        rng = np.random.default_rng(7)
+        base = 1e5 + 1e-4 * rng.standard_normal((60, 8))
+        d = numeric_dataset(np.vstack([base, base, base[:30]]),
+                            target=rng.normal(size=150))
+        train, test = np.arange(120), np.arange(120, 150)
+        for k in (1, 3, 8):
+            attrs = np.arange(k)
+            np.testing.assert_array_equal(fold_picks(d, train, test, attrs),
+                                          oracle_picks(d, train, test, attrs))
+
+    def test_picks_and_mse_do_not_depend_on_the_block(self, monkeypatch):
+        # a budget of one byte makes every block one query and every run of
+        # exact distances one pair
+        rng = np.random.default_rng(9)
+        X = np.vstack([rng.integers(0, 3, size=(40, 5)).astype(float),
+                       1e5 + 1e-4 * rng.standard_normal((40, 5))])
+        d = numeric_dataset(X, target=rng.normal(size=80))
+        plan = FoldPlan.make(80, n_folds=4, seed=1)
+        ranker = fixed_ranker([5.0, 4.0, 3.0, 2.0, 1.0])
+        train, test = plan.train_rows(0), plan.test_rows(0)
+        wide = [fold_picks(d, train, test, np.arange(k)) for k in (1, 2, 5)]
+        curve = error_curve(d, ranker, plan)
+        monkeypatch.setattr(evaluate, "_BLOCK_BUDGET", 1)
+        narrow = [fold_picks(d, train, test, np.arange(k)) for k in (1, 2, 5)]
+        for a, b in zip(wide, narrow):
+            np.testing.assert_array_equal(a, b)
+        assert error_curve(d, ranker, plan).fold_mse.tobytes() \
+            == curve.fold_mse.tobytes()
+
+    def test_one_fold_at_scale_stays_within_the_block_budget(self):
+        # m = 20 000, n = 50: a dense 2 000 x 18 000 distance matrix would
+        # take 288 MB; the fold's own copies take about 20 MB
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((20_000, 50))
+        d = numeric_dataset(X, target=rng.normal(size=20_000))
+        train, test = np.arange(2_000, 20_000), np.arange(2_000)
+        tracemalloc.start()
+        try:
+            fold_picks(d, train, test, np.arange(50))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
 
 class TestCvMse:
