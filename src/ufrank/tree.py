@@ -14,8 +14,10 @@ two rows or no candidate test achieves h > 0.
 
 Growth goes one depth level at a time: one call of search_frontier
 searches every node of the level at once, and best_test is its one-node
-case. A node's test and h depend only on its own rows and its own random
-draws, never on which other nodes share its level.
+case. Several trees may grow together, so a level may hold the nodes of
+all of them, and grow_tree is the one-tree case. A node's test and h still
+depend only on its own rows and its own random draws, never on which other
+nodes, of its own tree or of another, share its level.
 """
 
 from __future__ import annotations
@@ -160,7 +162,8 @@ def search_frontier(d: Dataset, ws: SplitWorkspace, policy: SplitSearchPolicy,
     if h > 0, in the order attributes as sampled, then thresholds or
     categories ascending. Every sum is taken within one node in its rows'
     order, so a node's result is bit-identical whichever nodes share its
-    frontier."""
+    frontier. The frontier may hold the nodes of one tree's level or, as
+    _grow_stack lays it out, of a level of several trees."""
     counts = np.diff(starts)
     F = counts.size
     best = (np.full(F, -1, dtype=np.intp), np.full(F, np.nan),
@@ -316,38 +319,66 @@ def grow_tree(d: Dataset, rows, policy: SplitSearchPolicy, stats: AttributeStats
     search_frontier call. This fixes the random stream layout, so one seed
     always yields one tree, and the root's test is the one best_test finds
     on the same rows from the same generator state.
+
+    This is the one-tree case of _grow_stack, which grows several trees
+    with one search_frontier call per level for all of them; a tree grown
+    in a stack is byte for byte the tree grown here alone, since each of
+    its nodes sees only its own rows and its own tree's draws.
     """
     rows = _check_rows(rows, d.m)
     ws = workspace if workspace is not None else SplitWorkspace(d, stats)
+    return _grow_stack(d, ws, policy, [rows], [rng])[0]
 
+
+def _grow_stack(d: Dataset, ws: SplitWorkspace, policy: SplitSearchPolicy,
+                bags: list, rngs: list) -> list["FlatTree"]:
+    """One tree per row array of ``bags``, grown as grow_tree grows it from
+    ``rngs`` at the same index. Each level concatenates the frontiers of
+    the trees still growing, in tree order, into one search_frontier call;
+    every tree first takes its own draw_frontier blocks from its own
+    generator. A tree whose level split nothing leaves the stack."""
+    tree = np.arange(len(bags))  # the tree of each frontier node
+    counts = np.array([b.size for b in bags])
+    rows = np.concatenate(bags)
     levels = []
-    counts = np.array([rows.size])
-    while True:
-        keys, u = draw_frontier(rng, counts.size, d.n, policy)
+    while tree.size:
+        nodes = np.bincount(tree, minlength=len(bags))
+        draws = [draw_frontier(rngs[i], nodes[i], d.n, policy)
+                 for i in np.flatnonzero(nodes)]
+        keys = np.concatenate([k for k, _ in draws])
+        u = None if draws[0][1] is None else np.concatenate([u for _, u in draws])
         found = search_frontier(d, ws, policy, rows,
                                 np.cumsum(np.append(0, counts)), keys, u)
-        levels.append((rows, counts, found))
-        split = found.attr >= 0
-        if not split.any():
-            break
+        levels.append((tree, rows, counts, found.attr, found.value,
+                       found.nominal, found.h))
         # children in their parents' order, yes child first, each keeping
-        # its rows' order; the rows of unsplit nodes sort last
+        # its rows' order; the rows of unsplit nodes sort last. Each tree's
+        # nodes stay together, in tree order.
+        split = found.attr >= 0
         n_split = int(split.sum())
         child = np.repeat(np.where(split, 2 * np.cumsum(split) - 2,
                                    2 * n_split), counts) + ~found.yes
         order = np.argsort(child, kind="stable")
         counts = np.bincount(child, minlength=2 * n_split + 2)[:2 * n_split]
         rows = rows[order[:counts.sum()]]
+        tree = np.repeat(tree[split], 2)
 
-    n_reached = np.concatenate([c for _, c, _ in levels])
-    attr, value, nominal, h = (np.concatenate([getattr(f, name)
-                                               for _, _, f in levels])
-                               for name in ("attr", "value", "nominal", "h"))
+    # every tree's records in level order, then one tree after another
+    tree, reached, n_reached, attr, value, nominal, h = (
+        np.concatenate(a) for a in zip(*levels))
+    reached = reached[np.argsort(np.repeat(tree, n_reached), kind="stable")]
+    by_tree = np.argsort(tree, kind="stable")
+    n_reached, attr, value, nominal, h = (
+        a[by_tree] for a in (n_reached, attr, value, nominal, h))
+    # one call for all trees: a leaf's prototype reads its own rows only
     leaf = attr < 0
-    protos = _leaf_prototypes(
-        d, np.concatenate([r for r, _, _ in levels])[np.repeat(leaf, n_reached)],
-        n_reached[leaf])
-    return FlatTree.from_node(attr, value, nominal, n_reached, h, protos)
+    protos = _leaf_prototypes(d, reached[np.repeat(leaf, n_reached)],
+                              n_reached[leaf])
+    cut = np.cumsum(np.bincount(tree, minlength=len(bags)))[:-1]
+    leaf_cut = np.cumsum(leaf)[cut - 1]
+    return [FlatTree.from_node(*parts) for parts in zip(
+        *(np.split(a, cut) for a in (attr, value, nominal, n_reached, h)),
+        np.split(protos, leaf_cut))]
 
 
 @dataclass

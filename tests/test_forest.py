@@ -4,9 +4,11 @@ import pytest
 import oracles
 from oracles import oob_error
 from ufrank import (ALL_THRESHOLDS, ONE_RANDOM_THRESHOLD, Dataset,
-                    EnsembleConfig, Nominal, Numeric, build, compute_stats,
-                    genie3, random_forest_score, subset_size, streams)
-from ufrank.forest import SUBSET_RULES, Ensemble
+                    EnsembleConfig, Nominal, Numeric, SynthSpec, build,
+                    compute_stats, genie3, grow_tree, make_planted,
+                    random_forest_score, subset_size, streams)
+from ufrank import forest
+from ufrank.forest import ENSEMBLES, SUBSET_RULES, Ensemble
 
 
 class TestSubsetSize:
@@ -138,6 +140,75 @@ class TestBuild:
             for i in np.flatnonzero(flat.attr < 0):
                 sub = d.X[node_rows[i]][:, active]
                 assert (sub == sub[0]).all()
+
+
+def stack_tables():
+    """(table, tree count) pairs for the stacked-growth checks."""
+    rng = np.random.default_rng(71)
+    planted = make_planted(SynthSpec(m=200, n_informative=5, n_noise=45,
+                                     clusters=4, separation=6.0, seed=3))
+    yield planted.without_target(), 4
+    # five nominal columns and one numeric
+    nom = oracles.random_mixed_dataset(rng, 40, 5, force_num=False)
+    yield Dataset("nominal_heavy", nom.attr_names + ("x",),
+                  nom.kinds + (Numeric(),),
+                  np.column_stack([nom.X, rng.uniform(-1.0, 1.0, 40)])), 5
+    dup = oracles.random_mixed_dataset(rng, 15, 4)
+    yield Dataset(dup.name, dup.attr_names, dup.kinds,
+                  np.vstack([dup.X, dup.X])), 5
+    yield Dataset("equal", ("a", "b"), (Numeric(), Nominal(("u", "v"))),
+                  np.tile([3.5, 1.0], (10, 1))), 5
+    for m in (2, 3):
+        yield oracles.random_mixed_dataset(rng, m, 3), 5
+    # column a alternates +-1e160: finite values whose squares overflow
+    yield Dataset("overflow", ("a", "b", "c"), (Numeric(),) * 3,
+                  np.column_stack([(-1.0) ** np.arange(12) * 1e160,
+                                   rng.normal(size=(12, 2))])), 5
+
+
+def grown_alone(d, cfg):
+    """ensemble_fingerprint of cfg's ensemble with every tree grown by
+    grow_tree on its own: stream (seed, TREE, t) draws the bootstrap, then
+    drives that tree's growth."""
+    stats, policy = compute_stats(d), cfg.policy(d.n)
+    flats, bags = [], []
+    for t in range(cfg.n_trees):
+        rng = streams.stream(cfg.seed, streams.TREE, t)
+        bags.append(rng.integers(0, d.m, size=d.m))
+        flats.append(oracles.flat_fingerprint(
+            grow_tree(d, bags[-1], policy, stats, rng)))
+    return (flats, [bag.tolist() for bag in bags],
+            [np.setdiff1d(np.arange(d.m), bag).tolist() for bag in bags])
+
+
+class TestStackedGrowth:
+    """build grows the trees of a chunk together, one search per depth
+    level for the whole stack; each tree must be byte for byte the tree
+    grown alone from the same stream."""
+
+    @pytest.mark.parametrize("method", ENSEMBLES)
+    def test_stacked_trees_equal_trees_grown_alone(self, monkeypatch, method):
+        stacks = []
+        grow_stack = forest._grow_stack
+
+        def spy(d, ws, policy, bags, rngs):
+            stacks.append(len(bags))
+            return grow_stack(d, ws, policy, bags, rngs)
+
+        for d, n_trees in stack_tables():
+            cfg = EnsembleConfig(method=method, n_trees=n_trees, seed=13)
+            want = grown_alone(d, cfg)
+            for size in (1, 3, n_trees):
+                # exactly ``size`` bootstraps of m rows fit one stack
+                monkeypatch.setattr(forest, "_STACK_ROWS", size * d.m)
+                monkeypatch.setattr(forest, "_grow_stack", spy)
+                stacks.clear()
+                assert ensemble_fingerprint(build(d, cfg)) == want
+                assert stacks == [min(size, n_trees - s)
+                                  for s in range(0, n_trees, size)]
+                monkeypatch.undo()
+            for workers in (2, 3):
+                assert ensemble_fingerprint(build(d, cfg, workers)) == want
 
 
 def hand_ensemble(d, tree, in_bag, oob, cfg=None):
