@@ -75,12 +75,18 @@ class EnsembleConfig:
 
 @dataclass
 class Ensemble:
+    """A grown ensemble. ``workers`` is the pool size it was grown with;
+    the scores that work tree by tree (rf-score) split their trees across
+    the same pool, and a hand-built ensemble scores inline. It never
+    changes a number."""
+
     config: EnsembleConfig
     dataset: Dataset
     stats: AttributeStats
     flats: list[FlatTree]
     in_bags: list[np.ndarray]
     oobs: list[np.ndarray]
+    workers: int = 1
 
     @property
     def n_trees(self) -> int:
@@ -112,9 +118,10 @@ def _grow_chunk(d, stats, policy, seed, tree_ids):
 
 
 def build(d: Dataset, cfg: EnsembleConfig, workers: int = 1) -> Ensemble:
-    """Grow the configured ensemble. The result is bit-identical for a fixed
-    seed regardless of ``workers``: work is split by tree index and every
-    tree's randomness is keyed by (seed, tree index) alone."""
+    """Grow the configured ensemble. Its trees are bit-identical for a
+    fixed seed regardless of ``workers``: work is split by tree index and
+    every tree's randomness is keyed by (seed, tree index) alone. The
+    ensemble keeps ``workers``, so that it is scored with the same pool."""
     if d.m < 2:
         raise IngestionError("an ensemble needs at least two examples")
     d = d.without_target()
@@ -125,4 +132,4 @@ def build(d: Dataset, cfg: EnsembleConfig, workers: int = 1) -> Ensemble:
     flats = [g[0] for g in grown]
     in_bags = [g[1] for g in grown]
     oobs = [g[2] for g in grown]
-    return Ensemble(cfg, d, stats, flats, in_bags, oobs)
+    return Ensemble(cfg, d, stats, flats, in_bags, oobs, workers)

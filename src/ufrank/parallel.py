@@ -19,16 +19,19 @@ _POOLS: dict[int, ProcessPoolExecutor] = {}
 
 
 def map_chunks(fn, shared: tuple, items, workers: int) -> list:
-    """``fn(*shared, chunk)`` over the non-empty chunks of
-    ``np.array_split(items, workers)``, each returning a list; the lists are
-    concatenated in item order. Runs inline, as one call on all the items,
-    when ``workers < 2`` or there are fewer than two items."""
-    items = np.asarray(items)
-    if workers < 2 or items.size < 2:
+    """``fn(*shared, chunk)`` over the non-empty chunks of ``items`` (an
+    array or any sliceable sequence), each returning a list; the lists are
+    concatenated in item order. The chunks are ``workers`` contiguous slices
+    of ``items``, sized as ``np.array_split`` sizes them, so a task carries
+    only its own items. Runs inline, as one call on all the items, when
+    ``workers < 2`` or there are fewer than two items."""
+    if workers < 2 or len(items) < 2:
         return fn(*shared, items)
     if workers not in _POOLS:
         _POOLS[workers] = ProcessPoolExecutor(max_workers=workers)
-    chunks = [c for c in np.array_split(items, workers) if c.size]
+    edges = [c[0] for c in np.array_split(np.arange(len(items)), workers)
+             if c.size] + [len(items)]
+    chunks = [items[a:b] for a, b in zip(edges, edges[1:])]
     out = []
     for part in _POOLS[workers].map(fn, *map(repeat, shared), chunks):
         out.extend(part)

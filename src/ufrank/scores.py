@@ -14,8 +14,9 @@ Three scores share the same ensembles:
   patches a copy of the matrix instead of recomputing it, with the same
   terms and the same order of summation.
 
-Per-tree contributions are stacked and reduced with one pairwise sum, so
-the totals do not depend on accumulation order.
+Per-tree contributions are stacked in tree order and reduced with one
+pairwise sum, so the totals depend neither on accumulation order nor on
+which worker scored a tree.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import streams
+from . import parallel, streams
 from .data import ComputationError, write_rows
 from .forest import Ensemble
 from .tree import FlatTree
@@ -121,39 +122,67 @@ def random_forest_score(e: Ensemble) -> Ranking:
     the terms a full recomputation would give, and its row means and their
     mean are taken in the same order, so e_t^i is bit for bit the same.
 
-    The shuffle of attribute i in tree t draws from the stream keyed by
-    (seed, OOB_PERMUTATION, t, i).
+    Tree t's shuffles come from one stream, keyed by (seed,
+    OOB_PERMUTATION, t): before any attribute is scored it draws all n of
+    them in one call, and row i of
+    ``rng.permuted(np.tile(np.arange(|oob|), (n, 1)), axis=1)`` is the
+    shuffle of attribute i (row r takes the value of row perm[r]). How the
+    attributes are grouped under ``_BLOCK_BUDGET`` cannot change a draw.
+
+    The trees are scored in contiguous chunks on the pool of
+    ``e.workers`` processes the ensemble was grown with; each chunk
+    carries only its own trees. Every draw is keyed by (seed, tree) and
+    the per-tree rows are reduced in tree order, so the worker count never
+    changes a bit of the result.
     """
     d = e.dataset
-    n = d.n
     nominal = ~d.numeric_mask
     var = e.stats.denominator
     scale = np.divide(1.0, var, out=np.zeros_like(var), where=(var > 0) & ~nominal)
+    trees = list(zip(range(e.n_trees), e.flats, e.oobs))
+    rows = parallel.map_chunks(_tree_contributions,
+                               (d.X, scale, nominal, e.config.seed), trees,
+                               e.workers)
+    contributions = [row for row in rows if row is not None]
+    if not contributions:
+        raise ComputationError(
+            "score undefined for this ensemble: every tree had an empty "
+            "out-of-bag set or zero baseline error")
+    imp = np.vstack(contributions).sum(axis=0) / len(contributions)
+    prov = _provenance(e, "rf-score")
+    prov["trees_used"] = len(contributions)
+    return Ranking("rf-score", imp, d.attr_names, prov)
 
-    contributions: list[np.ndarray] = []
-    for t in range(e.n_trees):
-        oob = e.oobs[t]
+
+def _tree_contributions(X, scale, nominal, seed, trees) -> list:
+    """For each (t, FlatTree, out-of-bag rows) of ``trees``, the row of
+    (e_t^i - e_t) / e_t over the attributes i (see random_forest_score),
+    or None for a tree skipped for an empty out-of-bag set or a zero
+    baseline error."""
+    n = X.shape[1]
+    out = []
+    for t, flat, oob in trees:
         if oob.size == 0:
+            out.append(None)
             continue
-        base_rows = d.X[oob]
-        flat = e.flats[t]
+        base_rows = X[oob]
         slot = flat.leaf_slot[flat.route(base_rows)]
         predicted = flat.leaf_proto[slot]
         E = _row_errors(base_rows, predicted, scale, nominal)
         e_base = float(E.mean(axis=1).mean())
         if e_base == 0.0:
+            out.append(None)
             continue
+        # perms[i, r]: the row whose value of attribute i row r takes
+        perms = streams.stream(seed, streams.OOB_PERMUTATION, t).permuted(
+            np.tile(np.arange(oob.size), (n, 1)), axis=1)
         rerouted = _path_attrs(flat, n)[slot]
         errors = np.empty(n)
         group = max(1, _BLOCK_BUDGET // (oob.size * n))
         for start in range(0, n, group):
             attrs = np.arange(start, min(start + group, n))
-            perms = np.array([
-                streams.stream(e.config.seed, streams.OOB_PERMUTATION, t,
-                               int(i)).permutation(oob.size)
-                for i in attrs])
             # shuffled[j, r]: row r's value of attrs[j] after the shuffle
-            shuffled = base_rows[perms, attrs[:, None]]
+            shuffled = base_rows[perms[attrs], attrs[:, None]]
             stack = np.repeat(E[None], attrs.size, axis=0)
             stack[np.arange(attrs.size), :, attrs] = _row_errors(
                 shuffled.T, predicted[:, attrs], scale[attrs], nominal[attrs]).T
@@ -164,15 +193,8 @@ def random_forest_score(e: Ensemble) -> Ranking:
                 stack[j, r] = _row_errors(moved, flat.predictions(moved),
                                           scale, nominal)
             errors[attrs] = stack.mean(axis=2).mean(axis=1)
-        contributions.append((errors - e_base) / e_base)
-    if not contributions:
-        raise ComputationError(
-            "score undefined for this ensemble: every tree had an empty "
-            "out-of-bag set or zero baseline error")
-    imp = np.vstack(contributions).sum(axis=0) / len(contributions)
-    prov = _provenance(e, "rf-score")
-    prov["trees_used"] = len(contributions)
-    return Ranking("rf-score", imp, d.attr_names, prov)
+        out.append((errors - e_base) / e_base)
+    return out
 
 
 def _row_errors(X: np.ndarray, predicted: np.ndarray, scale: np.ndarray,

@@ -366,6 +366,14 @@ def ref_predict(flat, x):
     return flat.leaf_proto[flat.leaf_slot[node]]
 
 
+def permutation_rows(e, t, size):
+    """Tree t's out-of-bag shuffles as rf-score documents them: row i of an
+    n x ``size`` matrix is attribute i's permutation of 0..size-1, all drawn
+    with one call from the (seed, OOB_PERMUTATION, t) stream."""
+    return streams.stream(e.config.seed, streams.OOB_PERMUTATION, t).permuted(
+        np.tile(np.arange(size), (e.dataset.n, 1)), axis=1)
+
+
 def oob_error(e, t, rows, permuted_attr=None):
     """Reconstruction error of tree t over the given rows: the mean over
     rows of the mean over attributes of (x - prototype)^2 / variance
@@ -374,7 +382,9 @@ def oob_error(e, t, rows, permuted_attr=None):
 
     ``permuted_attr`` (an attribute index) first shuffles that column
     among the rows: row r takes the value of row perm[r], where perm is
-    drawn from the (ensemble seed, OOB_PERMUTATION, t, attribute) stream.
+    row ``permuted_attr`` of the n x |rows| matrix that tree t's stream,
+    keyed (ensemble seed, OOB_PERMUTATION, t), draws in one ``permuted``
+    call over n copies of 0..|rows|-1.
     """
     rows = np.asarray(rows, dtype=np.intp)
     if rows.size == 0:
@@ -383,8 +393,7 @@ def oob_error(e, t, rows, permuted_attr=None):
     X = d.X[rows].copy()
     if permuted_attr is not None:
         attr = int(permuted_attr)
-        perm = streams.stream(e.config.seed, streams.OOB_PERMUTATION, t,
-                              attr).permutation(rows.size)
+        perm = permutation_rows(e, t, rows.size)[attr]
         column = X[:, attr].copy()
         for r in range(rows.size):
             X[r, attr] = column[perm[r]]

@@ -240,9 +240,12 @@ class TestOOBError:
     def test_permutation_uses_the_documented_stream(self):
         d, e = self.stump_fixture()
         rows = e.oobs[0]
+        # one stream for the tree; row attr of its n x |oob| draw
+        perms = streams.stream(e.config.seed, streams.OOB_PERMUTATION,
+                               0).permuted(np.tile(np.arange(rows.size),
+                                                   (d.n, 1)), axis=1)
         for attr in (0, 1):
-            perm = streams.stream(e.config.seed, streams.OOB_PERMUTATION,
-                                  0, attr).permutation(rows.size)
+            perm = perms[attr]
             X = d.X[rows].copy()
             X[:, attr] = X[perm, attr]
             pred = e.flats[0].predictions(X)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ from oracles import flat_leaf, flat_stump, oob_error
 from ufrank import (ComputationError, Dataset, EnsembleConfig, Nominal,
                     Numeric, Ranking, build, compute_stats, genie3,
                     random_forest_score, ranking_rows, ranking_to_csv, scores,
-                    streams, symbolic)
+                    symbolic)
 from ufrank.forest import Ensemble
 
 
@@ -217,8 +218,7 @@ class TestPatchedRandomForestScore:
 
     def shuffled(self, e, attr):
         X = e.dataset.X[e.oobs[0]].copy()
-        perm = streams.stream(e.config.seed, streams.OOB_PERMUTATION, 0,
-                              attr).permutation(len(X))
+        perm = oracles.permutation_rows(e, 0, len(X))[attr]
         X[:, attr] = X[perm, attr]
         return X
 
@@ -277,6 +277,58 @@ class TestPatchedRandomForestScore:
         for flat in e.flats + hand:
             np.testing.assert_array_equal(scores._path_attrs(flat, d.n),
                                           oracles.ref_path_attrs(flat, d.n))
+
+
+class TestWorkerInvariance:
+    """rf-score splits its trees across the pool the ensemble was grown
+    with; the worker count must never change a bit of the result."""
+
+    @staticmethod
+    def scored(e):
+        r = random_forest_score(e)
+        return r.importance.tobytes(), r.provenance["trees_used"]
+
+    @pytest.mark.parametrize("method", ["et", "rf", "bagging"])
+    def test_bytes_equal_at_one_two_and_three_workers(self, method):
+        d = oracles.random_mixed_dataset(np.random.default_rng(91), 30, 6)
+        cfg = EnsembleConfig(method=method, n_trees=7, seed=8)
+        inline = build(d, cfg)
+        assert inline.workers == 1
+        want = self.scored(inline)
+        np.testing.assert_array_equal(random_forest_score(inline).importance,
+                                      oracle_rf_score(inline))
+        for workers in (2, 3):
+            pooled = build(d, cfg, workers)
+            assert pooled.workers == workers
+            assert self.scored(pooled) == want
+            assert self.scored(dataclasses.replace(pooled, workers=1)) == want
+
+    def test_skipped_trees_in_different_chunks_keep_the_divisor(self):
+        d, stump, _ = TestPatchedRandomForestScore().stump_fixture()
+        # reconstructs its one out-of-bag row exactly: zero baseline error
+        exact = flat_leaf(d.X[0], d.m)
+        everything = range(d.m)
+        # tree 1 has zero baseline error and tree 2 an empty out-of-bag set;
+        # at 2 workers the chunks are trees 0-1 and 2-3, at 3 workers 0-1,
+        # 2 and 3
+        e = hand_ensemble(d, [stump, exact, stump, stump], [everything] * 4,
+                          [everything, [0], [], everything])
+        inline = self.scored(e)
+        assert inline[1] == 2
+        want = oracle_rf_score(e)
+        # trees 0 and 3 shuffle from their own streams, and the shuffles
+        # move the score, so a wrong divisor would show
+        assert (want != 0).all()
+        assert inline[0] == want.tobytes()
+        for workers in (2, 3):
+            assert self.scored(dataclasses.replace(e, workers=workers)) == inline
+
+    def test_every_tree_skipped_across_chunks_is_an_error(self):
+        d, lone, perfect = TestRandomForestScore().leaf_fixture()
+        e = hand_ensemble(d, [perfect, lone, perfect], [[0, 1, 2, 3]] * 3,
+                          [[0, 3], [], [1, 2]])
+        with pytest.raises(ComputationError, match="score undefined"):
+            random_forest_score(dataclasses.replace(e, workers=2))
 
 
 class TestSerializationOfRankings:
