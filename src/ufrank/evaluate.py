@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sstats
 
 from . import streams
 from .data import Dataset, IngestionError, _check_rows, write_rows
@@ -446,6 +445,9 @@ def compare_methods(results, method_names=None, dataset_names=None,
         dataset_names = tuple(f"dataset_{i}" for i in range(n_data))
     if len(method_names) != n_methods or len(dataset_names) != n_data:
         raise ValueError("name lists do not match the matrix shape")
+
+    # imported here so that `import ufrank` loads numpy only
+    from scipy import stats as sstats
 
     ranks = np.vstack([sstats.rankdata(row) for row in R])
     avg = ranks.mean(axis=0)

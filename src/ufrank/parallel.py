@@ -10,12 +10,12 @@ change a result.
 from __future__ import annotations
 
 import atexit
-from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 
 import numpy as np
 
-_POOLS: dict[int, ProcessPoolExecutor] = {}
+# worker count -> ProcessPoolExecutor
+_POOLS: dict = {}
 
 
 def map_chunks(fn, shared: tuple, items, workers: int) -> list:
@@ -28,6 +28,9 @@ def map_chunks(fn, shared: tuple, items, workers: int) -> list:
     if workers < 2 or len(items) < 2:
         return fn(*shared, items)
     if workers not in _POOLS:
+        # imported here, so that a command that makes no pool does not load it
+        from concurrent.futures import ProcessPoolExecutor
+
         _POOLS[workers] = ProcessPoolExecutor(max_workers=workers)
     edges = [c[0] for c in np.array_split(np.arange(len(items)), workers)
              if c.size] + [len(items)]

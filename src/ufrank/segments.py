@@ -10,7 +10,6 @@ array.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 
 def sorted_runs(pair: np.ndarray, value: np.ndarray):
@@ -30,6 +29,14 @@ def group_sums(A: np.ndarray, src: np.ndarray, heads: np.ndarray) -> np.ndarray:
     """Row i: the sum of the rows ``A[src[heads[i]:heads[i + 1]]]`` (the
     last group runs to the end). A sparse indicator product adds up each
     group on its own, in index order."""
+    # imported here so that `import ufrank` loads numpy only. The two numpy
+    # forms were measured and rejected: np.add.reduceat(A[src], heads) does
+    # not add a group's rows in index order (3797 of 6817 cells differed
+    # over 20 random tables), and np.add.at gives the same bytes but is
+    # 3-18x slower (2.0 vs 0.11 ms on 4000 x 50 rows in 200 groups; numpy
+    # 2.4, 2-core x86)
+    from scipy import sparse
+
     index = np.int32 if A.shape[0] < 2**31 else np.int64
     indicator = sparse.csr_array(
         (np.ones(src.size), src.astype(index),

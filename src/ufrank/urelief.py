@@ -48,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import parallel, streams
 from .data import AttributeStats, Dataset, IngestionError, compute_stats
@@ -134,6 +133,9 @@ class _Kernel:
         the B reference rows to every row, the reference's own entry inf:
         the weighted cityblock sum of |x - x_r| / divisor over the numeric
         columns plus the count of nominal mismatches."""
+        # imported here so that `import ufrank` loads numpy only
+        from scipy.spatial.distance import cdist
+
         cdist(self.X[refs], self.X, "cityblock", w=self.weight, out=out)
         if self.nominal.size:
             mismatches = cdist(self.codes[refs], self.codes, "hamming")

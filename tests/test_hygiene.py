@@ -2,11 +2,16 @@
 uses, no private function, class or method goes unused by package code,
 and ``ufrank.__all__`` lists each public name once, each one real. The demos and scripts are read, not run: every package name they import
 resolves, and every keyword they pass to a package callable is one of its
-parameters."""
+parameters. One check runs the package in a fresh interpreter: importing
+it loads no scipy module, and each command loads only the one it uses."""
 
 import ast
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -156,3 +161,39 @@ def test_every_private_def_is_used_by_package_code():
     unused = [f"{module}: {name}" for module, tree in trees.items()
               for name in private_defs(tree) if name not in used]
     assert unused == []
+
+
+SCIPY_PROBE = """
+import json, sys
+def loaded():
+    return sorted(m for m in ("scipy.sparse", "scipy.spatial", "scipy.stats")
+                  if m in sys.modules)
+import ufrank.cli
+steps = {"import": sorted(m for m in sys.modules
+                          if m == "scipy" or m.startswith("scipy."))}
+from ufrank import (EnsembleConfig, SynthSpec, build, compare_methods, genie3,
+                    make_planted, urelief)
+d = make_planted(SynthSpec(m=40, n_informative=2, n_noise=3, seed=1))
+genie3(build(d, EnsembleConfig(n_trees=4)))
+steps["et-genie3"] = loaded()
+urelief(d)
+steps["urelief"] = loaded()
+compare_methods([[0.1, 0.2], [0.3, 0.2]])
+steps["compare"] = loaded()
+print(json.dumps(steps))
+"""
+
+
+def test_import_loads_no_scipy_and_each_command_only_its_own():
+    # one fresh interpreter, commands in order, so each step shows what it
+    # added to the modules its predecessors loaded
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    steps = json.loads(proc.stdout)
+    assert steps == {
+        "import": [],
+        "et-genie3": ["scipy.sparse"],
+        "urelief": ["scipy.sparse", "scipy.spatial"],
+        "compare": ["scipy.sparse", "scipy.spatial", "scipy.stats"],
+    }
