@@ -75,22 +75,31 @@ class EnsembleConfig:
 
 @dataclass
 class Ensemble:
-    """A grown ensemble. ``workers`` is the pool size it was grown with;
-    the scores that work tree by tree (rf-score) split their trees across
-    the same pool, and a hand-built ensemble scores inline. It never
-    changes a number."""
+    """A grown ensemble. ``forest`` is its one forest record: the nodes of
+    every tree back to back, tree t's from ``forest.node_start[t]`` on,
+    and all leaf prototypes in one matrix (see FlatTree). ``in_bags[t]``
+    and ``oobs[t]`` are tree t's bootstrap draws and out-of-bag rows.
+    ``workers`` is the pool size it was grown with; the scores that work
+    tree by tree (rf-score) split their trees across the same pool, and a
+    hand-built ensemble scores inline. It never changes a number."""
 
     config: EnsembleConfig
     dataset: Dataset
     stats: AttributeStats
-    flats: list[FlatTree]
+    forest: FlatTree
     in_bags: list[np.ndarray]
     oobs: list[np.ndarray]
     workers: int = 1
 
     @property
     def n_trees(self) -> int:
-        return len(self.flats)
+        return self.forest.n_trees
+
+    @property
+    def flats(self) -> list[FlatTree]:
+        """Each tree alone, as a one-tree record with its own node ids and
+        leaf slots."""
+        return [self.forest.trees(t, t + 1) for t in range(self.n_trees)]
 
 
 # Bootstrap rows that one stack of trees may start its growth from: a
@@ -101,9 +110,10 @@ _STACK_ROWS = 4096
 
 
 def _grow_chunk(d, stats, policy, seed, tree_ids):
-    """Trees ``tree_ids``, grown together in stacks (see tree._grow_stack).
-    Tree t's child stream first draws its m-sample bootstrap, then drives
-    its growth, one block of draws per depth level (see grow_tree)."""
+    """Trees ``tree_ids``, grown together in stacks (see tree._grow_stack),
+    as one (record, bootstraps, out-of-bag rows) per stack. Tree t's child
+    stream first draws its m-sample bootstrap, then drives its growth, one
+    block of draws per depth level (see grow_tree)."""
     ws = SplitWorkspace(d, stats)
     size = max(1, _STACK_ROWS // d.m)
     out = []
@@ -111,25 +121,25 @@ def _grow_chunk(d, stats, policy, seed, tree_ids):
         rngs = [streams.stream(seed, streams.TREE, int(t))
                 for t in tree_ids[s0:s0 + size]]
         bags = [rng.integers(0, d.m, size=d.m) for rng in rngs]
-        flats = _grow_stack(d, ws, policy, bags, rngs)
-        out += [(flat, bag, np.setdiff1d(np.arange(d.m), bag))
-                for flat, bag in zip(flats, bags)]
+        out.append((_grow_stack(d, ws, policy, bags, rngs), bags,
+                    [np.setdiff1d(np.arange(d.m), bag) for bag in bags]))
     return out
 
 
 def build(d: Dataset, cfg: EnsembleConfig, workers: int = 1) -> Ensemble:
     """Grow the configured ensemble. Its trees are bit-identical for a
-    fixed seed regardless of ``workers``: work is split by tree index and
-    every tree's randomness is keyed by (seed, tree index) alone. The
-    ensemble keeps ``workers``, so that it is scored with the same pool."""
+    fixed seed regardless of ``workers``: work is split into contiguous
+    ranges of tree indices, every tree's randomness is keyed by (seed, tree
+    index) alone, and the records of the ranges' stacks are joined in tree
+    order into the ensemble's one forest record. The ensemble keeps
+    ``workers``, so that it is scored with the same pool."""
     if d.m < 2:
         raise IngestionError("an ensemble needs at least two examples")
     d = d.without_target()
     stats = compute_stats(d)
-    grown = parallel.map_chunks(_grow_chunk,
-                                (d, stats, cfg.policy(d.n), cfg.seed),
-                                np.arange(cfg.n_trees), workers)
-    flats = [g[0] for g in grown]
-    in_bags = [g[1] for g in grown]
-    oobs = [g[2] for g in grown]
-    return Ensemble(cfg, d, stats, flats, in_bags, oobs, workers)
+    stacks = parallel.map_chunks(_grow_chunk,
+                                 (d, stats, cfg.policy(d.n), cfg.seed),
+                                 np.arange(cfg.n_trees), workers)
+    return Ensemble(cfg, d, stats, FlatTree.concat([s[0] for s in stacks]),
+                    [bag for s in stacks for bag in s[1]],
+                    [oob for s in stacks for oob in s[2]], workers)

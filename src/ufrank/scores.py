@@ -1,6 +1,7 @@
 """Feature rankings computed from a tree ensemble.
 
-Three scores share the same ensembles:
+Three scores share the same ensembles, and read all trees at once off the
+ensemble's forest record (see tree.FlatTree):
 
 * genie3 — each attribute collects the heuristic h* of every internal node
   that tests it, averaged over trees.
@@ -10,9 +11,12 @@ Three scores share the same ensembles:
   tree's out-of-bag reconstruction error when the attribute's out-of-bag
   values are shuffled. Each tree's matrix of per-row, per-attribute error
   terms is computed once; a shuffle of attribute i only changes column i
-  of it and the rows whose path through the tree tests i, so each shuffle
-  patches a copy of the matrix instead of recomputing it, with the same
-  terms and the same order of summation.
+  of it and the rows that the shuffle sends to another leaf, so each
+  shuffle patches a copy of the matrix instead of recomputing it, with the
+  same terms and the same order of summation. One walk routes the
+  out-of-bag rows of a batch of trees, and one walk per group of shuffled
+  attributes reroutes the rows that may move, each from the first node on
+  its path that tests the attribute.
 
 Per-tree contributions are stacked in tree order and reduced with one
 pairwise sum, so the totals depend neither on accumulation order nor on
@@ -70,20 +74,22 @@ class Ranking:
         return self.order[:k]
 
 
-def _per_tree_node_sums(e: Ensemble, weight_of) -> np.ndarray:
-    """Stack one vector per tree: for each attribute, the sum of
-    ``weight_of(flat)`` over the internal nodes testing it."""
+def _per_tree_node_sums(e: Ensemble, weight: np.ndarray) -> np.ndarray:
+    """(trees, n): for each tree and attribute, the sum of ``weight`` over
+    the tree's internal nodes testing the attribute. One np.add.at over
+    (tree, attribute) adds each cell's nodes in node order."""
+    f = e.forest
+    inner = np.flatnonzero(f.attr >= 0)
+    tree = np.repeat(np.arange(e.n_trees), np.diff(f.node_start))
     out = np.zeros((e.n_trees, e.dataset.n))
-    for t, flat in enumerate(e.flats):
-        internal = flat.attr >= 0
-        np.add.at(out[t], flat.attr[internal], weight_of(flat)[internal])
+    np.add.at(out, (tree[inner], f.attr[inner]), weight[inner])
     return out
 
 
 def genie3(e: Ensemble) -> Ranking:
     """Importance of x_i: mean over trees of the summed h* of nodes testing
     x_i. Attributes never tested score 0."""
-    per_tree = _per_tree_node_sums(e, lambda flat: flat.h_star)
+    per_tree = _per_tree_node_sums(e, e.forest.h_star)
     imp = per_tree.sum(axis=0) / e.n_trees
     return Ranking("genie3", imp, e.dataset.attr_names, _provenance(e, "genie3"))
 
@@ -91,14 +97,21 @@ def genie3(e: Ensemble) -> Ranking:
 def symbolic(e: Ensemble) -> Ranking:
     """Importance of x_i: mean over trees of the summed example counts of
     nodes testing x_i."""
-    per_tree = _per_tree_node_sums(e, lambda flat: flat.n_reached.astype(np.float64))
+    per_tree = _per_tree_node_sums(e, e.forest.n_reached.astype(np.float64))
     imp = per_tree.sum(axis=0) / e.n_trees
     return Ranking("symbolic", imp, e.dataset.attr_names, _provenance(e, "symbolic"))
 
 
-# memory cap for one group's stack of patched error matrices, in float64
-# elements
+# memory cap, in float64 elements, for one tree's stack of patched error
+# matrices over a group of attributes; the tree's new full rows of terms
+# for the group take at most as much again
 _BLOCK_BUDGET = 8_000_000
+# out-of-bag cells (rows x n) that one batch of trees may hold. A batch
+# keeps about five values per cell (its rows, error terms, shuffles and
+# first-testing nodes). On the planted 180 x 50 ET-100 fold, batches 4 to
+# 16 times larger measured no faster, and batches of one tree as slow as
+# scoring tree by tree.
+_BATCH_CELLS = _BLOCK_BUDGET // 128
 
 
 def random_forest_score(e: Ensemble) -> Ranking:
@@ -112,24 +125,38 @@ def random_forest_score(e: Ensemble) -> Ranking:
     information for a ratio and are skipped, with the divisor reduced
     accordingly.
 
-    Each tree routes its out-of-bag rows once and keeps the |oob| x n
-    matrix E of per-attribute error terms; e_t is the mean of its row
-    means. A shuffle of column i is then a patch of a copy of E: column i
-    takes the terms of the shuffled values against the same predictions,
-    and the rows whose root-to-leaf path tests attribute i are routed again
-    and take their full rows of terms. No other row can change leaf, since
-    no test on its path reads column i, so the patched copy holds exactly
-    the terms a full recomputation would give, and its row means and their
-    mean are taken in the same order, so e_t^i is bit for bit the same.
+    Trees are scored in batches of the forest record. One walk routes the
+    out-of-bag rows of all of a batch's trees, each row from its own
+    tree's root, and each tree t keeps the |oob| x n matrix E of
+    per-attribute error terms; e_t is the mean of its row means. A shuffle
+    of column i is then a patch of a copy of E: column i takes the terms
+    of the shuffled values against the same predictions, and the rows
+    whose leaf the shuffle changes take their full rows of terms. This is
+    exact, and the patched copy's row means and their mean are taken in
+    the same order as a full recomputation's, so e_t^i is bit for bit the
+    same:
+
+    * A row whose root-to-leaf path tests no i cannot change leaf.
+    * A row whose path first tests i at node f (the batch's
+      first-testing-node table, built in one walk down the depth levels of
+      all its trees, gives f for every leaf and attribute) follows the same
+      path down to f after the shuffle, since no node above f reads column
+      i. It is rerouted from f, with its shuffled value read in place of
+      column i and no copy of its row; one walk reroutes the moved rows of
+      a group of attributes across all the batch's trees.
+    * A moved row that reaches its old leaf keeps its prediction, so its
+      full row of terms equals E's row with column i patched, which the
+      copy already holds. Only rows that reach a new leaf get a new row.
 
     Tree t's shuffles come from one stream, keyed by (seed,
     OOB_PERMUTATION, t): before any attribute is scored it draws all n of
     them in one call, and row i of
     ``rng.permuted(np.tile(np.arange(|oob|), (n, 1)), axis=1)`` is the
-    shuffle of attribute i (row r takes the value of row perm[r]). How the
-    attributes are grouped under ``_BLOCK_BUDGET`` cannot change a draw.
+    shuffle of attribute i (row r takes the value of row perm[r]). How
+    trees are batched and attributes grouped under ``_BLOCK_BUDGET``
+    cannot change a draw or a term.
 
-    The trees are scored in contiguous chunks on the pool of
+    The trees are scored in contiguous ranges of the record on the pool of
     ``e.workers`` processes the ensemble was grown with; each chunk
     carries only its own trees. Every draw is keyed by (seed, tree) and
     the per-tree rows are reduced in tree order, so the worker count never
@@ -139,10 +166,9 @@ def random_forest_score(e: Ensemble) -> Ranking:
     nominal = ~d.numeric_mask
     var = e.stats.denominator
     scale = np.divide(1.0, var, out=np.zeros_like(var), where=(var > 0) & ~nominal)
-    trees = list(zip(range(e.n_trees), e.flats, e.oobs))
     rows = parallel.map_chunks(_tree_contributions,
-                               (d.X, scale, nominal, e.config.seed), trees,
-                               e.workers)
+                               (d.X, scale, nominal, e.config.seed),
+                               _Trees(e.forest, e.oobs), e.workers)
     contributions = [row for row in rows if row is not None]
     if not contributions:
         raise ComputationError(
@@ -154,47 +180,95 @@ def random_forest_score(e: Ensemble) -> Ranking:
     return Ranking("rf-score", imp, d.attr_names, prov)
 
 
-def _tree_contributions(X, scale, nominal, seed, trees) -> list:
-    """For each (t, FlatTree, out-of-bag rows) of ``trees``, the row of
-    (e_t^i - e_t) / e_t over the attributes i (see random_forest_score),
-    or None for a tree skipped for an empty out-of-bag set or a zero
-    baseline error."""
-    n = X.shape[1]
+@dataclass
+class _Trees:
+    """Trees ``first`` to ``first + len(oobs) - 1`` of an ensemble: their
+    forest record and out-of-bag rows. Slicing gives a contiguous range, as
+    parallel.map_chunks cuts its items."""
+
+    forest: FlatTree
+    oobs: list
+    first: int = 0
+
+    def __len__(self) -> int:
+        return len(self.oobs)
+
+    def __getitem__(self, part: slice) -> "_Trees":
+        a, b, _ = part.indices(len(self))
+        return _Trees(self.forest.trees(a, b), self.oobs[a:b], self.first + a)
+
+
+def _tree_contributions(X, scale, nominal, seed, trees: _Trees) -> list:
+    """For each tree of ``trees``, the row of (e_t^i - e_t) / e_t over the
+    attributes i (see random_forest_score), or None for a tree skipped for
+    an empty out-of-bag set or a zero baseline error. The trees go in
+    batches of at most _BATCH_CELLS out-of-bag cells, one tree at least."""
+    cells = np.cumsum([oob.size for oob in trees.oobs]) * X.shape[1]
     out = []
-    for t, flat, oob in trees:
-        if oob.size == 0:
-            out.append(None)
-            continue
-        base_rows = X[oob]
-        slot = flat.leaf_slot[flat.route(base_rows)]
-        predicted = flat.leaf_proto[slot]
-        E = _row_errors(base_rows, predicted, scale, nominal)
-        e_base = float(E.mean(axis=1).mean())
-        if e_base == 0.0:
-            out.append(None)
-            continue
-        # perms[i, r]: the row whose value of attribute i row r takes
-        perms = streams.stream(seed, streams.OOB_PERMUTATION, t).permuted(
-            np.tile(np.arange(oob.size), (n, 1)), axis=1)
-        rerouted = _path_attrs(flat, n)[slot]
-        errors = np.empty(n)
-        group = max(1, _BLOCK_BUDGET // (oob.size * n))
-        for start in range(0, n, group):
-            attrs = np.arange(start, min(start + group, n))
-            # shuffled[j, r]: row r's value of attrs[j] after the shuffle
-            shuffled = base_rows[perms[attrs], attrs[:, None]]
-            stack = np.repeat(E[None], attrs.size, axis=0)
-            stack[np.arange(attrs.size), :, attrs] = _row_errors(
-                shuffled.T, predicted[:, attrs], scale[attrs], nominal[attrs]).T
-            j, r = np.nonzero(rerouted[:, attrs].T)
-            if r.size:
-                moved = base_rows[r]
-                moved[np.arange(r.size), attrs[j]] = shuffled[j, r]
-                stack[j, r] = _row_errors(moved, flat.predictions(moved),
-                                          scale, nominal)
-            errors[attrs] = stack.mean(axis=2).mean(axis=1)
-        out.append((errors - e_base) / e_base)
+    while len(out) < len(trees):
+        a = len(out)
+        b = max(a + 1, int(np.searchsorted(
+            cells, (cells[a - 1] if a else 0) + _BATCH_CELLS, "right")))
+        out += _batch_contributions(X, scale, nominal, seed, trees[a:b])
     return out
+
+
+def _batch_contributions(X, scale, nominal, seed, trees: _Trees) -> list:
+    """_tree_contributions for one batch of trees."""
+    f, n = trees.forest, X.shape[1]
+    sizes = np.array([oob.size for oob in trees.oobs])
+    head = np.append(0, np.cumsum(sizes))  # tree t's rows: head[t]:head[t + 1]
+    base = X[np.concatenate(trees.oobs)]
+    leaf = f.route(base, np.repeat(f.node_start[:-1], sizes))
+    slot = f.leaf_slot[leaf]
+    E = _row_errors(base, f.leaf_proto[slot], scale, nominal)
+    row_means = E.mean(axis=1)
+    # src[i, r]: the row whose value of attribute i row r takes
+    src = np.zeros((n, base.shape[0]), dtype=np.intp)
+    e_base = np.zeros(len(trees))
+    for t, oob in enumerate(trees.oobs):
+        if oob.size:
+            e_base[t] = row_means[head[t]:head[t + 1]].mean()
+        if e_base[t] != 0.0:
+            src[:, head[t]:head[t + 1]] = head[t] + streams.stream(
+                seed, streams.OOB_PERMUTATION, trees.first + t).permuted(
+                    np.tile(np.arange(oob.size), (n, 1)), axis=1)
+    used = np.flatnonzero(e_base != 0.0)
+    if not used.size:
+        return [None] * len(trees)
+    scored = np.flatnonzero(np.repeat(e_base != 0.0, sizes))
+    first = _first_tests(f, n)
+    tested = (first >= 0)[slot[scored]]
+    errors = np.empty((len(trees), n))
+    group = max(1, _BLOCK_BUDGET // (sizes.max() * n))
+    for start in range(0, n, group):
+        attrs = np.arange(start, min(start + group, n))
+        # one walk reroutes the group's moved rows of every tree, each from
+        # the first node on its path that tests the shuffled attribute
+        r, j = np.nonzero(tested[:, attrs])
+        q, a = scored[r], attrs[j]
+        value = base[src[a, q], a]
+        moved = f.route(base, first[slot[q], a], q, (a, value))
+        changed = moved != leaf[q]
+        q, j, a, value, moved = (v[changed] for v in (q, j, a, value, moved))
+        cut = np.searchsorted(q, head)
+        for t in used:
+            rows, mine = slice(head[t], head[t + 1]), slice(cut[t], cut[t + 1])
+            stack = np.repeat(E[None, rows], attrs.size, axis=0)
+            # shuffled[j, r]: row r's value of attrs[j] after the shuffle,
+            # scored against the same predictions
+            shuffled = base[src[attrs, rows], attrs[:, None]]
+            stack[np.arange(attrs.size), :, attrs] = _row_errors(
+                shuffled.T, f.leaf_proto[slot[rows]][:, attrs], scale[attrs],
+                nominal[attrs]).T
+            # new full rows for the rows that reach a new leaf
+            full = base[q[mine]]
+            full[np.arange(full.shape[0]), a[mine]] = value[mine]
+            stack[j[mine], q[mine] - head[t]] = _row_errors(
+                full, f.leaf_proto[f.leaf_slot[moved[mine]]], scale, nominal)
+            errors[t, attrs] = stack.mean(axis=2).mean(axis=1)
+    return [(errors[t] - e_base[t]) / e_base[t] if e_base[t] != 0.0 else None
+            for t in range(len(trees))]
 
 
 def _row_errors(X: np.ndarray, predicted: np.ndarray, scale: np.ndarray,
@@ -213,21 +287,24 @@ def _row_errors(X: np.ndarray, predicted: np.ndarray, scale: np.ndarray,
     return err
 
 
-def _path_attrs(flat: FlatTree, n: int) -> np.ndarray:
-    """(leaf slots, n) bool: entry (l, i) says whether an internal node on
-    the path from the root to the leaf in slot l tests attribute i. Built
-    one depth at a time: each child starts from its parent's row with the
-    parent's own attribute added."""
-    tested = np.zeros((flat.attr.size, n), dtype=bool)
-    level = np.zeros(1, dtype=np.intp)
-    while (inner := level[flat.attr[level] >= 0]).size:
-        tested[inner, flat.attr[inner]] = True
-        kids = flat.child[inner]
-        tested[kids] = tested[inner][:, None]
-        level = kids.ravel()
-    leaf = flat.attr < 0
-    out = np.empty((leaf.sum(), n), dtype=bool)
-    out[flat.leaf_slot[leaf]] = tested[leaf]
+def _first_tests(f: FlatTree, n: int) -> np.ndarray:
+    """(leaves, n) node ids of a forest record: entry (l, i) is the first
+    node on the path from its tree's root to the leaf in slot l that tests
+    attribute i, or -1 where none does. Built in one walk down the depth
+    levels of all trees at once: each child starts from its parent's row,
+    with the parent set as its attribute's entry if none was yet."""
+    out = np.empty((len(f.leaf_proto), n), dtype=np.intp)
+    level = f.node_start[:-1]
+    first = np.full((level.size, n), -1, dtype=np.intp)
+    while level.size:
+        attr = f.attr[level]
+        leaf = attr < 0
+        out[f.leaf_slot[level[leaf]]] = first[leaf]
+        level, attr, first = level[~leaf], attr[~leaf], first[~leaf]
+        k = np.arange(level.size)
+        first[k, attr] = np.where(first[k, attr] < 0, level, first[k, attr])
+        level = f.child[level].ravel()
+        first = np.repeat(first, 2, axis=0)
     return out
 
 

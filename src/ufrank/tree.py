@@ -310,7 +310,7 @@ def grow_tree(d: Dataset, rows, policy: SplitSearchPolicy, stats: AttributeStats
               rng: np.random.Generator, workspace: SplitWorkspace | None = None,
               ) -> "FlatTree":
     """Grow a fully expanded tree on the given row multiset (duplicate
-    indices count with multiplicity everywhere).
+    indices count with multiplicity everywhere), as a one-tree FlatTree.
 
     The tree grows one depth level at a time, its nodes in canonical order:
     the root, then the children of the previous level's split nodes in
@@ -323,20 +323,24 @@ def grow_tree(d: Dataset, rows, policy: SplitSearchPolicy, stats: AttributeStats
     This is the one-tree case of _grow_stack, which grows several trees
     with one search_frontier call per level for all of them; a tree grown
     in a stack is byte for byte the tree grown here alone, since each of
-    its nodes sees only its own rows and its own tree's draws.
+    its nodes sees only its own rows and its own tree's draws: the stack's
+    record cut to that tree (FlatTree.trees) equals this one array for
+    array.
     """
     rows = _check_rows(rows, d.m)
     ws = workspace if workspace is not None else SplitWorkspace(d, stats)
-    return _grow_stack(d, ws, policy, [rows], [rng])[0]
+    return _grow_stack(d, ws, policy, [rows], [rng])
 
 
 def _grow_stack(d: Dataset, ws: SplitWorkspace, policy: SplitSearchPolicy,
-                bags: list, rngs: list) -> list["FlatTree"]:
-    """One tree per row array of ``bags``, grown as grow_tree grows it from
-    ``rngs`` at the same index. Each level concatenates the frontiers of
-    the trees still growing, in tree order, into one search_frontier call;
-    every tree first takes its own draw_frontier blocks from its own
-    generator. A tree whose level split nothing leaves the stack."""
+                bags: list, rngs: list) -> "FlatTree":
+    """The record of one tree per row array of ``bags``, each grown as
+    grow_tree grows it from ``rngs`` at the same index. Each level
+    concatenates the frontiers of the trees still growing, in tree order,
+    into one search_frontier call; every tree first takes its own
+    draw_frontier blocks from its own generator. A tree whose level split
+    nothing leaves the stack. The levels' node records, one after another,
+    are in the order FlatTree.from_node lays out in one call."""
     tree = np.arange(len(bags))  # the tree of each frontier node
     counts = np.array([b.size for b in bags])
     rows = np.concatenate(bags)
@@ -349,8 +353,8 @@ def _grow_stack(d: Dataset, ws: SplitWorkspace, policy: SplitSearchPolicy,
         u = None if draws[0][1] is None else np.concatenate([u for _, u in draws])
         found = search_frontier(d, ws, policy, rows,
                                 np.cumsum(np.append(0, counts)), keys, u)
-        levels.append((tree, rows, counts, found.attr, found.value,
-                       found.nominal, found.h))
+        levels.append((rows, counts, found.attr, found.value, found.nominal,
+                       found.h))
         # children in their parents' order, yes child first, each keeping
         # its rows' order; the rows of unsplit nodes sort last. Each tree's
         # nodes stay together, in tree order.
@@ -363,32 +367,31 @@ def _grow_stack(d: Dataset, ws: SplitWorkspace, policy: SplitSearchPolicy,
         rows = rows[order[:counts.sum()]]
         tree = np.repeat(tree[split], 2)
 
-    # every tree's records in level order, then one tree after another
-    tree, reached, n_reached, attr, value, nominal, h = (
+    reached, n_reached, attr, value, nominal, h = (
         np.concatenate(a) for a in zip(*levels))
-    reached = reached[np.argsort(np.repeat(tree, n_reached), kind="stable")]
-    by_tree = np.argsort(tree, kind="stable")
-    n_reached, attr, value, nominal, h = (
-        a[by_tree] for a in (n_reached, attr, value, nominal, h))
     # one call for all trees: a leaf's prototype reads its own rows only
     leaf = attr < 0
     protos = _leaf_prototypes(d, reached[np.repeat(leaf, n_reached)],
                               n_reached[leaf])
-    cut = np.cumsum(np.bincount(tree, minlength=len(bags)))[:-1]
-    leaf_cut = np.cumsum(leaf)[cut - 1]
-    return [FlatTree.from_node(*parts) for parts in zip(
-        *(np.split(a, cut) for a in (attr, value, nominal, n_reached, h)),
-        np.split(protos, leaf_cut))]
+    return FlatTree.from_node(attr, value, nominal, n_reached, h, protos,
+                              len(bags))
 
 
 @dataclass
 class FlatTree:
-    """A grown tree as arrays, for batch routing and vectorized node sweeps.
+    """The forest record: one or more grown trees as arrays, for batch
+    routing and vectorized node sweeps over all of them at once.
 
-    Node order is preorder (yes first). ``attr``, ``value`` and
-    ``is_nominal`` encode each node's test as FrontierSplits does, with -1
-    and NaN at leaves; ``child`` rows hold (yes, no) node ids; ``leaf_slot``
-    maps leaf nodes into the compact ``leaf_proto`` matrix.
+    The trees' nodes lie back to back: tree t's are node ids
+    ``node_start[t]`` to ``node_start[t + 1] - 1``, in preorder (yes
+    first), and its leaves' prototypes are rows ``leaf_start[t]`` to
+    ``leaf_start[t + 1] - 1`` of the one ``leaf_proto`` matrix. ``attr``,
+    ``value`` and ``is_nominal`` encode each node's test as FrontierSplits
+    does, with -1 and NaN at leaves; ``child`` rows hold (yes, no) node ids
+    of the record, -1 at leaves; ``leaf_slot`` maps leaf nodes to rows of
+    ``leaf_proto``, -1 at internal nodes. A one-tree record, as grow_tree
+    returns it and ``trees(t, t + 1)`` cuts it out, has ``node_start`` [0,
+    nodes] and ``leaf_start`` [0, leaves], so its ids are the tree's own.
     """
 
     attr: np.ndarray
@@ -399,17 +402,22 @@ class FlatTree:
     h_star: np.ndarray
     leaf_slot: np.ndarray
     leaf_proto: np.ndarray
+    node_start: np.ndarray
+    leaf_start: np.ndarray
 
     @classmethod
     def from_node(cls, attr, value, is_nominal, n_reached, h_star,
-                  leaf_proto) -> "FlatTree":
-        """A tree from its node records in level order, where the r-th
-        internal node's children are nodes 2r+1 (yes) and 2r+2 (no), each
-        test's ``value`` is encoded as in FrontierSplits (NaN at leaves) and
-        ``leaf_proto`` holds the leaves' prototypes in that order. The nodes
-        are laid out in preorder, yes child first, one depth at a time from
-        subtree sizes: a yes child follows its parent, a no child follows
-        its yes sibling's subtree.
+                  leaf_proto, trees) -> "FlatTree":
+        """The record of ``trees`` trees from their node records in level
+        order, the depth levels of all trees together as _grow_stack grows
+        them: the first ``trees`` records are the roots, in tree order, and
+        the r-th internal node's children are records trees + 2r (yes) and
+        trees + 2r + 1 (no). Each test's ``value`` is encoded as in
+        FrontierSplits (NaN at leaves), and ``leaf_proto`` holds the leaves'
+        prototypes in record order. One call lays out every tree in
+        preorder, yes child first, one depth at a time from subtree sizes:
+        a root starts after the trees before it, a yes child follows its
+        parent, a no child follows its yes sibling's subtree.
 
         The name dates from when this flattened linked node objects. It is
         kept because the benchmark wraps ``FlatTree.from_node`` by name and
@@ -418,15 +426,17 @@ class FlatTree:
         """
         inner = np.flatnonzero(attr >= 0)
         child = np.full((attr.size, 2), -1, dtype=np.intp)
-        child[inner] = 2 * np.arange(inner.size)[:, None] + np.array([1, 2])
-        depths = [np.zeros(1, dtype=np.intp)]
+        child[inner] = trees + 2 * np.arange(inner.size)[:, None] + np.array([0, 1])
+        depths = [np.arange(trees)]
         while (inner := depths[-1][attr[depths[-1]] >= 0]).size:
             depths.append(child[inner].ravel())
         size = np.ones(attr.size, dtype=np.intp)
         for level in reversed(depths):
             inner = level[attr[level] >= 0]
             size[inner] += size[child[inner]].sum(axis=1)
+        node_start = np.append(0, np.cumsum(size[:trees]))
         pre = np.zeros(attr.size, dtype=np.intp)
+        pre[:trees] = node_start[:-1]
         for level in depths:
             inner = level[attr[level] >= 0]
             yes, no = child[inner].T
@@ -438,20 +448,76 @@ class FlatTree:
                    np.where(child >= 0, pre[child], -1)[order],
                    n_reached[order], h_star[order],
                    np.where(leaf, np.cumsum(leaf) - 1, -1),
-                   leaf_proto[(np.cumsum(attr < 0) - 1)[order[leaf]]])
+                   leaf_proto[(np.cumsum(attr < 0) - 1)[order[leaf]]],
+                   node_start, np.append(0, np.cumsum(leaf))[node_start])
 
-    def route(self, X: np.ndarray) -> np.ndarray:
-        """Node id of the leaf reached by each row of X."""
-        cur = np.zeros(len(X), dtype=np.intp)
-        while True:
-            live = np.flatnonzero(self.attr[cur] >= 0)
-            if live.size == 0:
-                return cur
+    @classmethod
+    def concat(cls, parts) -> "FlatTree":
+        """One record of the trees of ``parts``, in order."""
+        nodes = np.cumsum([0] + [p.attr.size for p in parts])
+        leaves = np.cumsum([0] + [len(p.leaf_proto) for p in parts])
+
+        def joined(name, offsets=None):
+            arrays = [getattr(p, name) for p in parts]
+            if offsets is not None:
+                arrays = [_shifted(a, o) for a, o in zip(arrays, offsets)]
+            return np.concatenate(arrays)
+
+        def starts(name, offsets):
+            return np.concatenate([getattr(p, name)[:-1] + o for p, o in
+                                   zip(parts, offsets)] + [offsets[-1:]])
+
+        return cls(joined("attr"), joined("value"), joined("is_nominal"),
+                   joined("child", nodes), joined("n_reached"),
+                   joined("h_star"), joined("leaf_slot", leaves),
+                   joined("leaf_proto"), starts("node_start", nodes),
+                   starts("leaf_start", leaves))
+
+    @property
+    def n_trees(self) -> int:
+        return self.node_start.size - 1
+
+    def trees(self, a: int, b: int) -> "FlatTree":
+        """The record of trees a to b - 1 alone, its ids counted from 0."""
+        n0, n1 = self.node_start[a], self.node_start[b]
+        l0, l1 = self.leaf_start[a], self.leaf_start[b]
+        return FlatTree(self.attr[n0:n1], self.value[n0:n1],
+                        self.is_nominal[n0:n1],
+                        _shifted(self.child[n0:n1], -n0),
+                        self.n_reached[n0:n1], self.h_star[n0:n1],
+                        _shifted(self.leaf_slot[n0:n1], -l0),
+                        self.leaf_proto[l0:l1], self.node_start[a:b + 1] - n0,
+                        self.leaf_start[a:b + 1] - l0)
+
+    def route(self, X: np.ndarray, start=None, rows=None,
+              swap=None) -> np.ndarray:
+        """Node id of the leaf each query reaches. Query q reads row
+        ``rows[q]`` of X (row q without ``rows``) and starts at node
+        ``start[q]`` (node 0, the first tree's root, without ``start``), so
+        one walk routes queries through many trees when each starts at its
+        own tree's root, ``node_start[t]``. With ``swap`` = (attrs, values),
+        query q reads ``values[q]`` as its value of attribute ``attrs[q]``.
+        """
+        n_queries = len(X) if rows is None else len(rows)
+        cur = (np.zeros(n_queries, dtype=np.intp) if start is None
+               else np.array(start, dtype=np.intp))
+        live = np.flatnonzero(self.attr[cur] >= 0)
+        while live.size:
             node = cur[live]
-            yes = _goes_yes(X[live, self.attr[node]], self.value[node],
-                            self.is_nominal[node])
-            cur[live] = self.child[node, np.where(yes, 0, 1)]
+            attr = self.attr[node]
+            x = X[live if rows is None else rows[live], attr]
+            if swap is not None:
+                x = np.where(attr == swap[0][live], swap[1][live], x)
+            yes = _goes_yes(x, self.value[node], self.is_nominal[node])
+            cur[live] = node = self.child[node, np.where(yes, 0, 1)]
+            live = live[self.attr[node] >= 0]
+        return cur
 
     def predictions(self, X: np.ndarray) -> np.ndarray:
-        """Leaf prototype for each row of X."""
+        """Leaf prototype for each row of X, routed from node 0."""
         return self.leaf_proto[self.leaf_slot[self.route(X)]]
+
+
+def _shifted(ids: np.ndarray, by) -> np.ndarray:
+    """Node ids or leaf slots moved by ``by``, with -1 (none) kept."""
+    return np.where(ids >= 0, ids + by, -1)

@@ -281,7 +281,9 @@ def flat_leaf(prototype, n_reached):
                     n_reached=np.array([n_reached], dtype=np.intp),
                     h_star=np.array([0.0]),
                     leaf_slot=np.array([0], dtype=np.intp),
-                    leaf_proto=np.array([prototype], dtype=np.float64))
+                    leaf_proto=np.array([prototype], dtype=np.float64),
+                    node_start=np.array([0, 1], dtype=np.intp),
+                    leaf_start=np.array([0, 1], dtype=np.intp))
 
 
 def flat_stump(attr, threshold, h_star, yes, no):
@@ -295,7 +297,9 @@ def flat_stump(attr, threshold, h_star, yes, no):
                     n_reached=np.array([yes_n + no_n, yes_n, no_n], dtype=np.intp),
                     h_star=np.array([h_star, 0.0, 0.0]),
                     leaf_slot=np.array([-1, 0, 1], dtype=np.intp),
-                    leaf_proto=np.array([yes_proto, no_proto], dtype=np.float64))
+                    leaf_proto=np.array([yes_proto, no_proto], dtype=np.float64),
+                    node_start=np.array([0, 3], dtype=np.intp),
+                    leaf_start=np.array([0, 2], dtype=np.intp))
 
 
 def flat_fingerprint(flat):
@@ -353,6 +357,26 @@ def ref_path_attrs(flat, n):
             walk(int(child), tested | {attr})
 
     walk(0, frozenset())
+    return out
+
+
+def ref_first_tests(flat, n):
+    """(leaf slots, n) node ids by recursive descent along the child
+    pointers of a one-tree record: entry (l, i) is the first node on the
+    path from the root to the leaf in slot l that tests attribute i, or -1
+    where none does."""
+    out = np.full((len(flat.leaf_proto), n), -1, dtype=np.intp)
+
+    def walk(node, first):
+        attr = int(flat.attr[node])
+        if attr < 0:
+            for i, at in first.items():
+                out[flat.leaf_slot[node], i] = at
+            return
+        for child in flat.child[node]:
+            walk(int(child), {attr: node, **first})
+
+    walk(0, {})
     return out
 
 

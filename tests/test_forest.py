@@ -4,7 +4,7 @@ import pytest
 import oracles
 from oracles import oob_error
 from ufrank import (ALL_THRESHOLDS, ONE_RANDOM_THRESHOLD, Dataset,
-                    EnsembleConfig, Nominal, Numeric, SynthSpec, build,
+                    EnsembleConfig, FlatTree, Nominal, Numeric, SynthSpec, build,
                     compute_stats, genie3, grow_tree, make_planted,
                     random_forest_score, subset_size, streams)
 from ufrank import forest
@@ -211,10 +211,95 @@ class TestStackedGrowth:
                 assert ensemble_fingerprint(build(d, cfg, workers)) == want
 
 
+def nominal_table():
+    """24 rows: two numeric columns and a nominal one with four codes."""
+    rng = np.random.default_rng(33)
+    d = oracles.random_mixed_dataset(rng, 24, 2, force_num=True)
+    return Dataset("nominal", d.attr_names + ("k",),
+                   d.kinds + (Nominal(("u", "v", "w", "z")),),
+                   np.column_stack([d.X, rng.integers(0, 4, size=24)]))
+
+
+RECORD_CASES = [*ENSEMBLES, "hand", *(f"m2-{m}" for m in ENSEMBLES)]
+
+
+def record_ensemble(name):
+    """An ensemble whose forest-wide route is checked: et, rf or bagging on
+    a table with a nominal column; "hand", a hand-built ensemble of a
+    root-only tree, a stump and a stump with an empty out-of-bag set; or
+    "m2-" and a method, on an m=2 table."""
+    d = nominal_table()
+    if name in ENSEMBLES:
+        return build(d, EnsembleConfig(method=name, n_trees=5, seed=21))
+    if name == "hand":
+        stump = oracles.flat_stump(2, 1.0, 1.0, ([0.0, 0.0, 0.0], 12),
+                                   ([1.0, 1.0, 3.0], 12))
+        by_code = oracles.flat_stump(2, 3.0, 2.0, ([-1.0, 0.0, 1.0], 12),
+                                     ([2.0, 0.0, 2.0], 12))
+        by_code.is_nominal[0] = True  # tests k == code 3
+        return Ensemble(EnsembleConfig(method="rf", n_trees=3, seed=4), d,
+                        compute_stats(d),
+                        FlatTree.concat([oracles.flat_leaf([0.5, 0.5, 1.0], 24),
+                                         stump, by_code]),
+                        [np.arange(24)] * 3,
+                        [np.arange(0, 24, 2), np.arange(1, 24, 3),
+                         np.array([], dtype=np.intp)])
+    two = Dataset("two", ("a", "b"), (Numeric(), Numeric()),
+                  np.array([[0.0, 1.0], [2.0, 5.0]]))
+    return build(two, EnsembleConfig(method=name[3:], n_trees=4, seed=6))
+
+
+class TestForestRecord:
+    """The ensemble keeps one forest record; one walk routes rows through
+    all of its trees, each row from its own tree's root."""
+
+    @pytest.mark.parametrize("name", RECORD_CASES)
+    def test_forest_wide_route_matches_oracle_row_by_row(self, name):
+        e = record_ensemble(name)
+        f, d = e.forest, e.dataset
+        views = e.flats
+        assert f.n_trees == e.n_trees == len(views)
+        assert oracles.flat_fingerprint(FlatTree.concat(views)) == \
+            oracles.flat_fingerprint(f)
+        # every tree's out-of-bag rows, as rf-score routes them, then every
+        # row through every tree
+        for tree_of, rows in (
+                (np.repeat(np.arange(e.n_trees), [o.size for o in e.oobs]),
+                 np.concatenate(e.oobs)),
+                (np.repeat(np.arange(e.n_trees), d.m),
+                 np.tile(np.arange(d.m), e.n_trees))):
+            leaf = f.route(d.X[rows], f.node_start[tree_of])
+            np.testing.assert_array_equal(
+                leaf, f.route(d.X, f.node_start[tree_of], rows))
+            assert (f.node_start[tree_of] <= leaf).all()
+            assert (leaf < f.node_start[tree_of + 1]).all()
+            assert (f.attr[leaf] < 0).all()
+            for t, row, at in zip(tree_of, rows, leaf):
+                np.testing.assert_array_equal(
+                    f.leaf_proto[f.leaf_slot[at]],
+                    oracles.ref_predict(views[t], d.X[row]))
+
+    @pytest.mark.parametrize("name", RECORD_CASES)
+    def test_swapped_values_route_as_the_changed_row(self, name):
+        e = record_ensemble(name)
+        f, d, views = e.forest, e.dataset, e.flats
+        rng = np.random.default_rng(5)
+        tree_of = np.repeat(np.arange(e.n_trees), d.m)
+        rows = np.tile(np.arange(d.m), e.n_trees)
+        attrs = rng.integers(0, d.n, size=rows.size)
+        values = d.X[rng.integers(0, d.m, size=rows.size), attrs]
+        leaf = f.route(d.X, f.node_start[tree_of], rows, (attrs, values))
+        for t, row, a, v, at in zip(tree_of, rows, attrs, values, leaf):
+            x = d.X[row].copy()
+            x[a] = v
+            np.testing.assert_array_equal(f.leaf_proto[f.leaf_slot[at]],
+                                          oracles.ref_predict(views[t], x))
+
+
 def hand_ensemble(d, tree, in_bag, oob, cfg=None):
-    """Ensemble wrapper around an explicitly constructed single tree."""
+    """Ensemble wrapper around an explicitly constructed one-tree record."""
     return Ensemble(cfg or EnsembleConfig(method="rf", n_trees=1, seed=3),
-                    d, compute_stats(d), [tree],
+                    d, compute_stats(d), tree,
                     [np.asarray(in_bag, dtype=np.intp)],
                     [np.asarray(oob, dtype=np.intp)])
 

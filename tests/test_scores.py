@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from oracles import flat_leaf, flat_stump, oob_error
-from ufrank import (ComputationError, Dataset, EnsembleConfig, Nominal,
+from ufrank import (ComputationError, Dataset, EnsembleConfig, FlatTree, Nominal,
                     Numeric, Ranking, build, compute_stats, genie3,
                     random_forest_score, ranking_rows, ranking_to_csv, scores,
                     symbolic)
@@ -46,8 +46,9 @@ class TestRanking:
 
 
 def hand_ensemble(d, trees, in_bags, oobs, seed=3):
+    """An ensemble whose forest record joins the given one-tree records."""
     return Ensemble(EnsembleConfig(method="rf", n_trees=len(trees), seed=seed),
-                    d, compute_stats(d), list(trees),
+                    d, compute_stats(d), FlatTree.concat(trees),
                     [np.asarray(b, dtype=np.intp) for b in in_bags],
                     [np.asarray(o, dtype=np.intp) for o in oobs])
 
@@ -182,10 +183,11 @@ def oracle_rf_score(e):
 def rf_fixture(name):
     """Tables for the rf-score oracle: random mixed ones, one with a
     constant numeric and a constant nominal column, one made of repeated
-    rows, and one whose numeric columns sit at 1e6 with a 1e-3 spread."""
+    rows, one of six distinct rows repeated with a nominal column, and one
+    whose numeric columns sit at 1e6 with a 1e-3 spread."""
     rng = np.random.default_rng({"mixed0": 40, "mixed1": 41, "mixed2": 42,
                                  "constant": 43, "duplicates": 44,
-                                 "offset": 45}[name])
+                                 "offset": 45, "dup_nominal": 46}[name])
     if name.startswith("mixed"):
         return oracles.random_mixed_dataset(rng, 30, 7)
     if name == "constant":
@@ -197,6 +199,14 @@ def rf_fixture(name):
         d = oracles.random_mixed_dataset(rng, 15, 6)
         return Dataset(name, d.attr_names, d.kinds,
                        d.X[rng.integers(0, 15, size=40)])
+    if name == "dup_nominal":
+        # a shuffle mostly trades a value for an equal one, so many rows
+        # whose path tests the shuffled attribute keep their leaf
+        d = oracles.random_mixed_dataset(rng, 6, 3, force_num=True)
+        X = np.column_stack([d.X, np.arange(6) % 3])
+        return Dataset(name, d.attr_names + ("k",),
+                       d.kinds + (Nominal(("u", "v", "w")),),
+                       X[rng.integers(0, 6, size=40)])
     d = oracles.random_mixed_dataset(rng, 30, 6)
     X = d.X.copy()
     X[:, d.numeric_mask] = 1e6 + 1e-3 * X[:, d.numeric_mask]
@@ -244,7 +254,8 @@ class TestPatchedRandomForestScore:
         assert random_forest_score(e).importance[1] == (shuffled - b) / b
 
     @pytest.mark.parametrize("fixture", ["mixed0", "mixed1", "mixed2",
-                                         "constant", "duplicates", "offset"])
+                                         "constant", "duplicates", "offset",
+                                         "dup_nominal"])
     @pytest.mark.parametrize("method", ["et", "rf", "bagging"])
     def test_matches_oob_error_oracle(self, method, fixture):
         d = rf_fixture(fixture)
@@ -252,19 +263,49 @@ class TestPatchedRandomForestScore:
         np.testing.assert_array_equal(random_forest_score(e).importance,
                                       oracle_rf_score(e))
 
+    @pytest.mark.parametrize("method", ["et", "rf", "bagging"])
+    def test_duplicates_move_rows_that_keep_their_leaf(self, method):
+        """On the duplicate-rows fixture, shuffles move rows down paths that
+        test the shuffled attribute, and many of them reach their old leaf
+        again: the rows that rf-score reroutes from the first testing node
+        and then keeps, which the oracle test above checks."""
+        e = build(rf_fixture("dup_nominal"),
+                  EnsembleConfig(method=method, n_trees=8, seed=5))
+        kept = changed = 0
+        for t, flat in enumerate(e.flats):
+            X = e.dataset.X[e.oobs[t]]
+            before = flat.route(X)
+            tested = oracles.ref_path_attrs(flat, e.dataset.n)[
+                flat.leaf_slot[before]]
+            perms = oracles.permutation_rows(e, t, len(X))
+            for i in range(e.dataset.n):
+                shuffled = X.copy()
+                shuffled[:, i] = X[perms[i], i]
+                after = flat.route(shuffled)
+                # a row whose path does not test i never moves
+                assert (after[~tested[:, i]] == before[~tested[:, i]]).all()
+                kept += int((after[tested[:, i]] == before[tested[:, i]]).sum())
+                changed += int((after != before).sum())
+        assert kept > 0 and changed > 0
+
     def test_grouping_of_attributes_changes_nothing(self, monkeypatch):
         d = oracles.random_mixed_dataset(np.random.default_rng(61), 40, 7)
         built = build(d, EnsembleConfig(method="et", n_trees=8, seed=6))
         # equal out-of-bag sizes make a budget mean the same group size in
         # every tree
         k = min(o.size for o in built.oobs)
-        e = Ensemble(built.config, built.dataset, built.stats, built.flats,
-                     built.in_bags, [o[:k] for o in built.oobs])
+        e = dataclasses.replace(built, oobs=[o[:k] for o in built.oobs])
         assert scores._BLOCK_BUDGET >= k * d.n * d.n  # one group by default
         whole = random_forest_score(e).importance
         np.testing.assert_array_equal(whole, oracle_rf_score(e))
         for per_group in (1, 3):
             monkeypatch.setattr(scores, "_BLOCK_BUDGET", per_group * k * d.n)
+            np.testing.assert_array_equal(
+                random_forest_score(e).importance, whole)
+        monkeypatch.undo()
+        # batches of one tree, and of three
+        for per_batch in (1, 3):
+            monkeypatch.setattr(scores, "_BATCH_CELLS", per_batch * k * d.n)
             np.testing.assert_array_equal(
                 random_forest_score(e).importance, whole)
 
@@ -274,9 +315,16 @@ class TestPatchedRandomForestScore:
         e = build(d, EnsembleConfig(method=method, n_trees=6, seed=2))
         hand = [flat_leaf([0.0] * d.n, 1),
                 flat_stump(3, 0.0, 1.0, ([0.0] * d.n, 1), ([1.0] * d.n, 1))]
-        for flat in e.flats + hand:
-            np.testing.assert_array_equal(scores._path_attrs(flat, d.n),
+        forest = FlatTree.concat([e.forest] + hand)
+        table = scores._first_tests(forest, d.n)
+        assert table.shape == (len(forest.leaf_proto), d.n)
+        for t, flat in enumerate(e.flats + hand):
+            mine = table[forest.leaf_start[t]:forest.leaf_start[t + 1]]
+            np.testing.assert_array_equal(mine >= 0,
                                           oracles.ref_path_attrs(flat, d.n))
+            want = oracles.ref_first_tests(flat, d.n)
+            np.testing.assert_array_equal(
+                mine, np.where(want >= 0, want + forest.node_start[t], -1))
 
 
 class TestWorkerInvariance:
