@@ -180,16 +180,23 @@ def _config_file_from(argv: list[str]) -> str | None:
     return None
 
 
+def _read_json(path: str, name: str, error: type[Exception]):
+    """The JSON value in file ``path``. An unreadable file, one that is not
+    UTF-8 or not JSON raises ``error``, its message naming the file as
+    ``name``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {name}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{name} is not valid JSON: {exc}") from exc
+
+
 def _apply_config_defaults(commands: dict[str, _Parser], path: str) -> None:
     """Seed parser defaults from a JSON object of flag values. Explicit
     command-line flags still override; unknown keys or values a flag would
     reject are usage errors."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file is not valid JSON: {exc}") from exc
+    raw = _read_json(path, "config file", UsageError)
     if not isinstance(raw, dict):
         raise UsageError("config file must hold a JSON object of flag values")
 
@@ -314,24 +321,29 @@ def _cmd_curve(args) -> int:
     return 0
 
 
+def _eval_cell(raw: str) -> tuple[str, str, float]:
+    """The dataset name, method and MSE of the eval artifact in file
+    ``raw``."""
+    match _read_json(raw, raw, IngestionError):
+        case {"artifact": "eval", "dataset": {"name": str(dataset)},
+              "method": str(method), "mse": int() | float() as mse
+              } if not isinstance(mse, bool):
+            try:
+                return dataset, method, float(mse)
+            except OverflowError:  # an integer beyond the float range
+                pass
+    raise IngestionError(f"{raw} is not an eval artifact")
+
+
 def _cmd_compare(args) -> int:
     cells: dict[str, dict[str, float]] = {}
     methods: list[str] = []
     for raw in args.inputs:
-        try:
-            record = json.loads(Path(raw).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise IngestionError(f"cannot read {raw}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise IngestionError(f"{raw} is not valid JSON: {exc}") from exc
-        if record.get("artifact") != "eval" or "mse" not in record:
-            raise IngestionError(f"{raw} is not an eval artifact")
-        dataset = record["dataset"]["name"]
-        method = record["method"]
+        dataset, method, mse = _eval_cell(raw)
         cells.setdefault(dataset, {})
         if method in cells[dataset]:
             raise IngestionError(f"duplicate result for {dataset}/{method}")
-        cells[dataset][method] = float(record["mse"])
+        cells[dataset][method] = mse
         if method not in methods:
             methods.append(method)
     datasets = sorted(cells)

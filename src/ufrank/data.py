@@ -174,38 +174,40 @@ def load_csv(path, schema=None, target_column: str | None = None) -> Dataset:
     """Load a comma-separated file: header row, UTF-8, decimal point, no
     missing values. The dataset is named after the file's stem.
 
-    Without a schema, a column is numeric iff every value parses as a finite
-    real, else nominal with the domain ordered by first appearance. A schema
-    is a sequence of "numeric"/"nominal" strings or AttributeKind values, one
-    per column (including the target column, whose entry is ignored: the
-    target's kind is always inferred).
+    A schema is a sequence of entries, one per column: "numeric" or
+    Numeric(), "nominal", or a Nominal with a declared domain. The target
+    column's entry is ignored: the target's kind is always inferred. A
+    column with no entry is numeric iff every value parses as a finite
+    real, else nominal. A numeric entry requires that; a nominal column
+    takes its declared domain, else its values in first-seen order, and a
+    value outside a declared domain is an error.
     """
     path = Path(path)
-    if not path.exists():
-        raise IngestionError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise IngestionError(f"{path.name}: empty file, expected a header row")
-        raw_rows = list(reader)
-    header = [h.strip() for h in header]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except FileNotFoundError:
+        raise IngestionError(f"no such file: {path}") from None
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise IngestionError(f"cannot read {path}: {exc}") from exc
+    if not rows or not rows[0]:  # no line, or a blank first line
+        raise IngestionError(f"{path.name}: empty file, expected a header row")
+    header = [h.strip() for h in rows[0]]
     if len(set(header)) != len(header):
         raise IngestionError(f"{path.name}: duplicate column names in header")
-    if not raw_rows:
+    if len(rows) < 2:
         raise IngestionError(f"{path.name}: no data rows")
 
     width = len(header)
     cells: list[list[str]] = []
-    for r, row in enumerate(raw_rows, start=2):  # header is line 1
+    for r, row in enumerate(rows[1:], start=2):  # header is line 1
         if len(row) != width:
             raise IngestionError(f"{path.name}: line {r} has {len(row)} fields, "
                                  f"expected {width}")
         stripped = [c.strip() for c in row]
-        for j, cell in enumerate(stripped):
-            if cell == "":
-                raise IngestionError(f"{path.name}: missing value at line {r}, "
-                                     f"column {header[j]!r}")
+        if "" in stripped:
+            raise IngestionError(f"{path.name}: missing value at line {r}, "
+                                 f"column {header[stripped.index('')]!r}")
         cells.append(stripped)
 
     if schema is not None and len(schema) != width:
@@ -221,43 +223,34 @@ def load_csv(path, schema=None, target_column: str | None = None) -> Dataset:
                                  f"the target")
         target_idx = header.index(target_column)
 
-    m = len(cells)
-    matrix = np.empty((m, width))
-    kinds: list[AttributeKind | None] = [None] * width
-    for j in range(width):
-        column = [row[j] for row in cells]
-        wanted = (None if schema is None or j == target_idx
-                  else _schema_kind(schema[j]))
-        values = _parse_numeric(column)
-        if values is not None and not isinstance(wanted, Nominal) and wanted != "nominal":
-            if wanted == "numeric" or wanted is None or isinstance(wanted, Numeric):
+    matrix = np.empty((len(cells), width))
+    kinds: list[AttributeKind] = []
+    for j, column in enumerate(zip(*cells)):
+        entry = (None if schema is None or j == target_idx
+                 else _schema_kind(schema[j]))
+        if entry is None or entry == "numeric":
+            values = _parse_numeric(column)
+            if values is not None:
                 matrix[:, j] = values
-                kinds[j] = Numeric()
+                kinds.append(Numeric())
                 continue
-        if wanted == "numeric" or isinstance(wanted, Numeric):
-            bad = next(i for i, v in enumerate(column)
-                       if _parse_numeric([v]) is None)
-            raise IngestionError(f"{path.name}: column {header[j]!r} declared "
-                                 f"numeric but line {bad + 2} holds "
-                                 f"{column[bad]!r}")
-        domain: tuple[str, ...]
-        if isinstance(wanted, Nominal):
-            domain = wanted.domain
-            lookup = {v: i for i, v in enumerate(domain)}
-            for i, v in enumerate(column):
-                if v not in lookup:
-                    raise IngestionError(f"{path.name}: line {i + 2}, column "
-                                         f"{header[j]!r}: value {v!r} outside "
-                                         f"the declared domain")
-        else:
-            seen: dict[str, int] = {}
-            for v in column:
-                if v not in seen:
-                    seen[v] = len(seen)
-            domain = tuple(seen)
-            lookup = seen
-        matrix[:, j] = [lookup[v] for v in column]
-        kinds[j] = Nominal(domain)
+            if entry == "numeric":
+                bad = next(i for i, v in enumerate(column)
+                           if _parse_numeric([v]) is None)
+                raise IngestionError(f"{path.name}: column {header[j]!r} declared "
+                                     f"numeric but line {bad + 2} holds "
+                                     f"{column[bad]!r}")
+        domain = (entry.domain if isinstance(entry, Nominal)
+                  else tuple(dict.fromkeys(column)))
+        lookup = {v: i for i, v in enumerate(domain)}
+        codes = [lookup.get(v) for v in column]
+        if None in codes:
+            bad = codes.index(None)
+            raise IngestionError(f"{path.name}: line {bad + 2}, column "
+                                 f"{header[j]!r}: value {column[bad]!r} outside "
+                                 f"the declared domain")
+        matrix[:, j] = codes
+        kinds.append(Nominal(domain))
 
     target = None
     if target_idx is not None:
@@ -271,24 +264,22 @@ def load_csv(path, schema=None, target_column: str | None = None) -> Dataset:
 
 
 def _schema_kind(entry):
-    if isinstance(entry, (Numeric, Nominal)):
-        return entry
-    if entry in ("numeric", "nominal"):
+    """A schema entry as "numeric", "nominal" or a declared Nominal."""
+    if isinstance(entry, Numeric):
+        return "numeric"
+    if isinstance(entry, Nominal) or entry in ("numeric", "nominal"):
         return entry
     raise IngestionError(f"schema entries must be 'numeric', 'nominal', or an "
                          f"AttributeKind, got {entry!r}")
 
 
-def _parse_numeric(column: list[str]) -> np.ndarray | None:
-    out = np.empty(len(column))
-    for i, cell in enumerate(column):
-        try:
-            out[i] = float(cell)
-        except ValueError:
-            return None
-    if not np.isfinite(out).all():
+def _parse_numeric(column) -> np.ndarray | None:
+    """The cells as finite reals, or None if any is not one."""
+    try:
+        out = np.array([float(cell) for cell in column])
+    except ValueError:
         return None
-    return out
+    return out if np.isfinite(out).all() else None
 
 
 def write_rows(path, rows) -> None:
@@ -300,8 +291,9 @@ def write_rows(path, rows) -> None:
 
 def json_text(obj) -> str:
     """The JSON artifact format: two-space indent, sorted keys, numpy
-    arrays as nested lists, one trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True,
+    arrays as nested lists, one trailing newline. A non-finite float is an
+    error, since strict JSON has no spelling for it."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
                       default=np.ndarray.tolist) + "\n"
 
 

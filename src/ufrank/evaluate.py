@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .data import Dataset, IngestionError, _check_rows, write_rows
+from .data import (ComputationError, Dataset, IngestionError, _check_rows,
+                   write_rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,8 +216,14 @@ def _fold_errors(d: Dataset, rankings: list, plan: FoldPlan,
         mu = _column_mean(T)
         for j, k in enumerate(ks):
             attrs = np.sort(ranking.top(k))
-            diff = _nn_targets(T, y, Q, mu, attrs) - d.target[test]
-            out[i, j] = (diff * diff).mean()
+            pred = _nn_targets(T, y, Q, mu, attrs)
+            # a target whose errors or their squares overflow gives inf
+            with np.errstate(over="ignore"):
+                diff = pred - d.target[test]
+                out[i, j] = (diff * diff).mean()
+    if not np.isfinite(out).all():
+        raise ComputationError("test-fold MSE is not finite: the target's "
+                               "squared errors overflow")
     return out
 
 
@@ -415,7 +422,7 @@ class ComparisonReport:
     average_ranks: tuple[float, ...]
     friedman_chi2: float
     p_value: float
-    iman_davenport_f: float
+    iman_davenport_f: float | None  # None where F is unbounded
     iman_davenport_p: float
     critical_difference: float
     alpha: float
@@ -456,8 +463,8 @@ def compare_methods(results, method_names=None, dataset_names=None,
     p = float(sstats.chi2.sf(chi2, n_methods - 1))
 
     id_denom = n_data * (n_methods - 1) - chi2
-    if id_denom <= 0:
-        id_f, id_p = float("inf"), 0.0
+    if id_denom <= 0:  # every dataset ranks the methods alike: F is unbounded
+        id_f, id_p = None, 0.0
     else:
         id_f = (n_data - 1) * chi2 / id_denom
         id_p = float(sstats.f.sf(id_f, n_methods - 1,
@@ -468,7 +475,7 @@ def compare_methods(results, method_names=None, dataset_names=None,
                   if abs(avg[i] - avg[j]) < cd)
     return ComparisonReport(tuple(method_names), tuple(dataset_names), R, ranks,
                             tuple(float(v) for v in avg), float(chi2), p,
-                            float(id_f), id_p, cd, alpha, pairs)
+                            id_f, id_p, cd, alpha, pairs)
 
 
 def comparison_to_csv(report: ComparisonReport, path) -> None:

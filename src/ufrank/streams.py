@@ -22,12 +22,7 @@ RELIEF = 6
 
 def stream(*key: int) -> np.random.Generator:
     """Return a generator for the given (seed, tag, indices...) key: the
-    one ``np.random.default_rng(np.random.SeedSequence(key))`` returns.
-    SeedSequence splits each int into its 32-bit words, so a key whose
-    elements all fit one word seeds it as a uint32 array, which is the
-    same entropy and skips the per-int conversion."""
+    one ``np.random.default_rng(np.random.SeedSequence(key))`` returns."""
     if any(k < 0 for k in key):
         raise ValueError(f"stream keys must be non-negative, got {key}")
-    entropy = (np.array(key, dtype=np.uint32)
-               if all(k < 2**32 for k in key) else key)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    return np.random.default_rng(np.random.SeedSequence(key))

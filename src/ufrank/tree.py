@@ -268,8 +268,7 @@ def _threshold_candidates(seg, counts, scored, vals, nominal):
 
 
 def best_test(d: Dataset, rows, policy: SplitSearchPolicy, stats: AttributeStats,
-              rng: np.random.Generator, workspace: SplitWorkspace | None = None,
-              ) -> FrontierSplits:
+              rng: np.random.Generator) -> FrontierSplits:
     """The strict maximizer of h among one node's candidate tests, if one
     achieves h > 0: search_frontier on the one-node frontier of ``rows``,
     candidates, thresholds and tie rule as documented there, so ``yes``
@@ -278,10 +277,9 @@ def best_test(d: Dataset, rows, policy: SplitSearchPolicy, stats: AttributeStats
     ``rng.random((1, n))``, then, with one random threshold,
     ``rng.random((1, k))``."""
     rows = _check_rows(rows, d.m)
-    ws = workspace if workspace is not None else SplitWorkspace(d, stats)
     keys, u = draw_frontier(rng, 1, d.n, policy)
-    return search_frontier(d, ws, policy, rows, np.array([0, rows.size]),
-                           keys, u)
+    return search_frontier(d, SplitWorkspace(d, stats), policy, rows,
+                           np.array([0, rows.size]), keys, u)
 
 
 def _leaf_prototypes(d: Dataset, rows: np.ndarray,
@@ -307,8 +305,7 @@ def _leaf_prototypes(d: Dataset, rows: np.ndarray,
 
 
 def grow_tree(d: Dataset, rows, policy: SplitSearchPolicy, stats: AttributeStats,
-              rng: np.random.Generator, workspace: SplitWorkspace | None = None,
-              ) -> "FlatTree":
+              rng: np.random.Generator) -> "FlatTree":
     """Grow a fully expanded tree on the given row multiset (duplicate
     indices count with multiplicity everywhere), as a one-tree FlatTree.
 
@@ -328,8 +325,7 @@ def grow_tree(d: Dataset, rows, policy: SplitSearchPolicy, stats: AttributeStats
     array.
     """
     rows = _check_rows(rows, d.m)
-    ws = workspace if workspace is not None else SplitWorkspace(d, stats)
-    return _grow_stack(d, ws, policy, [rows], [rng])
+    return _grow_stack(d, SplitWorkspace(d, stats), policy, [rows], [rng])
 
 
 def _grow_stack(d: Dataset, ws: SplitWorkspace, policy: SplitSearchPolicy,

@@ -28,6 +28,23 @@ def stdout_json(out):
     return json.loads(out)
 
 
+def error_record(result, exit_code, kind):
+    """The message of a failed run that wrote nothing to stdout and
+    exactly one JSON error record to stderr."""
+    code, out, err = result
+    assert (code, out) == (exit_code, "")
+    assert err.count("\n") == 1
+    record = json.loads(err)["error"]
+    assert (record["exit_code"], record["kind"]) == (exit_code, kind)
+    return record["message"]
+
+
+def eval_record(path, dataset, method, mse):
+    path.write_text(json.dumps({"artifact": "eval", "dataset": {"name": dataset},
+                                "method": method, "mse": mse}))
+    return str(path)
+
+
 def overflow_csv(tmp_path, magnitude=1e160):
     """12 rows: column a alternates +-magnitude, so every value is finite
     and passes ingestion, but a's variance (and at 1e308 its span)
@@ -139,6 +156,32 @@ class TestConfigFile:
         assert record["kind"] == "usage"
         assert repr(next(iter(values))) in record["message"]
 
+    @pytest.mark.parametrize("content, message", [
+        (b"{", "config file is not valid JSON"),
+        (b"[1, 2]", "config file must hold a JSON object of flag values"),
+        (b'{"trees": "many"}', "config option 'trees': invalid literal"),
+        (b'{"seed": "\xff"}', "cannot read config file"),
+    ], ids=["not-json", "not-object", "rejected-value", "not-utf8"])
+    def test_config_file_errors_exit_1(self, planted_csv, tmp_path, capsys,
+                                       content, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        got = error_record(run_cli(capsys, "rank", "--data", str(planted_csv),
+                                   "--config", str(cfg)), 1, "usage")
+        assert got.startswith(message)
+
+    def test_config_flag_forms(self, planted_csv, tmp_path, capsys):
+        got = error_record(run_cli(capsys, "rank", "--data", str(planted_csv),
+                                   "--config"), 1, "usage")
+        assert got == "--config requires a file path"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 9}))
+        code, out, _ = run_cli(capsys, "rank", "--data", str(planted_csv),
+                               "--target-column", "target", "--trees", "2",
+                               f"--config={cfg}")
+        assert code == 0
+        assert stdout_json(out)["config"]["seed"] == 9
+
     def test_config_null_restores_a_null_default(self, planted_csv, tmp_path,
                                                  capsys):
         cfg = tmp_path / "cfg.json"
@@ -166,6 +209,32 @@ class TestExitCodes:
                                str(tmp_path / "nope.csv"))
         assert code == 2
         assert json.loads(err)["error"]["kind"] == "data"
+
+    @pytest.mark.parametrize("content", [
+        None, b"a,b\n1,\xff\n", b"a\n" + b"1" * (131072 + 1) + b"\n",
+    ], ids=["directory", "not-utf8", "field-over-limit"])
+    @pytest.mark.parametrize("command", ["rank", "eval", "curve", "ari-check"])
+    def test_unreadable_data_exits_2(self, tmp_path, capsys, command, content):
+        data = tmp_path / "t.csv"
+        if content is None:
+            data.mkdir()
+        else:
+            data.write_bytes(content)
+        got = error_record(run_cli(capsys, command, "--data", str(data),
+                                   "--target-column", "a"), 2, "data")
+        assert got.startswith(f"cannot read {data}")
+
+    @pytest.mark.parametrize("flag, value", [("--trees", "0"),
+                                             ("--seed", "-1")])
+    def test_out_of_range_flags_exit_1(self, planted_csv, capsys, flag, value):
+        got = error_record(run_cli(capsys, "rank", "--data", str(planted_csv),
+                                   flag, value), 1, "usage")
+        assert flag in got
+
+    def test_inconsistent_synth_flags_exit_1(self, tmp_path, capsys):
+        got = error_record(run_cli(capsys, "synth", "--clusters", "1",
+                                   "--out", str(tmp_path)), 1, "usage")
+        assert "two clusters" in got
 
     def test_incompatible_parameters_exit_2(self, planted_csv, capsys):
         # 24 examples cannot support a 30-neighbor query
@@ -284,6 +353,23 @@ class TestExitCodes:
             assert stdout_json(out)["artifact"] == command
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, extra", [
+        ("eval", ("--top-k", "1")),
+        ("curve", ()),
+    ], ids=["eval", "curve"])
+    def test_overflowing_target_exits_3(self, tmp_path, capsys, command,
+                                        extra):
+        # the target a alternates +-1e160, so its squared errors overflow;
+        # the artifact would hold a non-finite MSE
+        got = error_record(run_cli(capsys, command, "--data",
+                                   str(overflow_csv(tmp_path)),
+                                   "--target-column", "a", "--folds", "3",
+                                   "--trees", "4", "--workers", "1", *extra),
+                           3, "computation")
+        assert "MSE is not finite" in got
+
+
 class TestEvalCurveCompare:
     def eval_artifact(self, capsys, csv_path, method, out_dir, seed="0"):
         code, _, _ = run_cli(
@@ -392,6 +478,55 @@ class TestEvalCurveCompare:
         code, _, err = run_cli(capsys, "compare", str(rogue))
         assert code == 2
         assert "not an eval artifact" in json.loads(err)["error"]["message"]
+
+
+    @pytest.mark.parametrize("content, message", [
+        (b"[1, 2]", "is not an eval artifact"),
+        (b'{"artifact": "eval", "method": "genie3", "mse": 0.5}',
+         "is not an eval artifact"),
+        (b'{"artifact": "eval", "dataset": {"name": "a"}, "mse": 0.5}',
+         "is not an eval artifact"),
+        (b'{"artifact": "eval", "dataset": {"name": "a"}, "method": "genie3",'
+         b' "mse": "low"}', "is not an eval artifact"),
+        (b'{"artifact": "eval", "dataset": {"name": "a"}, "method": "genie3",'
+         b' "mse": 1' + b"0" * 400 + b"}", "is not an eval artifact"),
+        (b'{"artifact": "eval", "dataset": {"name": "\xff"}}', "cannot read"),
+        (None, "cannot read"),
+    ], ids=["non-object", "no-dataset", "no-method", "mse-not-a-number",
+            "mse-beyond-float", "not-utf8", "unreadable"])
+    def test_compare_rejects_malformed_input(self, tmp_path, capsys, content,
+                                             message):
+        rogue = tmp_path / "rogue.json"
+        if content is not None:
+            rogue.write_bytes(content)
+        good = eval_record(tmp_path / "good.json", "a", "urelief", 0.25)
+        got = error_record(run_cli(capsys, "compare", good, str(rogue)),
+                           2, "data")
+        assert message in got
+
+    def test_compare_rejects_a_duplicate_pair(self, tmp_path, capsys):
+        inputs = [eval_record(tmp_path / f"{i}.json", "a", "genie3", 0.5)
+                  for i in range(2)]
+        got = error_record(run_cli(capsys, "compare", *inputs), 2, "data")
+        assert got == "duplicate result for a/genie3"
+
+    def test_compare_of_concordant_results_is_strict_json(self, tmp_path,
+                                                          capsys):
+        # genie3 wins on both datasets, so the F statistic is unbounded
+        inputs = [eval_record(tmp_path / f"{ds}_{meth}.json", ds, meth, mse)
+                  for ds in ("a", "b")
+                  for meth, mse in (("genie3", 0.25), ("urelief", 0.5))]
+        code, out, err = run_cli(capsys, "compare", *inputs,
+                                 "--out", str(tmp_path / "cmp"))
+        assert (code, err) == (0, "")
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        for text in (out, (tmp_path / "cmp" / "compare.json").read_text()):
+            payload = json.loads(text, parse_constant=reject)
+            assert payload["iman_davenport_f"] is None
+            assert payload["iman_davenport_p"] == 0.0
 
 
 class TestSynthAndAri:

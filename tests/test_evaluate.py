@@ -8,11 +8,12 @@ from scipy import stats as sstats
 
 import oracles
 from ufrank import evaluate
-from ufrank import (CurveReport, Dataset, FoldPlan, Numeric, Ranking,
-                    adjusted_rand_index, clustering_hypothesis_ari,
-                    compare_methods, comparison_to_csv, curve_points_csv,
-                    cv_mse, error_curve, k_grid, kmeans, knn_predict,
-                    make_planted, nemenyi_cd, SynthSpec)
+from ufrank import (ComputationError, CurveReport, Dataset, FoldPlan,
+                    IngestionError, Numeric, Ranking, adjusted_rand_index,
+                    clustering_hypothesis_ari, compare_methods,
+                    comparison_to_csv, curve_points_csv, cv_mse, error_curve,
+                    k_grid, kmeans, knn_predict, make_planted, nemenyi_cd,
+                    SynthSpec)
 from ufrank.data import json_text
 
 
@@ -350,6 +351,25 @@ class TestErrorCurve:
         error_curve(d, counting, plan)
         assert len(calls) == plan.n_folds
 
+    def test_needs_a_target(self):
+        d = self.small_fixture().without_target()
+        plan = FoldPlan.make(d.m, n_folds=4, seed=5)
+        with pytest.raises(IngestionError, match="needs a dataset with a target"):
+            error_curve(d, fixed_ranker([5, 4, 3, 2, 1]), plan)
+
+    @pytest.mark.parametrize("magnitude", [1e160, 1e308])
+    def test_overflowing_errors_are_a_computation_error(self, magnitude):
+        # the target alternates +-magnitude: every value is finite, but the
+        # squared errors (at 1e308 the errors too) overflow
+        rng = np.random.default_rng(64)
+        d = numeric_dataset(rng.uniform(size=(12, 2)),
+                            target=(-1.0) ** np.arange(12) * magnitude)
+        plan = FoldPlan.make(d.m, n_folds=3, seed=0)
+        with pytest.raises(ComputationError, match="MSE is not finite"):
+            error_curve(d, fixed_ranker([2, 1]), plan)
+        with pytest.raises(ComputationError, match="MSE is not finite"):
+            cv_mse(d, fixed_ranker([2, 1]), 1, plan)
+
     def test_csv_mirror(self, tmp_path):
         d = self.small_fixture()
         plan = FoldPlan.make(d.m, n_folds=4, seed=1)
@@ -546,6 +566,14 @@ class TestCompareMethods:
         assert report.iman_davenport_p == pytest.approx(0.0476, abs=5e-4)
         # the rank gap 10/26 barely clears the critical distance 0.38438
         assert report.indistinguishable_pairs == ()
+
+    def test_perfect_concordance_leaves_f_unbounded(self):
+        # method 0 wins on both datasets: chi2 = 2 = n (k - 1), so the
+        # Iman-Davenport denominator is 0
+        report = compare_methods([[0.1, 0.2], [0.3, 0.4]])
+        assert report.friedman_chi2 == 2.0
+        assert report.iman_davenport_f is None
+        assert report.iman_davenport_p == 0.0
 
     def test_seventeen_wins_is_not_separable(self):
         mse = np.ones((26, 2))

@@ -45,6 +45,16 @@ def nominal_heavy_dataset(rng, m):
     return Dataset("nominal_heavy", names, tuple(kinds), np.column_stack(cols))
 
 
+class TestSplitSearchPolicy:
+    def test_needs_a_candidate(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            SplitSearchPolicy(0, ALL_THRESHOLDS)
+
+    def test_rejects_an_unknown_threshold_mode(self):
+        with pytest.raises(ValueError, match="unknown threshold mode"):
+            SplitSearchPolicy(1, "median")
+
+
 class TestImpurity:
     """The reference impurity that the split-search oracles score h with,
     on hand-computed values. The package has no impurity of a row set of
