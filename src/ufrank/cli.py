@@ -233,15 +233,12 @@ def _load(args) -> Dataset:
     return load_csv(args.data, target_column=args.target_column)
 
 
-def _method_config(args, m: int | None = None) -> dict:
-    """The ranker's settings. URelief's K and I are resolved on ``m`` rows
-    when given, else recorded as given (None: resolved per training fold)."""
+def _method_config(args) -> dict:
+    """The ranker's settings as given; URelief's K and I may be None, which
+    means resolved on the rows ranked."""
     cfg = {"method": args.method, "seed": args.seed}
     if args.method == "urelief":
-        k, iterations = args.neighbors, args.iterations
-        if m is not None:
-            k, iterations = UReliefConfig(k, iterations, args.seed).resolve(m)
-        cfg["neighbors"], cfg["iterations"] = k, iterations
+        cfg["neighbors"], cfg["iterations"] = args.neighbors, args.iterations
     else:
         cfg["ensemble"] = args.ensemble
         cfg["trees"] = args.trees
@@ -275,7 +272,8 @@ def _cmd_rank(args) -> int:
         "artifact": "ranking",
         "config": {"command": "rank", "data": args.data,
                    "target_column": args.target_column,
-                   **_method_config(args, d.m)},
+                   **{key: ranking.provenance[key]
+                      for key in _method_config(args)}},
         "dataset": {"name": d.name, "m": d.m, "n": d.n},
         "ranking": ranking_rows(ranking),
     }

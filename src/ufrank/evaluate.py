@@ -56,25 +56,25 @@ _BLOCK_BUDGET = 2_000_000
 
 
 def _column_mean(T: np.ndarray) -> np.ndarray:
-    """Column mean of the training rows, the origin of the 1NN screen; a
+    """Column mean of the rows of T, the origin of ``_nearest``'s screen; a
     column whose sum overflows gets an inf or NaN mean, which sends every
     query to the exact check."""
     with np.errstate(over="ignore", invalid="ignore"):
         return T.mean(axis=0)
 
 
-def _nn_targets(T: np.ndarray, y: np.ndarray, Q: np.ndarray, mu: np.ndarray,
-                attrs: np.ndarray) -> np.ndarray:
-    """Target y[j] of the nearest training row T[j] for each query row q of
-    Q (raw feature rows, T in ascending row order): squared Euclidean
-    distance over ``attrs``, taken in ascending column order, ties to the
-    smallest j.
+def _nearest(T: np.ndarray, Q: np.ndarray, mu: np.ndarray,
+             attrs: np.ndarray) -> np.ndarray:
+    """Index j of the nearest row T[j] for each query row q of Q: squared
+    Euclidean distance over ``attrs``, taken in ascending column order,
+    ties to the smallest j. The 1NN evaluator passes training rows in
+    ascending row order and k-means its centers in id order.
 
     The distance that decides is E_j = sum((T[j] - q)**2) by direct
     differences, as ``_sq_dists`` computes it. A screen finds the nearest
     row without it. Queries go in blocks of as many t-long float64 rows as
     fit in _BLOCK_BUDGET (2 MB), or one. In coordinates centered on the
-    training mean mu (a = q - mu, b_j = T[j] - mu), one matmul of the
+    column mean mu of T (a = q - mu, b_j = T[j] - mu), one matmul of the
     block's rows [a, 1] against the rows [-2 b_j, |b_j|^2] gives
     s_j = |b_j|^2 - 2 a.b_j, which is E_j - |a|^2 up to rounding (|a|^2 is
     the same for every j, so it is left out). The screen's argmin is the
@@ -144,7 +144,7 @@ def _nn_targets(T: np.ndarray, y: np.ndarray, Q: np.ndarray, mu: np.ndarray,
                 picks[start + ambiguous] = _exact_picks(
                     T, Q[start + ambiguous], attrs, s[ambiguous],
                     bound[ambiguous])
-    return y[picks]
+    return picks
 
 
 def _exact_picks(T: np.ndarray, Q: np.ndarray, attrs: np.ndarray,
@@ -179,7 +179,7 @@ def knn_predict(d: Dataset, train_rows, test_row, selected_attrs) -> float:
     """Predict one example's target from its nearest training row over the
     selected attributes: unweighted squared Euclidean by direct
     differences, distance ties to the smallest row index (the screen and
-    exact check of ``_nn_targets``, with the training rows' mean as
+    exact check of ``_nearest``, with the training rows' mean as
     origin)."""
     if d.target is None:
         raise ValueError("knn_predict needs a dataset with a target")
@@ -188,13 +188,15 @@ def knn_predict(d: Dataset, train_rows, test_row, selected_attrs) -> float:
     x = np.asarray(test_row, dtype=np.float64)
     if x.shape != (d.n,):
         raise ValueError(f"test row must have arity {d.n}")
+    if not np.isfinite(x).all():
+        raise ValueError("test row must be finite")
     # only the columns from the first selected one to the last, a copy of
     # contiguous row pieces; an np.ix_ gather of the selected columns alone
     # measured slower than the whole rows once most columns are selected
     span = slice(attrs[0], attrs[-1] + 1)
     T = d.X[train_rows, span]
-    return float(_nn_targets(T, d.target[train_rows], x[None, span],
-                             _column_mean(T), attrs - attrs[0])[0])
+    j = _nearest(T, x[None, span], _column_mean(T), attrs - attrs[0])[0]
+    return float(d.target[train_rows[j]])
 
 
 def _fold_rankings(d: Dataset, ranker, plan: FoldPlan) -> list:
@@ -216,7 +218,7 @@ def _fold_errors(d: Dataset, rankings: list, plan: FoldPlan,
         mu = _column_mean(T)
         for j, k in enumerate(ks):
             attrs = np.sort(ranking.top(k))
-            pred = _nn_targets(T, y, Q, mu, attrs)
+            pred = y[_nearest(T, Q, mu, attrs)]
             # a target whose errors or their squares overflow gives inf
             with np.errstate(over="ignore"):
                 diff = pred - d.target[test]
@@ -283,8 +285,10 @@ def curve_points_csv(report: CurveReport, path) -> None:
 
 def _sq_dists(X: np.ndarray, center: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance from every row of X to one center, or
-    row by row to a matching array of centers."""
-    return ((X - center) ** 2).sum(axis=1)
+    row by row to a matching array of centers; a difference or square that
+    overflows gives inf."""
+    with np.errstate(over="ignore"):
+        return ((X - center) ** 2).sum(axis=1)
 
 
 _KMEANS_MAX_ITER = 300
@@ -294,13 +298,16 @@ _KMEANS_TOL = 1e-6
 def kmeans(X: np.ndarray, k: int, rng: np.random.Generator):
     """Lloyd iterations from a k-means++ start.
 
-    Squared distances come from direct differences, one center at a time,
-    so a table with a large offset and a small spread is assigned exactly
-    (the |a|^2 + |b|^2 - 2ab expansion cancels there). Assignment ties go
-    to the lowest center id; an emptied cluster is re-seeded on the point
-    farthest from its current center. Stops when assignments repeat, when
-    the inertia improvement falls below _KMEANS_TOL relative, or after
-    _KMEANS_MAX_ITER iterations.
+    Each point goes to the center that ``_nearest``, the 1NN kernel,
+    picks exactly: the smallest squared distance by direct differences,
+    ties to the lowest center id. So a table with a large offset and a
+    small spread is assigned exactly (the |a|^2 + |b|^2 - 2ab expansion
+    cancels there). An emptied cluster is re-seeded on the point farthest
+    from its current center. Stops when assignments repeat, when the
+    inertia improvement falls below _KMEANS_TOL relative, or after
+    _KMEANS_MAX_ITER iterations. Seeding raises ComputationError when the
+    squared distances overflow, as k-means++ then has no draw
+    probabilities; k = 1 draws nothing, and its inertia is then inf.
     """
     m = len(X)
     if not 1 <= k <= m:
@@ -310,6 +317,9 @@ def kmeans(X: np.ndarray, k: int, rng: np.random.Generator):
     closest = _sq_dists(X, centers[0])
     for j in range(1, k):
         total = closest.sum()
+        if not np.isfinite(total):
+            raise ComputationError("k-means++ seeding: squared distances "
+                                   "overflow")
         if total > 0:
             idx = int(rng.choice(m, p=closest / total))
         else:
@@ -317,12 +327,12 @@ def kmeans(X: np.ndarray, k: int, rng: np.random.Generator):
         centers[j] = X[idx]
         closest = np.minimum(closest, _sq_dists(X, centers[j]))
 
+    every = np.arange(X.shape[1])
     labels = np.full(m, -1, dtype=np.intp)
     inertia = np.inf
     for _ in range(_KMEANS_MAX_ITER):
-        d2 = np.column_stack([_sq_dists(X, c) for c in centers])
-        new_labels = d2.argmin(axis=1)
-        point_d2 = np.take_along_axis(d2, new_labels[:, None], axis=1).ravel()
+        new_labels = _nearest(centers, X, _column_mean(centers), every)
+        point_d2 = _sq_dists(X, centers[new_labels])
         new_inertia = float(point_d2.sum())
         for c in range(k):
             members = new_labels == c
@@ -332,15 +342,11 @@ def kmeans(X: np.ndarray, k: int, rng: np.random.Generator):
                 far = int(np.argmax(point_d2))
                 centers[c] = X[far]
                 point_d2[far] = -1.0
-        if (new_labels == labels).all():
-            labels = new_labels
-            inertia = new_inertia
-            break
-        converged = (np.isfinite(inertia) and abs(inertia - new_inertia)
-                     <= _KMEANS_TOL * max(inertia, 1e-300))
-        labels = new_labels
-        inertia = new_inertia
-        if converged:
+        done = ((new_labels == labels).all()
+                or np.isfinite(inertia) and abs(inertia - new_inertia)
+                <= _KMEANS_TOL * max(inertia, 1e-300))
+        labels, inertia = new_labels, new_inertia
+        if done:
             break
     return labels, centers, inertia
 

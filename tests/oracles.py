@@ -233,6 +233,32 @@ def ref_kmeans_labels(X, centers):
     return labels
 
 
+def ref_lloyd(X, centers, tol):
+    """Lloyd iterations from ``centers`` by plain scan (ref_kmeans_labels),
+    for a start that empties no cluster. Stops when the labels repeat or
+    when the inertia changes by at most ``tol`` relative to the previous
+    one. Returns the labels, the updated centers, the inertia and the rule
+    that stopped: "repeat" or "tolerance"."""
+    centers = np.array(centers, dtype=np.float64)
+    labels = inertia = None
+    while True:
+        new_labels = ref_kmeans_labels(X, centers)
+        new_inertia = 0.0
+        for x, c in zip(X, new_labels):
+            for a, b in zip(x, centers[c]):
+                new_inertia += (float(a) - float(b)) ** 2
+        for c in range(len(centers)):
+            members = new_labels == c
+            assert members.any(), "the start empties a cluster"
+            centers[c] = X[members].mean(axis=0)
+        if labels is not None:
+            if (new_labels == labels).all():
+                return new_labels, centers, new_inertia, "repeat"
+            if abs(inertia - new_inertia) <= tol * inertia:
+                return new_labels, centers, new_inertia, "tolerance"
+        labels, inertia = new_labels, new_inertia
+
+
 def ref_nearest_target(d, train_rows, query, attrs):
     """1NN by plain scan: squared Euclidean over the selected attributes,
     distance ties to the smallest training row index."""

@@ -369,6 +369,32 @@ class TestExitCodes:
                            3, "computation")
         assert "MSE is not finite" in got
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("magnitude", [1e160, 1e308],
+                             ids=["1e160", "1e308"])
+    def test_overflowing_kmeans_seeding_exits_3(self, tmp_path, capsys,
+                                                magnitude, workers):
+        # the target c gives k = 12 clusters; column a's squared distances
+        # overflow, so k-means++ has no draw probabilities
+        got = error_record(run_cli(capsys, "ari-check", "--data",
+                                   str(overflow_csv(tmp_path, magnitude)),
+                                   "--target-column", "c", "--workers",
+                                   workers), 3, "computation")
+        assert "overflow" in got
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("magnitude", [1e160, 1e308],
+                             ids=["1e160", "1e308"])
+    def test_one_cluster_on_an_overflowing_table_succeeds(
+            self, tmp_path, capsys, magnitude):
+        # k = 1 draws no seed; its inf inertia is not reported
+        code, out, err = run_cli(capsys, "ari-check", "--data",
+                                 str(overflow_csv(tmp_path, magnitude)),
+                                 "--target-column", "c", "--classes", "1")
+        assert (code, err) == (0, "")
+        assert stdout_json(out)["ari_median"] == 0.0
+
 
 class TestEvalCurveCompare:
     def eval_artifact(self, capsys, csv_path, method, out_dir, seed="0"):

@@ -135,13 +135,21 @@ class TestKnnPredict:
         with pytest.raises(ValueError, match="integer"):
             knn_predict(d, np.array([True, True]), np.array([0.5]), [0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("attrs", [[0, 1], [1]])
+    def test_non_finite_query_is_rejected(self, bad, attrs):
+        # the screen would send such a query to row 0's target, 10.0
+        d = numeric_dataset([[0.0, 5.0], [1.0, 5.0], [2.0, 5.0]],
+                            target=[10.0, 20.0, 30.0])
+        with pytest.raises(ValueError, match="finite"):
+            knn_predict(d, [0, 1, 2], np.array([bad, 5.0]), attrs)
+
 
 def fold_picks(d, train, test, attrs):
-    """Row picked for each test row by the batched 1NN path; the target is
-    taken as the row index so that the pick itself is compared."""
+    """Row picked for each test row by the batched 1NN path."""
     T = d.X[train]
-    return evaluate._nn_targets(T, train.astype(np.float64), d.X[test],
-                                evaluate._column_mean(T), np.asarray(attrs))
+    return train[evaluate._nearest(T, d.X[test], evaluate._column_mean(T),
+                                   np.asarray(attrs))]
 
 
 def oracle_picks(d, train, test, attrs):
@@ -437,6 +445,39 @@ class TestKMeans:
             np.testing.assert_array_equal(
                 labels, oracles.ref_kmeans_labels(X, centers))
             assert adjusted_rand_index(labels, truth) == 1.0
+
+    @pytest.mark.parametrize("X", [
+        # the row at 2 lies halfway between the centers 1 and 3
+        np.array([[3.0], [4.0], [2.0], [3.0], [0.0], [1.0], [3.0], [4.0],
+                  [1.0], [4.0], [1.0], [1.0]]),
+        # two distinct rows for three clusters: two centers coincide
+        np.repeat([[0.5, -1.0], [3.0, 2.0]], 5, axis=0),
+    ], ids=["integer", "duplicates"])
+    def test_exact_ties_go_to_the_lowest_center(self, X):
+        for seed in range(3):
+            labels, centers, _ = kmeans(X, 3, np.random.default_rng(seed))
+            d2 = ((X[:, None, :] - centers[None]) ** 2).sum(axis=2)
+            assert ((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1)
+                    > 1).any()
+            np.testing.assert_array_equal(
+                labels, oracles.ref_kmeans_labels(X, centers))
+
+    def test_relative_inertia_change_stops_the_iterations(self, monkeypatch):
+        # N(0, 1) points, k = 4: from this start the labels repeat only at
+        # iteration 9, but at iteration 6 the inertia moves by under 1%
+        X = np.random.default_rng(0).normal(size=(80, 2))
+        monkeypatch.setattr(evaluate, "_KMEANS_MAX_ITER", 0)
+        _, start, _ = kmeans(X, 4, np.random.default_rng(1))
+        monkeypatch.setattr(evaluate, "_KMEANS_MAX_ITER", 300)
+        monkeypatch.setattr(evaluate, "_KMEANS_TOL", 1e-2)
+        labels, centers, inertia = kmeans(X, 4, np.random.default_rng(1))
+        want = oracles.ref_lloyd(X, start, 1e-2)
+        assert want[3] == "tolerance"
+        np.testing.assert_array_equal(labels, want[0])
+        np.testing.assert_allclose(centers, want[1], rtol=1e-12)
+        assert inertia == pytest.approx(want[2], rel=1e-12)
+        # the run that waits for repeated labels ends elsewhere
+        assert (oracles.ref_lloyd(X, start, 0.0)[0] != labels).any()
 
     def test_k_bounds(self):
         X = np.zeros((4, 1))
