@@ -7,8 +7,9 @@ package file. A statement counts as executed when any line of its head ran:
 from its first decorator or keyword up to its body, or all of a simple
 statement. Docstrings and ``try:`` lines are not statements here.
 
-Code that runs only in a pool worker process is not seen; the package runs
-the same functions inline at one worker, which is how most tests call it.
+Code that runs only in a pool worker process is not seen. Little does: at
+one worker the package runs the same functions inline, which is how most
+tests call it, and at two or more this process still computes chunk 0.
 
     python3 scripts/uncovered_lines.py            # whole suite
     python3 scripts/uncovered_lines.py tests/test_data.py

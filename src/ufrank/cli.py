@@ -98,7 +98,8 @@ def _add_method_flags(p: _Parser) -> None:
 def _add_common_flags(p: _Parser) -> None:
     p.add_argument("--seed", type=_nonneg, default=0)
     p.add_argument("--workers", type=_positive,
-                   default=max(1, os.cpu_count() or 1))
+                   default=max(1, os.cpu_count() or 1),
+                   help="processes, this one included (default: the cores)")
     p.add_argument("--out", default=None, help="directory for artifact files")
     p.add_argument("--config", default=None,
                    help="JSON file of flag defaults (explicit flags win)")

@@ -79,9 +79,10 @@ class Ensemble:
     every tree back to back, tree t's from ``forest.node_start[t]`` on,
     and all leaf prototypes in one matrix (see FlatTree). ``in_bags[t]``
     and ``oobs[t]`` are tree t's bootstrap draws and out-of-bag rows.
-    ``workers`` is the pool size it was grown with; the scores that work
-    tree by tree (rf-score) split their trees across the same pool, and a
-    hand-built ensemble scores inline. It never changes a number."""
+    ``workers`` is the process count it was grown with, the calling
+    process included; the scores that work tree by tree (rf-score) split
+    their trees across as many, and a hand-built ensemble scores inline.
+    It never changes a number."""
 
     config: EnsembleConfig
     dataset: Dataset
@@ -132,7 +133,7 @@ def build(d: Dataset, cfg: EnsembleConfig, workers: int = 1) -> Ensemble:
     ranges of tree indices, every tree's randomness is keyed by (seed, tree
     index) alone, and the records of the ranges' stacks are joined in tree
     order into the ensemble's one forest record. The ensemble keeps
-    ``workers``, so that it is scored with the same pool."""
+    ``workers``, so that it is scored by as many processes."""
     if d.m < 2:
         raise IngestionError("an ensemble needs at least two examples")
     d = d.without_target()

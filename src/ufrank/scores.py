@@ -156,11 +156,12 @@ def random_forest_score(e: Ensemble) -> Ranking:
     trees are batched and attributes grouped under ``_BLOCK_BUDGET``
     cannot change a draw or a term.
 
-    The trees are scored in contiguous ranges of the record on the pool of
-    ``e.workers`` processes the ensemble was grown with; each chunk
-    carries only its own trees. Every draw is keyed by (seed, tree) and
-    the per-tree rows are reduced in tree order, so the worker count never
-    changes a bit of the result.
+    The trees are scored in contiguous ranges of the record by the
+    ``e.workers`` processes the ensemble was grown with: this process
+    scores the first range and the pool the others, and each chunk sent
+    to the pool carries only its own trees. Every draw is keyed by (seed,
+    tree) and the per-tree rows are reduced in tree order, so the worker
+    count never changes a bit of the result.
     """
     d = e.dataset
     nominal = ~d.numeric_mask

@@ -173,7 +173,7 @@ def search_frontier(d: Dataset, ws: SplitWorkspace, policy: SplitSearchPolicy,
     heads = starts[:-1]
     seg = np.repeat(np.arange(F), counts)
     k = min(policy.n_candidates, d.n)
-    cand = np.argsort(keys, axis=1, kind="stable")[:, :k]
+    cand = _first_k_stable(keys, k)
     scored = ws.scoring(rows, heads, counts)
     totals = np.add.reduceat(scored, heads, axis=0)
     base = ws.square_sums(totals) / counts
@@ -204,6 +204,27 @@ def search_frontier(d: Dataset, ws: SplitWorkspace, policy: SplitSearchPolicy,
     attr, value, is_nominal, _ = best
     col = d.X[rows, np.maximum(attr, 0)[seg]]
     return FrontierSplits(*best, _goes_yes(col, value[seg], is_nominal[seg]))
+
+
+def _first_k_stable(keys: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(keys, axis=1, kind="stable")[:, :k]``, without sorting
+    every key: a row's first k keys are those not above its k-th smallest,
+    and a stable sort of just those, taken in column order, orders them as
+    the full sort does. A row where ties at the k-th key leave more than k
+    such keys is marked from its full sort instead."""
+    if k >= keys.shape[1]:
+        return np.argsort(keys, axis=1, kind="stable")[:, :k]
+    kth = np.partition(keys, k - 1, axis=1)[:, k - 1:k]
+    first = keys <= kth
+    tied = np.flatnonzero(np.count_nonzero(first, axis=1) > k)
+    if tied.size:
+        first[tied] = False
+        first[tied[:, None],
+              np.argsort(keys[tied], axis=1, kind="stable")[:, :k]] = True
+    cols = np.nonzero(first)[1].reshape(-1, k)
+    order = np.argsort(np.take_along_axis(keys, cols, axis=1), axis=1,
+                       kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
 
 
 def _goes_yes(x, value, nominal):

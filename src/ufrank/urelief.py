@@ -204,6 +204,9 @@ def urelief_state(d: Dataset, cfg: UReliefConfig,
     I > m. Contributions are summed in a canonical order (by row index for
     I <= m, by iteration otherwise), so the result is bit-identical across
     worker counts, and for I = m independent of visit order altogether.
+    At ``workers`` >= 2 the reference rows are split into that many
+    contiguous chunks: this process scores the first and the pool the
+    others, each sent the table and its statistics.
     """
     d = d.without_target()
     stats = compute_stats(d)

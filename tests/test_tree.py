@@ -7,7 +7,8 @@ import oracles
 from ufrank import (ALL_THRESHOLDS, ONE_RANDOM_THRESHOLD, Dataset, FlatTree,
                     Nominal, Numeric, SplitSearchPolicy, best_test,
                     compute_stats, grow_tree)
-from ufrank.tree import SplitWorkspace, draw_frontier, search_frontier
+from ufrank.tree import (SplitWorkspace, _first_k_stable, draw_frontier,
+                         search_frontier)
 
 
 def mixed_4x2():
@@ -282,6 +283,31 @@ class TestFrontierIndependence:
                         joint.yes[starts[f]:starts[f + 1]], alone.yes)
                     splits += int(alone.attr[0] >= 0)
         assert splits >= 100
+
+
+class TestCandidatePick:
+    """A node's candidates are its first k attributes by a stable sort of
+    its keys, however few keys are sorted to find them."""
+
+    @pytest.mark.parametrize("levels", [None, 2, 4])
+    def test_matches_the_full_stable_argsort(self, levels):
+        rng = np.random.default_rng(17)
+        tied_rows = 0
+        for _ in range(60):
+            keys = rng.random((int(rng.integers(1, 40)),
+                               int(rng.integers(1, 30))))
+            if levels is not None:  # few distinct keys: ties at the k-th
+                keys = np.round(keys * (levels - 1))
+            n = keys.shape[1]
+            for k in sorted({1, int(rng.integers(1, n + 1)), n, n + 1}):
+                full = np.argsort(keys, axis=1, kind="stable")[:, :k]
+                got = _first_k_stable(keys, k)
+                assert got.dtype == full.dtype
+                np.testing.assert_array_equal(got, full)
+                if k < n:
+                    kth = np.sort(keys, axis=1)[:, k - 1:k]
+                    tied_rows += int(((keys <= kth).sum(axis=1) > k).sum())
+        assert (tied_rows > 0) == (levels is not None)
 
 
 class TestGrowTree:
