@@ -76,13 +76,14 @@ class EnsembleConfig:
 @dataclass
 class Ensemble:
     """A grown ensemble. ``forest`` is its one forest record: the nodes of
-    every tree back to back, tree t's from ``forest.node_start[t]`` on,
-    and all leaf prototypes in one matrix (see FlatTree). ``in_bags[t]``
-    and ``oobs[t]`` are tree t's bootstrap draws and out-of-bag rows.
-    ``workers`` is the process count it was grown with, the calling
-    process included; the scores that work tree by tree (rf-score) split
-    their trees across as many, and a hand-built ensemble scores inline.
-    It never changes a number."""
+    every tree back to back, tree t's from ``forest.node_start[t]`` on
+    (see FlatTree). ``in_bags[t]`` and ``oobs[t]`` are tree t's bootstrap
+    draws, in draw order, and out-of-bag rows; the record keeps no leaf
+    predictions, and rf-score rebuilds them from ``in_bags``. ``workers``
+    is the process count it was grown with, the calling process included;
+    the scores that work tree by tree (rf-score) split their trees across
+    as many, and a hand-built ensemble scores inline. It never changes a
+    number."""
 
     config: EnsembleConfig
     dataset: Dataset
@@ -98,8 +99,7 @@ class Ensemble:
 
     @property
     def flats(self) -> list[FlatTree]:
-        """Each tree alone, as a one-tree record with its own node ids and
-        leaf slots."""
+        """Each tree alone, as a one-tree record with its own node ids."""
         return [self.forest.trees(t, t + 1) for t in range(self.n_trees)]
 
 

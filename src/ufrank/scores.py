@@ -9,14 +9,17 @@ ensemble's forest record (see tree.FlatTree):
   examples that reached the node instead of h*.
 * rf-score — the permutation importance: the mean relative increase of a
   tree's out-of-bag reconstruction error when the attribute's out-of-bag
-  values are shuffled. Each tree's matrix of per-row, per-attribute error
-  terms is computed once; a shuffle of attribute i only changes column i
-  of it and the rows that the shuffle sends to another leaf, so each
-  shuffle patches a copy of the matrix instead of recomputing it, with the
-  same terms and the same order of summation. One walk routes the
-  out-of-bag rows of a batch of trees, and one walk per group of shuffled
-  attributes reroutes the rows that may move, each from the first node on
-  its path that tests the attribute.
+  values are shuffled. A row is reconstructed by its leaf's prototype,
+  which the forest record does not keep: rf-score, its one reader,
+  rebuilds each batch of trees' prototypes from their bootstrap rows.
+  Each tree's matrix of per-row, per-attribute error terms is computed
+  once; a shuffle of attribute i only changes column i of it and the rows
+  that the shuffle sends to another leaf, so each shuffle patches a copy
+  of the matrix instead of recomputing it, with the same terms and the
+  same order of summation. One walk routes the out-of-bag rows of a batch
+  of trees, and one walk per group of shuffled attributes reroutes the
+  rows that may move, each from the first node on its path that tests the
+  attribute.
 
 Per-tree contributions are stacked in tree order and reduced with one
 pairwise sum, so the totals depend neither on accumulation order nor on
@@ -32,6 +35,7 @@ import numpy as np
 from . import parallel, streams
 from .data import ComputationError, write_rows
 from .forest import Ensemble
+from .segments import first_max, sorted_runs
 from .tree import FlatTree
 
 
@@ -108,9 +112,11 @@ def symbolic(e: Ensemble) -> Ranking:
 _BLOCK_BUDGET = 8_000_000
 # out-of-bag cells (rows x n) that one batch of trees may hold. A batch
 # keeps about five values per cell (its rows, error terms, shuffles and
-# first-testing nodes). On the planted 180 x 50 ET-100 fold, batches 4 to
-# 16 times larger measured no faster, and batches of one tree as slow as
-# scoring tree by tree.
+# first-testing nodes). Rebuilding its prototypes briefly adds the values
+# of its bootstrap rows, about 2.7 per cell, and the prototypes keep at
+# most about 1.7 (a leaf per distinct bootstrap row). On the planted
+# 180 x 50 ET-100 fold, batches 4 to 16 times larger measured no faster,
+# and batches of one tree as slow as scoring tree by tree.
 _BATCH_CELLS = _BLOCK_BUDGET // 128
 
 
@@ -124,6 +130,15 @@ def random_forest_score(e: Ensemble) -> Ranking:
     Trees with an empty out-of-bag set or zero baseline error carry no
     information for a ratio and are skipped, with the divisor reduced
     accordingly.
+
+    A row is reconstructed by the prototype of the leaf it reaches: per
+    attribute, the mean (numeric) or the modal code (nominal, ties to the
+    smallest code) of the tree's bootstrap draws that reach that leaf,
+    summed in draw order. The forest record keeps no prototypes. Each
+    batch of trees rebuilds its own: one walk routes every tree's draws
+    (``e.in_bags``) from the tree's root, and a stable sort groups them by
+    leaf in draw order. Growth keeps each node's rows in draw order too,
+    so a leaf's group is the rows, in the order, that growth left there.
 
     Trees are scored in batches of the forest record. One walk routes the
     out-of-bag rows of all of a batch's trees, each row from its own
@@ -169,7 +184,7 @@ def random_forest_score(e: Ensemble) -> Ranking:
     scale = np.divide(1.0, var, out=np.zeros_like(var), where=(var > 0) & ~nominal)
     rows = parallel.map_chunks(_tree_contributions,
                                (d.X, scale, nominal, e.config.seed),
-                               _Trees(e.forest, e.oobs), e.workers)
+                               _Trees(e.forest, e.in_bags, e.oobs), e.workers)
     contributions = [row for row in rows if row is not None]
     if not contributions:
         raise ComputationError(
@@ -184,10 +199,11 @@ def random_forest_score(e: Ensemble) -> Ranking:
 @dataclass
 class _Trees:
     """Trees ``first`` to ``first + len(oobs) - 1`` of an ensemble: their
-    forest record and out-of-bag rows. Slicing gives a contiguous range, as
-    parallel.map_chunks cuts its items."""
+    forest record, bootstrap draws and out-of-bag rows. Slicing gives a
+    contiguous range, as parallel.map_chunks cuts its items."""
 
     forest: FlatTree
+    in_bags: list
     oobs: list
     first: int = 0
 
@@ -196,7 +212,8 @@ class _Trees:
 
     def __getitem__(self, part: slice) -> "_Trees":
         a, b, _ = part.indices(len(self))
-        return _Trees(self.forest.trees(a, b), self.oobs[a:b], self.first + a)
+        return _Trees(self.forest.trees(a, b), self.in_bags[a:b],
+                      self.oobs[a:b], self.first + a)
 
 
 def _tree_contributions(X, scale, nominal, seed, trees: _Trees) -> list:
@@ -217,12 +234,21 @@ def _tree_contributions(X, scale, nominal, seed, trees: _Trees) -> list:
 def _batch_contributions(X, scale, nominal, seed, trees: _Trees) -> list:
     """_tree_contributions for one batch of trees."""
     f, n = trees.forest, X.shape[1]
+    slots = np.cumsum(f.attr < 0) - 1  # at a leaf node: its leaf's number
+    # each tree's draws routed from its root and grouped by leaf, in draw
+    # order: the rows, in the order, that growth left at each leaf
+    drawn = np.concatenate(trees.in_bags)
+    at = slots[f.route(X, np.repeat(f.node_start[:-1],
+                                    [bag.size for bag in trees.in_bags]),
+                       drawn)]
+    proto = _leaf_prototypes(X, nominal, drawn[np.argsort(at, kind="stable")],
+                             np.bincount(at, minlength=slots[-1] + 1))
     sizes = np.array([oob.size for oob in trees.oobs])
     head = np.append(0, np.cumsum(sizes))  # tree t's rows: head[t]:head[t + 1]
     base = X[np.concatenate(trees.oobs)]
     leaf = f.route(base, np.repeat(f.node_start[:-1], sizes))
-    slot = f.leaf_slot[leaf]
-    E = _row_errors(base, f.leaf_proto[slot], scale, nominal)
+    slot = slots[leaf]
+    E = _row_errors(base, proto[slot], scale, nominal)
     row_means = E.mean(axis=1)
     # src[i, r]: the row whose value of attribute i row r takes
     src = np.zeros((n, base.shape[0]), dtype=np.intp)
@@ -238,7 +264,7 @@ def _batch_contributions(X, scale, nominal, seed, trees: _Trees) -> list:
     if not used.size:
         return [None] * len(trees)
     scored = np.flatnonzero(np.repeat(e_base != 0.0, sizes))
-    first = _first_tests(f, n)
+    first = _first_tests(f, slots, n)
     tested = (first >= 0)[slot[scored]]
     errors = np.empty((len(trees), n))
     group = max(1, _BLOCK_BUDGET // (sizes.max() * n))
@@ -260,16 +286,38 @@ def _batch_contributions(X, scale, nominal, seed, trees: _Trees) -> list:
             # scored against the same predictions
             shuffled = base[src[attrs, rows], attrs[:, None]]
             stack[np.arange(attrs.size), :, attrs] = _row_errors(
-                shuffled.T, f.leaf_proto[slot[rows]][:, attrs], scale[attrs],
+                shuffled.T, proto[slot[rows]][:, attrs], scale[attrs],
                 nominal[attrs]).T
             # new full rows for the rows that reach a new leaf
             full = base[q[mine]]
             full[np.arange(full.shape[0]), a[mine]] = value[mine]
             stack[j[mine], q[mine] - head[t]] = _row_errors(
-                full, f.leaf_proto[f.leaf_slot[moved[mine]]], scale, nominal)
+                full, proto[slots[moved[mine]]], scale, nominal)
             errors[t, attrs] = stack.mean(axis=2).mean(axis=1)
     return [(errors[t] - e_base[t]) / e_base[t] if e_base[t] != 0.0 else None
             for t in range(len(trees))]
+
+
+def _leaf_prototypes(X: np.ndarray, nominal: np.ndarray, rows: np.ndarray,
+                     sizes: np.ndarray) -> np.ndarray:
+    """Leaf predictions, leaf l owning the next ``sizes[l]`` rows of X
+    listed in ``rows``: per attribute, the mean of those rows or, where
+    ``nominal``, their modal code, ties to the smallest code."""
+    sub = X[rows]
+    # a leaf sum that overflows keeps an inf or NaN prototype
+    with np.errstate(over="ignore", invalid="ignore"):
+        proto = (np.add.reduceat(sub, np.cumsum(sizes) - sizes, axis=0)
+                 / sizes[:, None])
+    nom = np.flatnonzero(nominal)
+    if nom.size:
+        group = (np.repeat(np.arange(sizes.size), sizes)[:, None] * nom.size
+                 + np.arange(nom.size))
+        _, sp, sv, _, run_head = sorted_runs(group.ravel(), sub[:, nom].ravel())
+        first = np.flatnonzero(run_head)
+        mode = first[first_max(sp[first],
+                                np.diff(np.append(first, sv.size)))]
+        proto[:, nom] = sv[mode].reshape(sizes.size, nom.size)
+    return proto
 
 
 def _row_errors(X: np.ndarray, predicted: np.ndarray, scale: np.ndarray,
@@ -288,19 +336,20 @@ def _row_errors(X: np.ndarray, predicted: np.ndarray, scale: np.ndarray,
     return err
 
 
-def _first_tests(f: FlatTree, n: int) -> np.ndarray:
-    """(leaves, n) node ids of a forest record: entry (l, i) is the first
-    node on the path from its tree's root to the leaf in slot l that tests
+def _first_tests(f: FlatTree, slots: np.ndarray, n: int) -> np.ndarray:
+    """(leaves, n) node ids of a forest record, its leaves numbered in node
+    order (``slots`` holds each leaf node's number): entry (l, i) is the
+    first node on the path from its tree's root to leaf l that tests
     attribute i, or -1 where none does. Built in one walk down the depth
     levels of all trees at once: each child starts from its parent's row,
     with the parent set as its attribute's entry if none was yet."""
-    out = np.empty((len(f.leaf_proto), n), dtype=np.intp)
+    out = np.empty((slots[-1] + 1, n), dtype=np.intp)
     level = f.node_start[:-1]
     first = np.full((level.size, n), -1, dtype=np.intp)
     while level.size:
         attr = f.attr[level]
         leaf = attr < 0
-        out[f.leaf_slot[level[leaf]]] = first[leaf]
+        out[slots[level[leaf]]] = first[leaf]
         level, attr, first = level[~leaf], attr[~leaf], first[~leaf]
         k = np.arange(level.size)
         first[k, attr] = np.where(first[k, attr] < 0, level, first[k, attr])

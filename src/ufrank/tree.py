@@ -303,28 +303,6 @@ def best_test(d: Dataset, rows, policy: SplitSearchPolicy, stats: AttributeStats
                            np.array([0, rows.size]), keys, u)
 
 
-def _leaf_prototypes(d: Dataset, rows: np.ndarray,
-                     sizes: np.ndarray) -> np.ndarray:
-    """Leaf prediction vectors, leaf i owning the next ``sizes[i]`` rows:
-    per-attribute mean (numeric) or modal code (nominal, ties to the
-    smallest code)."""
-    sub = d.X[rows]
-    # a leaf sum that overflows keeps an inf or NaN prototype
-    with np.errstate(over="ignore", invalid="ignore"):
-        proto = (np.add.reduceat(sub, np.cumsum(sizes) - sizes, axis=0)
-                 / sizes[:, None])
-    nom = np.flatnonzero(~d.numeric_mask)
-    if nom.size:
-        group = (np.repeat(np.arange(sizes.size), sizes)[:, None] * nom.size
-                 + np.arange(nom.size))
-        _, sp, sv, _, run_head = sorted_runs(group.ravel(), sub[:, nom].ravel())
-        first = np.flatnonzero(run_head)
-        mode = first[first_max(sp[first],
-                                np.diff(np.append(first, sv.size)))]
-        proto[:, nom] = sv[mode].reshape(sizes.size, nom.size)
-    return proto
-
-
 def grow_tree(d: Dataset, rows, policy: SplitSearchPolicy, stats: AttributeStats,
               rng: np.random.Generator) -> "FlatTree":
     """Grow a fully expanded tree on the given row multiset (duplicate
@@ -370,8 +348,7 @@ def _grow_stack(d: Dataset, ws: SplitWorkspace, policy: SplitSearchPolicy,
         u = None if draws[0][1] is None else np.concatenate([u for _, u in draws])
         found = search_frontier(d, ws, policy, rows,
                                 np.cumsum(np.append(0, counts)), keys, u)
-        levels.append((rows, counts, found.attr, found.value, found.nominal,
-                       found.h))
+        levels.append((counts, found.attr, found.value, found.nominal, found.h))
         # children in their parents' order, yes child first, each keeping
         # its rows' order; the rows of unsplit nodes sort last. Each tree's
         # nodes stay together, in tree order.
@@ -384,14 +361,9 @@ def _grow_stack(d: Dataset, ws: SplitWorkspace, policy: SplitSearchPolicy,
         rows = rows[order[:counts.sum()]]
         tree = np.repeat(tree[split], 2)
 
-    reached, n_reached, attr, value, nominal, h = (
-        np.concatenate(a) for a in zip(*levels))
-    # one call for all trees: a leaf's prototype reads its own rows only
-    leaf = attr < 0
-    protos = _leaf_prototypes(d, reached[np.repeat(leaf, n_reached)],
-                              n_reached[leaf])
-    return FlatTree.from_node(attr, value, nominal, n_reached, h, protos,
-                              len(bags))
+    n_reached, attr, value, nominal, h = (np.concatenate(a)
+                                          for a in zip(*levels))
+    return FlatTree.from_node(attr, value, nominal, n_reached, h, len(bags))
 
 
 @dataclass
@@ -401,14 +373,15 @@ class FlatTree:
 
     The trees' nodes lie back to back: tree t's are node ids
     ``node_start[t]`` to ``node_start[t + 1] - 1``, in preorder (yes
-    first), and its leaves' prototypes are rows ``leaf_start[t]`` to
-    ``leaf_start[t + 1] - 1`` of the one ``leaf_proto`` matrix. ``attr``,
-    ``value`` and ``is_nominal`` encode each node's test as FrontierSplits
-    does, with -1 and NaN at leaves; ``child`` rows hold (yes, no) node ids
-    of the record, -1 at leaves; ``leaf_slot`` maps leaf nodes to rows of
-    ``leaf_proto``, -1 at internal nodes. A one-tree record, as grow_tree
-    returns it and ``trees(t, t + 1)`` cuts it out, has ``node_start`` [0,
-    nodes] and ``leaf_start`` [0, leaves], so its ids are the tree's own.
+    first). ``attr``, ``value`` and ``is_nominal`` encode each node's test
+    as FrontierSplits does, with -1 and NaN at leaves; ``child`` rows hold
+    (yes, no) node ids of the record, -1 at leaves. A one-tree record, as
+    grow_tree returns it and ``trees(t, t + 1)`` cuts it out, has
+    ``node_start`` [0, nodes], so its ids are the tree's own.
+
+    The record holds no leaf predictions: only rf-score needs them, and it
+    rebuilds them from each tree's bootstrap rows (see
+    scores.random_forest_score).
     """
 
     attr: np.ndarray
@@ -417,21 +390,17 @@ class FlatTree:
     child: np.ndarray
     n_reached: np.ndarray
     h_star: np.ndarray
-    leaf_slot: np.ndarray
-    leaf_proto: np.ndarray
     node_start: np.ndarray
-    leaf_start: np.ndarray
 
     @classmethod
     def from_node(cls, attr, value, is_nominal, n_reached, h_star,
-                  leaf_proto, trees) -> "FlatTree":
+                  trees) -> "FlatTree":
         """The record of ``trees`` trees from their node records in level
         order, the depth levels of all trees together as _grow_stack grows
         them: the first ``trees`` records are the roots, in tree order, and
         the r-th internal node's children are records trees + 2r (yes) and
         trees + 2r + 1 (no). Each test's ``value`` is encoded as in
-        FrontierSplits (NaN at leaves), and ``leaf_proto`` holds the leaves'
-        prototypes in record order. One call lays out every tree in
+        FrontierSplits (NaN at leaves). One call lays out every tree in
         preorder, yes child first, one depth at a time from subtree sizes:
         a root starts after the trees before it, a yes child follows its
         parent, a no child follows its yes sibling's subtree.
@@ -460,35 +429,24 @@ class FlatTree:
             pre[yes] = pre[inner] + 1
             pre[no] = pre[yes] + size[yes]
         order = np.argsort(pre)
-        leaf = attr[order] < 0
         return cls(attr[order], value[order], is_nominal[order],
                    np.where(child >= 0, pre[child], -1)[order],
-                   n_reached[order], h_star[order],
-                   np.where(leaf, np.cumsum(leaf) - 1, -1),
-                   leaf_proto[(np.cumsum(attr < 0) - 1)[order[leaf]]],
-                   node_start, np.append(0, np.cumsum(leaf))[node_start])
+                   n_reached[order], h_star[order], node_start)
 
     @classmethod
     def concat(cls, parts) -> "FlatTree":
         """One record of the trees of ``parts``, in order."""
         nodes = np.cumsum([0] + [p.attr.size for p in parts])
-        leaves = np.cumsum([0] + [len(p.leaf_proto) for p in parts])
 
-        def joined(name, offsets=None):
-            arrays = [getattr(p, name) for p in parts]
-            if offsets is not None:
-                arrays = [_shifted(a, o) for a, o in zip(arrays, offsets)]
-            return np.concatenate(arrays)
-
-        def starts(name, offsets):
-            return np.concatenate([getattr(p, name)[:-1] + o for p, o in
-                                   zip(parts, offsets)] + [offsets[-1:]])
+        def joined(name):
+            return np.concatenate([getattr(p, name) for p in parts])
 
         return cls(joined("attr"), joined("value"), joined("is_nominal"),
-                   joined("child", nodes), joined("n_reached"),
-                   joined("h_star"), joined("leaf_slot", leaves),
-                   joined("leaf_proto"), starts("node_start", nodes),
-                   starts("leaf_start", leaves))
+                   np.concatenate([_shifted(p.child, o)
+                                   for p, o in zip(parts, nodes)]),
+                   joined("n_reached"), joined("h_star"),
+                   np.concatenate([p.node_start[:-1] + o for p, o in
+                                   zip(parts, nodes)] + [nodes[-1:]]))
 
     @property
     def n_trees(self) -> int:
@@ -497,14 +455,11 @@ class FlatTree:
     def trees(self, a: int, b: int) -> "FlatTree":
         """The record of trees a to b - 1 alone, its ids counted from 0."""
         n0, n1 = self.node_start[a], self.node_start[b]
-        l0, l1 = self.leaf_start[a], self.leaf_start[b]
         return FlatTree(self.attr[n0:n1], self.value[n0:n1],
                         self.is_nominal[n0:n1],
                         _shifted(self.child[n0:n1], -n0),
                         self.n_reached[n0:n1], self.h_star[n0:n1],
-                        _shifted(self.leaf_slot[n0:n1], -l0),
-                        self.leaf_proto[l0:l1], self.node_start[a:b + 1] - n0,
-                        self.leaf_start[a:b + 1] - l0)
+                        self.node_start[a:b + 1] - n0)
 
     def route(self, X: np.ndarray, start=None, rows=None,
               swap=None) -> np.ndarray:
@@ -530,11 +485,7 @@ class FlatTree:
             live = live[self.attr[node] >= 0]
         return cur
 
-    def predictions(self, X: np.ndarray) -> np.ndarray:
-        """Leaf prototype for each row of X, routed from node 0."""
-        return self.leaf_proto[self.leaf_slot[self.route(X)]]
-
 
 def _shifted(ids: np.ndarray, by) -> np.ndarray:
-    """Node ids or leaf slots moved by ``by``, with -1 (none) kept."""
+    """Node ids moved by ``by``, with -1 (none) kept."""
     return np.where(ids >= 0, ids + by, -1)

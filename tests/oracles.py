@@ -298,7 +298,7 @@ def random_mixed_dataset(rng, m, n, force_num=None, min_nominal_arity=3):
     return Dataset(f"random_{m}x{n}", names, tuple(kinds), X)
 
 
-def flat_leaf(prototype, n_reached):
+def flat_leaf(n_reached):
     """Hand-made one-node tree: a lone leaf."""
     return FlatTree(attr=np.array([-1], dtype=np.intp),
                     value=np.array([np.nan]),
@@ -306,26 +306,19 @@ def flat_leaf(prototype, n_reached):
                     child=np.array([[-1, -1]], dtype=np.intp),
                     n_reached=np.array([n_reached], dtype=np.intp),
                     h_star=np.array([0.0]),
-                    leaf_slot=np.array([0], dtype=np.intp),
-                    leaf_proto=np.array([prototype], dtype=np.float64),
-                    node_start=np.array([0, 1], dtype=np.intp),
-                    leaf_start=np.array([0, 1], dtype=np.intp))
+                    node_start=np.array([0, 1], dtype=np.intp))
 
 
-def flat_stump(attr, threshold, h_star, yes, no):
-    """Hand-made three-node tree: the root tests x[attr] <= threshold; yes
-    and no are (prototype, n_reached) of its two leaves."""
-    (yes_proto, yes_n), (no_proto, no_n) = yes, no
+def flat_stump(attr, threshold, h_star, yes_n, no_n):
+    """Hand-made three-node tree: the root tests x[attr] <= threshold; its
+    yes and no leaves are reached by yes_n and no_n rows."""
     return FlatTree(attr=np.array([attr, -1, -1], dtype=np.intp),
                     value=np.array([threshold, np.nan, np.nan]),
                     is_nominal=np.zeros(3, dtype=bool),
                     child=np.array([[1, 2], [-1, -1], [-1, -1]], dtype=np.intp),
                     n_reached=np.array([yes_n + no_n, yes_n, no_n], dtype=np.intp),
                     h_star=np.array([h_star, 0.0, 0.0]),
-                    leaf_slot=np.array([-1, 0, 1], dtype=np.intp),
-                    leaf_proto=np.array([yes_proto, no_proto], dtype=np.float64),
-                    node_start=np.array([0, 3], dtype=np.intp),
-                    leaf_start=np.array([0, 2], dtype=np.intp))
+                    node_start=np.array([0, 3], dtype=np.intp))
 
 
 def flat_fingerprint(flat):
@@ -367,17 +360,24 @@ def ref_node_rows(d, flat, rows):
     return out
 
 
+def _leaf_numbers(flat):
+    """Each node's leaf number, the leaves counted in node order."""
+    return {int(node): l for l, node in enumerate(np.flatnonzero(flat.attr < 0))}
+
+
 def ref_path_attrs(flat, n):
-    """(leaf slots, n) bool by recursive descent along the child pointers:
-    entry (l, i) says whether some internal node on the path from the root
-    to the leaf in slot l tests attribute i."""
-    out = np.zeros((len(flat.leaf_proto), n), dtype=bool)
+    """(leaves, n) bool by recursive descent along the child pointers of a
+    one-tree record, its leaves numbered in node order: entry (l, i) says
+    whether some internal node on the path from the root to leaf l tests
+    attribute i."""
+    number = _leaf_numbers(flat)
+    out = np.zeros((len(number), n), dtype=bool)
 
     def walk(node, tested):
         attr = int(flat.attr[node])
         if attr < 0:
             for i in tested:
-                out[flat.leaf_slot[node], i] = True
+                out[number[node], i] = True
             return
         for child in flat.child[node]:
             walk(int(child), tested | {attr})
@@ -387,17 +387,18 @@ def ref_path_attrs(flat, n):
 
 
 def ref_first_tests(flat, n):
-    """(leaf slots, n) node ids by recursive descent along the child
-    pointers of a one-tree record: entry (l, i) is the first node on the
-    path from the root to the leaf in slot l that tests attribute i, or -1
-    where none does."""
-    out = np.full((len(flat.leaf_proto), n), -1, dtype=np.intp)
+    """(leaves, n) node ids by recursive descent along the child pointers
+    of a one-tree record, its leaves numbered in node order: entry (l, i)
+    is the first node on the path from the root to leaf l that tests
+    attribute i, or -1 where none does."""
+    number = _leaf_numbers(flat)
+    out = np.full((len(number), n), -1, dtype=np.intp)
 
     def walk(node, first):
         attr = int(flat.attr[node])
         if attr < 0:
             for i, at in first.items():
-                out[flat.leaf_slot[node], i] = at
+                out[number[node], i] = at
             return
         for child in flat.child[node]:
             walk(int(child), {attr: node, **first})
@@ -406,14 +407,44 @@ def ref_first_tests(flat, n):
     return out
 
 
-def ref_predict(flat, x):
-    """Prototype of the leaf one example reaches, following the child
-    pointers node by node."""
+def ref_leaf_prototypes(d, flat, bag):
+    """(leaves, n) prototypes of a one-tree record grown on the draws
+    ``bag``, its leaves in node order. A leaf's rows are the draws that
+    reach it (ref_node_rows), in draw order; a numeric column takes their
+    mean and a nominal one its most frequent code, ties to the smallest."""
+    node_rows = ref_node_rows(d, flat, bag)
+    out = []
+    for node in np.flatnonzero(flat.attr < 0):
+        sub = d.X[node_rows[node]]
+        proto = np.empty(d.n)
+        for j, kind in enumerate(d.kinds):
+            col = sub[:, j]
+            if isinstance(kind, Nominal):
+                codes, counts = np.unique(col, return_counts=True)
+                proto[j] = codes[np.argmax(counts)]  # codes ascend
+            else:
+                # the first row plus numpy's pairwise sum of the others is
+                # the order np.add.reduceat sums a leaf's rows in, so the
+                # rf-score cross-check can demand bit equality
+                proto[j] = (col[0] + col[1:].sum()) / col.size
+        out.append(proto)
+    return np.array(out)
+
+
+def ref_leaf(flat, x):
+    """Node id of the leaf one example reaches, following the child
+    pointers of a one-tree record node by node."""
     node = 0
     while flat.attr[node] >= 0:
         node = int(flat.child[node, 0 if _goes_yes(flat, node, x[flat.attr[node]])
                               else 1])
-    return flat.leaf_proto[flat.leaf_slot[node]]
+    return node
+
+
+def ref_predict(flat, protos, x):
+    """Prototype of the leaf one example reaches, read from ``protos``
+    (ref_leaf_prototypes)."""
+    return protos[_leaf_numbers(flat)[ref_leaf(flat, x)]]
 
 
 def permutation_rows(e, t, size):
@@ -435,11 +466,15 @@ def oob_error(e, t, rows, permuted_attr=None):
     row ``permuted_attr`` of the n x |rows| matrix that tree t's stream,
     keyed (ensemble seed, OOB_PERMUTATION, t), draws in one ``permuted``
     call over n copies of 0..|rows|-1.
+
+    The prototypes are ref_leaf_prototypes of the tree's bootstrap draws,
+    ``e.in_bags[t]``.
     """
     rows = np.asarray(rows, dtype=np.intp)
     if rows.size == 0:
         raise ValueError("error over an empty row set is undefined")
     d, flat = e.dataset, e.flats[t]
+    protos = ref_leaf_prototypes(d, flat, e.in_bags[t])
     X = d.X[rows].copy()
     if permuted_attr is not None:
         attr = int(permuted_attr)
@@ -450,7 +485,7 @@ def oob_error(e, t, rows, permuted_attr=None):
     variance = e.stats.denominator
     per_row = np.empty(rows.size)
     for r, x in enumerate(X):
-        proto = ref_predict(flat, x)
+        proto = ref_predict(flat, protos, x)
         terms = np.zeros(d.n)
         for j, kind in enumerate(d.kinds):
             if isinstance(kind, Nominal):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from oracles import oob_error
 from ufrank import (ALL_THRESHOLDS, ONE_RANDOM_THRESHOLD, Dataset,
                     EnsembleConfig, FlatTree, Nominal, Numeric, SynthSpec, build,
                     compute_stats, genie3, grow_tree, make_planted,
-                    random_forest_score, subset_size, streams)
+                    random_forest_score, subset_size, streams, symbolic)
 from ufrank import forest
 from ufrank.forest import ENSEMBLES, SUBSET_RULES, Ensemble
 
@@ -232,15 +234,12 @@ def record_ensemble(name):
     if name in ENSEMBLES:
         return build(d, EnsembleConfig(method=name, n_trees=5, seed=21))
     if name == "hand":
-        stump = oracles.flat_stump(2, 1.0, 1.0, ([0.0, 0.0, 0.0], 12),
-                                   ([1.0, 1.0, 3.0], 12))
-        by_code = oracles.flat_stump(2, 3.0, 2.0, ([-1.0, 0.0, 1.0], 12),
-                                     ([2.0, 0.0, 2.0], 12))
+        stump = oracles.flat_stump(2, 1.0, 1.0, 12, 12)
+        by_code = oracles.flat_stump(2, 3.0, 2.0, 12, 12)
         by_code.is_nominal[0] = True  # tests k == code 3
         return Ensemble(EnsembleConfig(method="rf", n_trees=3, seed=4), d,
                         compute_stats(d),
-                        FlatTree.concat([oracles.flat_leaf([0.5, 0.5, 1.0], 24),
-                                         stump, by_code]),
+                        FlatTree.concat([oracles.flat_leaf(24), stump, by_code]),
                         [np.arange(24)] * 3,
                         [np.arange(0, 24, 2), np.arange(1, 24, 3),
                          np.array([], dtype=np.intp)])
@@ -275,9 +274,8 @@ class TestForestRecord:
             assert (leaf < f.node_start[tree_of + 1]).all()
             assert (f.attr[leaf] < 0).all()
             for t, row, at in zip(tree_of, rows, leaf):
-                np.testing.assert_array_equal(
-                    f.leaf_proto[f.leaf_slot[at]],
-                    oracles.ref_predict(views[t], d.X[row]))
+                assert at == f.node_start[t] + oracles.ref_leaf(views[t],
+                                                                d.X[row])
 
     @pytest.mark.parametrize("name", RECORD_CASES)
     def test_swapped_values_route_as_the_changed_row(self, name):
@@ -292,8 +290,45 @@ class TestForestRecord:
         for t, row, a, v, at in zip(tree_of, rows, attrs, values, leaf):
             x = d.X[row].copy()
             x[a] = v
-            np.testing.assert_array_equal(f.leaf_proto[f.leaf_slot[at]],
-                                          oracles.ref_predict(views[t], x))
+            assert at == f.node_start[t] + oracles.ref_leaf(views[t], x)
+
+
+class TestRecordSize:
+    def test_bytes_per_node_do_not_grow_with_the_attribute_count(self):
+        # a record of node tests and counts; leaf predictions, n values
+        # per leaf, are rebuilt by rf-score instead of kept
+        per_node = []
+        for n_noise in (45, 495):
+            d = make_planted(SynthSpec(m=60, n_informative=5, n_noise=n_noise,
+                                       clusters=4, separation=6.0, seed=3))
+            f = build(d, EnsembleConfig(method="et", n_trees=5, seed=1)).forest
+            per_node.append(sum(getattr(f, a.name).nbytes
+                                for a in fields(FlatTree)) / f.attr.size)
+        assert per_node[1] <= 1.01 * per_node[0]
+
+
+class TestTreePrefixes:
+    """Tree t draws only from its own streams, so the first T trees of a
+    larger ensemble are the T-tree ensemble, and every score of that
+    prefix is the T-tree ensemble's."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("method", ENSEMBLES)
+    def test_first_trees_are_the_smaller_ensemble(self, method, workers):
+        d = nominal_table()
+        big = build(d, EnsembleConfig(method=method, n_trees=40, seed=17),
+                    workers)
+        for T in (1, 7, 25):
+            cfg = EnsembleConfig(method=method, n_trees=T, seed=17)
+            fresh = build(d, cfg, workers)
+            cut = Ensemble(cfg, big.dataset, big.stats, big.forest.trees(0, T),
+                           big.in_bags[:T], big.oobs[:T], workers)
+            assert oracles.flat_fingerprint(cut.forest) == \
+                oracles.flat_fingerprint(fresh.forest)
+            assert ensemble_fingerprint(cut) == ensemble_fingerprint(fresh)
+            for score in (genie3, symbolic, random_forest_score):
+                assert score(cut).importance.tobytes() == \
+                    score(fresh).importance.tobytes()
 
 
 def hand_ensemble(d, tree, in_bag, oob, cfg=None):
@@ -311,8 +346,9 @@ class TestOOBError:
         d = Dataset("stump", ["a", "b"], [Numeric(), Numeric()],
                     np.array([[0.0, 1.0], [0.0, 3.0],
                               [10.0, 5.0], [10.0, 7.0]]))
-        root = oracles.flat_stump(0, 5.0, 1.0, ([0.0, 2.0], 2), ([10.0, 6.0], 2))
-        return d, hand_ensemble(d, root, [1, 1, 2, 2], [0, 3])
+        # drawn from rows 0-3, the leaves predict [0, 2] and [10, 6]
+        root = oracles.flat_stump(0, 5.0, 1.0, 2, 2)
+        return d, hand_ensemble(d, root, [0, 1, 2, 3], [0, 3])
 
     def test_hand_stump_arithmetic(self):
         # var(a) = 25, var(b) = 5; both oob rows miss only on b by 1:
@@ -333,7 +369,7 @@ class TestOOBError:
             perm = perms[attr]
             X = d.X[rows].copy()
             X[:, attr] = X[perm, attr]
-            pred = e.flats[0].predictions(X)
+            pred = np.where(X[:, :1] <= 5.0, [0.0, 2.0], [10.0, 6.0])
             scale = np.array([1 / 25.0, 1 / 5.0])
             want = (((X - pred) ** 2) * scale).mean(axis=1).mean()
             assert oob_error(e, 0, rows, permuted_attr=attr) == \
@@ -343,9 +379,10 @@ class TestOOBError:
         d = Dataset("mix", ["c", "k"], [Numeric(), Nominal(("u", "v"))],
                     np.array([[5.0, 0.0], [5.0, 1.0],
                               [5.0, 0.0], [5.0, 1.0]]))
-        # constant numeric: scale 0; leaf predicts code 0, so rows with
-        # code 1 score (0 + 1) / 2 and rows with code 0 score 0
-        root = oracles.flat_leaf([5.0, 0.0], 4)
+        # drawn from all four rows, the leaf predicts 5 and, of two codes
+        # drawn twice each, the smaller, 0. Constant numeric: scale 0; so
+        # rows with code 1 score (0 + 1) / 2 and rows with code 0 score 0
+        root = oracles.flat_leaf(4)
         e = hand_ensemble(d, root, [0, 1, 2, 3], [0, 1])
         assert oob_error(e, 0, [0]) == 0.0
         assert oob_error(e, 0, [1]) == pytest.approx(0.5)

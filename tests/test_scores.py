@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 
@@ -6,8 +7,9 @@ import pytest
 
 import oracles
 from oracles import flat_leaf, flat_stump, oob_error
-from ufrank import (ComputationError, Dataset, EnsembleConfig, FlatTree, Nominal,
-                    Numeric, Ranking, build, compute_stats, genie3,
+from ufrank import (ALL_THRESHOLDS, ComputationError, Dataset, EnsembleConfig,
+                    FlatTree, Nominal, Numeric, Ranking, SplitSearchPolicy,
+                    build, compute_stats, genie3, grow_tree,
                     random_forest_score, ranking_rows, ranking_to_csv, scores,
                     symbolic)
 from ufrank.forest import Ensemble
@@ -53,6 +55,12 @@ def hand_ensemble(d, trees, in_bags, oobs, seed=3):
                     [np.asarray(o, dtype=np.intp) for o in oobs])
 
 
+def leaf_numbers(flat):
+    """Each node's leaf number in a record, its leaves counted in node
+    order; -1 before the first leaf."""
+    return np.cumsum(flat.attr < 0) - 1
+
+
 def node_weight_sums(e, weight_of):
     """Per-attribute totals over the internal nodes of all trees, visited by
     descending each tree's bag along its child pointers;
@@ -70,7 +78,7 @@ class TestGenie3AndSymbolic:
         d = Dataset("s", ["a", "b"], [Numeric(), Numeric()],
                     np.array([[0.0, 1.0], [0.0, 3.0],
                               [10.0, 5.0], [10.0, 7.0]]))
-        root = flat_stump(0, 5.0, 2.5, ([0.0, 2.0], 2), ([10.0, 6.0], 2))
+        root = flat_stump(0, 5.0, 2.5, 2, 2)
         e = hand_ensemble(d, [root], [[0, 1, 2, 3]], [[0]])
         np.testing.assert_array_equal(genie3(e).importance, [2.5, 0.0])
         np.testing.assert_array_equal(symbolic(e).importance, [4.0, 0.0])
@@ -79,8 +87,8 @@ class TestGenie3AndSymbolic:
         d = Dataset("s", ["a", "b"], [Numeric(), Numeric()],
                     np.array([[0.0, 1.0], [0.0, 3.0],
                               [10.0, 5.0], [10.0, 7.0]]))
-        stump = flat_stump(0, 5.0, 2.0, ([0.0, 2.0], 2), ([10.0, 6.0], 2))
-        lone = flat_leaf([5.0, 4.0], 4)
+        stump = flat_stump(0, 5.0, 2.0, 2, 2)
+        lone = flat_leaf(4)
         e = hand_ensemble(d, [stump, lone], [[0, 1, 2, 3]] * 2, [[0], [1]])
         np.testing.assert_array_equal(genie3(e).importance, [1.0, 0.0])
         np.testing.assert_array_equal(symbolic(e).importance, [2.0, 0.0])
@@ -109,26 +117,33 @@ class TestGenie3AndSymbolic:
 
 
 class TestRandomForestScore:
+    # the bootstrap draws that give leaf_fixture's trees their prototypes
+    LONE_BAG, PERFECT_BAG = [0, 1], [0, 1, 2, 3]
+
     def leaf_fixture(self):
         """One informative tree (t=0) plus degenerate companions."""
         d = Dataset("f", ["a", "b"], [Numeric(), Numeric()],
                     np.array([[0.0, 1.0], [0.0, 1.0],
                               [10.0, 2.0], [10.0, 2.0]]))
-        lone = flat_leaf([0.0, 1.0], 4)
+        # drawn from LONE_BAG, it predicts [0, 1]
+        lone = flat_leaf(2)
+        # drawn from PERFECT_BAG, its leaves predict [0, 1] and [10, 2]: it
         # reconstructs every example perfectly, so its baseline error is 0
-        perfect = flat_stump(0, 5.0, 1.0, ([0.0, 1.0], 2), ([10.0, 2.0], 2))
+        perfect = flat_stump(0, 5.0, 1.0, 2, 2)
         return d, lone, perfect
 
     def test_degenerate_trees_skipped_with_reduced_divisor(self):
         d, lone, perfect = self.leaf_fixture()
+        lone_bag, perfect_bag = self.LONE_BAG, self.PERFECT_BAG
         alone = random_forest_score(
-            hand_ensemble(d, [lone], [[0, 1, 2, 3]], [[0, 3]]))
+            hand_ensemble(d, [lone], [lone_bag], [[0, 3]]))
         with_zero_error = random_forest_score(
-            hand_ensemble(d, [lone, perfect],
-                          [[0, 1, 2, 3]] * 2, [[0, 3], [1, 2]]))
+            hand_ensemble(d, [lone, perfect], [lone_bag, perfect_bag],
+                          [[0, 3], [1, 2]]))
         with_empty_oob = random_forest_score(
             hand_ensemble(d, [lone, perfect, lone],
-                          [[0, 1, 2, 3]] * 3, [[0, 3], [1, 2], []]))
+                          [lone_bag, perfect_bag, lone_bag],
+                          [[0, 3], [1, 2], []]))
         np.testing.assert_array_equal(alone.importance,
                                       with_zero_error.importance)
         np.testing.assert_array_equal(alone.importance,
@@ -138,7 +153,8 @@ class TestRandomForestScore:
 
     def test_every_tree_degenerate_is_an_error(self):
         d, lone, perfect = self.leaf_fixture()
-        e = hand_ensemble(d, [perfect, lone], [[0, 1, 2, 3]] * 2, [[0, 3], []])
+        e = hand_ensemble(d, [perfect, lone], [self.PERFECT_BAG, self.LONE_BAG],
+                          [[0, 3], []])
         with pytest.raises(ComputationError, match="score undefined"):
             random_forest_score(e)
 
@@ -223,7 +239,7 @@ class TestPatchedRandomForestScore:
         X = np.repeat([[0.0, 0.2], [10.0, 0.8]], 6, axis=0)
         X += rng.uniform(size=(12, 2)) * [1.0, 0.1]
         d = Dataset("s", ["a", "b"], [Numeric(), Numeric()], X)
-        stump = flat_stump(0, 5.0, 1.0, ([0.5, 0.25], 6), ([10.5, 0.85], 6))
+        stump = flat_stump(0, 5.0, 1.0, 6, 6)
         return d, stump, hand_ensemble(d, [stump], [range(12)], [range(12)])
 
     def shuffled(self, e, attr):
@@ -246,7 +262,8 @@ class TestPatchedRandomForestScore:
         np.testing.assert_array_equal(stump.route(X), stump.route(d.X))
         b = oob_error(e, 0, e.oobs[0])
         shuffled = oob_error(e, 0, e.oobs[0], permuted_attr=1)
-        proto = stump.predictions(d.X)[:, 1]
+        protos = oracles.ref_leaf_prototypes(d, stump, e.in_bags[0])
+        proto = np.array([oracles.ref_predict(stump, protos, x)[1] for x in d.X])
         term = lambda col: (col - proto) ** 2 / e.stats.denominator[1]
         np.testing.assert_allclose(
             shuffled - b, (term(X[:, 1]) - term(d.X[:, 1])).mean() / d.n,
@@ -276,7 +293,7 @@ class TestPatchedRandomForestScore:
             X = e.dataset.X[e.oobs[t]]
             before = flat.route(X)
             tested = oracles.ref_path_attrs(flat, e.dataset.n)[
-                flat.leaf_slot[before]]
+                leaf_numbers(flat)[before]]
             perms = oracles.permutation_rows(e, t, len(X))
             for i in range(e.dataset.n):
                 shuffled = X.copy()
@@ -313,18 +330,145 @@ class TestPatchedRandomForestScore:
     def test_path_attribute_map_matches_recursive_walk(self, method):
         d = oracles.random_mixed_dataset(np.random.default_rng(81), 40, 8)
         e = build(d, EnsembleConfig(method=method, n_trees=6, seed=2))
-        hand = [flat_leaf([0.0] * d.n, 1),
-                flat_stump(3, 0.0, 1.0, ([0.0] * d.n, 1), ([1.0] * d.n, 1))]
+        hand = [flat_leaf(1), flat_stump(3, 0.0, 1.0, 1, 1)]
         forest = FlatTree.concat([e.forest] + hand)
-        table = scores._first_tests(forest, d.n)
-        assert table.shape == (len(forest.leaf_proto), d.n)
+        table = scores._first_tests(forest, leaf_numbers(forest), d.n)
+        leaf_start = np.append(0, np.cumsum(forest.attr < 0))[forest.node_start]
+        assert table.shape == (leaf_start[-1], d.n)
         for t, flat in enumerate(e.flats + hand):
-            mine = table[forest.leaf_start[t]:forest.leaf_start[t + 1]]
+            mine = table[leaf_start[t]:leaf_start[t + 1]]
             np.testing.assert_array_equal(mine >= 0,
                                           oracles.ref_path_attrs(flat, d.n))
             want = oracles.ref_first_tests(flat, d.n)
             np.testing.assert_array_equal(
                 mine, np.where(want >= 0, want + forest.node_start[t], -1))
+
+
+def rebuilt_prototypes(e, monkeypatch):
+    """The leaf prototypes that rf-score rebuilds for each tree of ``e``,
+    caught from its calls of scores._leaf_prototypes at one worker (one
+    call per batch of trees, in tree order) and cut per tree."""
+    real, calls = scores._leaf_prototypes, []
+
+    def spy(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scores, "_leaf_prototypes", spy)
+        with contextlib.suppress(ComputationError):  # every tree skipped
+            random_forest_score(dataclasses.replace(e, workers=1))
+    got = np.vstack(calls)
+    leaf_start = np.append(0, np.cumsum(e.forest.attr < 0))[e.forest.node_start]
+    assert len(got) == leaf_start[-1]
+    return [got[a:b] for a, b in zip(leaf_start[:-1], leaf_start[1:])]
+
+
+def grown_stump_table(values):
+    """A one-column numeric table and the tree grown on all its rows."""
+    d = Dataset("numeric", ("x0",), (Numeric(),),
+                np.array(values, dtype=np.float64)[:, None])
+    tree = grow_tree(d, np.arange(d.m), SplitSearchPolicy(1, ALL_THRESHOLDS),
+                     compute_stats(d), np.random.default_rng(0))
+    return d, tree
+
+
+class TestLeafPrototypes:
+    """rf-score, the one reader of leaf prototypes, rebuilds them from each
+    tree's bootstrap draws; they must equal, byte for byte, the oracle's
+    prototypes of the draws that reach each leaf."""
+
+    @staticmethod
+    def assert_match_oracle(e, monkeypatch):
+        got = rebuilt_prototypes(e, monkeypatch)
+        for t, flat in enumerate(e.flats):
+            want = oracles.ref_leaf_prototypes(e.dataset, flat, e.in_bags[t])
+            assert got[t].shape == want.shape
+            assert got[t].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("table", ["mixed0", "duplicates", "dup_nominal",
+                                       "m2"])
+    @pytest.mark.parametrize("method", ["et", "rf", "bagging"])
+    def test_rebuilt_prototypes_match_the_oracle(self, monkeypatch, method,
+                                                 table):
+        if table == "m2":
+            d = Dataset("two", ("a", "k"), (Numeric(), Nominal(("u", "v"))),
+                        np.array([[0.5, 1.0], [2.0, 0.0]]))
+        else:
+            d = rf_fixture(table)
+        e = build(d, EnsembleConfig(method=method, n_trees=8, seed=5))
+        if table == "dup_nominal":
+            # leaves of nine draws or more: numpy sums all but the first
+            # pairwise, which the oracle's order must match
+            assert e.forest.n_reached[e.forest.attr < 0].max() >= 9
+        self.assert_match_oracle(e, monkeypatch)
+
+    @pytest.mark.parametrize("values, want", [
+        ([2.0, 2.0, 2.0], [[2.0]]),  # identical rows make one leaf
+        ([0.0, 0.0, 10.0, 10.0], [[0.0], [10.0]]),  # two pairs, a stump
+    ])
+    def test_grown_hand_tables(self, monkeypatch, values, want):
+        d, tree = grown_stump_table(values)
+        e = hand_ensemble(d, [tree], [np.arange(d.m)], [[0]])
+        got, = rebuilt_prototypes(e, monkeypatch)
+        np.testing.assert_array_equal(got, want)
+        self.assert_match_oracle(e, monkeypatch)
+
+    def test_each_leaf_sums_its_draws_in_draw_order(self, monkeypatch):
+        # 1 + (1e16 - 1e16) is 1, but -1e16 + (1e16 + 1) is 0: the yes
+        # leaf's mean tells the order its draws were summed in, while the
+        # no leaf's draws come between them
+        d = Dataset("order", ("a", "s"), (Numeric(), Numeric()),
+                    np.array([[1.0, 0.0], [1e16, 0.0], [-1e16, 0.0],
+                              [7.0, 1.0]]))
+        stump = flat_stump(1, 0.5, 1.0, 3, 1)
+        e = hand_ensemble(d, [stump, stump],
+                          [[3, 0, 1, 3, 2], [2, 3, 1, 0]], [[3], [3]])
+        got = rebuilt_prototypes(e, monkeypatch)
+        np.testing.assert_array_equal(got[0], [[1.0 / 3.0, 0.0], [7.0, 1.0]])
+        np.testing.assert_array_equal(got[1], [[0.0, 0.0], [7.0, 1.0]])
+        self.assert_match_oracle(e, monkeypatch)
+
+    def test_prediction_matches_leaf_prototype(self, monkeypatch):
+        d, tree = grown_stump_table([0.0, 0.0, 10.0, 10.0])
+        e = hand_ensemble(d, [tree], [np.arange(4)], [[0]])
+        got, = rebuilt_prototypes(e, monkeypatch)
+        protos = oracles.ref_leaf_prototypes(d, tree, np.arange(4))
+        X = np.array([[1.0], [9.0]])
+        predicted = got[leaf_numbers(tree)[tree.route(X)]]
+        np.testing.assert_array_equal(predicted, [[0.0], [10.0]])
+        for x, row in zip(X, predicted):
+            assert row.tobytes() == oracles.ref_predict(tree, protos, x).tobytes()
+
+    def test_nominal_prototype_mode_ties_to_smallest_code(self, monkeypatch):
+        d = Dataset("nom", ("c",), (Nominal(("a", "b", "c")),),
+                    np.array([[0.0], [1.0], [1.0], [0.0], [2.0]]))
+        # codes 0, 1, 1, 0 tie 2-2, and codes 2, 1, 1, 2, 0 tie 1 with 2
+        e = hand_ensemble(d, [flat_leaf(4), flat_leaf(5)],
+                          [[0, 1, 2, 3], [4, 1, 2, 4, 0]], [[4], [3]])
+        got = rebuilt_prototypes(e, monkeypatch)
+        assert [p.tolist() for p in got] == [[[0.0]], [[1.0]]]
+        self.assert_match_oracle(e, monkeypatch)
+
+    def test_reloaded_record_rebuilds_the_same_prototypes(self, monkeypatch,
+                                                          tmp_path):
+        # what a saved ensemble needs for rf-score: its record and its
+        # bootstrap draws
+        d = oracles.random_mixed_dataset(np.random.default_rng(21), 30, 3)
+        e = build(d, EnsembleConfig(method="rf", n_trees=3, seed=5))
+        path = tmp_path / "forest.npz"
+        names = [f.name for f in dataclasses.fields(FlatTree)]
+        np.savez(path, *e.in_bags,
+                 **{name: getattr(e.forest, name) for name in names})
+        with np.load(path, allow_pickle=False) as z:
+            back = dataclasses.replace(
+                e, forest=FlatTree(**{name: z[name] for name in names}),
+                in_bags=[z[f"arr_{t}"] for t in range(e.n_trees)])
+        assert [p.tobytes() for p in rebuilt_prototypes(back, monkeypatch)] \
+            == [p.tobytes() for p in rebuilt_prototypes(e, monkeypatch)]
+        self.assert_match_oracle(back, monkeypatch)
+        assert random_forest_score(back).importance.tobytes() == \
+            random_forest_score(e).importance.tobytes()
 
 
 class TestWorkerInvariance:
@@ -353,13 +497,15 @@ class TestWorkerInvariance:
 
     def test_skipped_trees_in_different_chunks_keep_the_divisor(self):
         d, stump, _ = TestPatchedRandomForestScore().stump_fixture()
-        # reconstructs its one out-of-bag row exactly: zero baseline error
-        exact = flat_leaf(d.X[0], d.m)
+        # drawn from row 0 alone, it reconstructs its one out-of-bag row,
+        # row 0, exactly: zero baseline error
+        exact = flat_leaf(1)
         everything = range(d.m)
         # tree 1 has zero baseline error and tree 2 an empty out-of-bag set;
         # at 2 workers the chunks are trees 0-1 and 2-3, at 3 workers 0-1,
         # 2 and 3
-        e = hand_ensemble(d, [stump, exact, stump, stump], [everything] * 4,
+        e = hand_ensemble(d, [stump, exact, stump, stump],
+                          [everything, [0], everything, everything],
                           [everything, [0], [], everything])
         inline = self.scored(e)
         assert inline[1] == 2
@@ -372,9 +518,11 @@ class TestWorkerInvariance:
             assert self.scored(dataclasses.replace(e, workers=workers)) == inline
 
     def test_every_tree_skipped_across_chunks_is_an_error(self):
-        d, lone, perfect = TestRandomForestScore().leaf_fixture()
-        e = hand_ensemble(d, [perfect, lone, perfect], [[0, 1, 2, 3]] * 3,
-                          [[0, 3], [], [1, 2]])
+        fixture = TestRandomForestScore()
+        d, lone, perfect = fixture.leaf_fixture()
+        e = hand_ensemble(d, [perfect, lone, perfect],
+                          [fixture.PERFECT_BAG, fixture.LONE_BAG,
+                           fixture.PERFECT_BAG], [[0, 3], [], [1, 2]])
         with pytest.raises(ComputationError, match="score undefined"):
             random_forest_score(dataclasses.replace(e, workers=2))
 

@@ -318,7 +318,6 @@ class TestGrowTree:
                          stats, np.random.default_rng(0))
         assert isinstance(tree, FlatTree)
         np.testing.assert_array_equal(tree.attr, [-1])
-        np.testing.assert_array_equal(tree.leaf_proto, [[2.0]])
         assert tree.n_reached[0] == 3
 
     def test_two_point_pairs_make_a_stump(self):
@@ -329,9 +328,8 @@ class TestGrowTree:
                          stats, np.random.default_rng(0))
         np.testing.assert_array_equal(tree.attr, [0, -1, -1])
         assert tree.value[0] == 5.0 and not tree.is_nominal[0]
-        yes, no = tree.child[0]
-        np.testing.assert_array_equal(tree.leaf_proto[tree.leaf_slot[yes]], [0.0])
-        np.testing.assert_array_equal(tree.leaf_proto[tree.leaf_slot[no]], [10.0])
+        np.testing.assert_array_equal(tree.child[0], [1, 2])
+        np.testing.assert_array_equal(tree.n_reached, [4, 2, 2])
 
     def test_partition_property_and_h_star_recompute(self):
         rng = np.random.default_rng(11)
@@ -420,33 +418,9 @@ class TestGrowTree:
 
 class TestPredictAndRouting:
     def test_boundary_value_takes_yes_branch(self):
-        stump = oracles.flat_stump(0, 5.0, 1.0, ([0.0], 2), ([10.0], 2))
+        stump = oracles.flat_stump(0, 5.0, 1.0, 2, 2)
         X = np.array([[5.0], [5.0 + 1e-9]])
         np.testing.assert_array_equal(stump.route(X), [1, 2])
-        np.testing.assert_array_equal(stump.predictions(X), [[0.0], [10.0]])
-
-    def test_prediction_matches_leaf_prototype(self):
-        d = numeric_dataset([0.0, 0.0, 10.0, 10.0])
-        stats = compute_stats(d)
-        tree = grow_tree(d, np.arange(4), SplitSearchPolicy(1, ALL_THRESHOLDS),
-                         stats, np.random.default_rng(0))
-        X = np.array([[1.0], [9.0]])
-        np.testing.assert_array_equal(tree.predictions(X), [[0.0], [10.0]])
-        for x in X:
-            np.testing.assert_array_equal(oracles.ref_predict(tree, x),
-                                          tree.predictions(x[None, :])[0])
-
-    def test_nominal_prototype_mode_ties_to_smallest_code(self):
-        X = np.array([[0.0], [1.0], [1.0], [0.0]])
-        d = Dataset("nom", ("c",), (Nominal(("a", "b")),), X)
-        stats = compute_stats(d)
-        tree = grow_tree(d, np.arange(4), SplitSearchPolicy(1, ALL_THRESHOLDS),
-                         stats, np.random.default_rng(0))
-        node_rows = oracles.ref_node_rows(d, tree, np.arange(4))
-        for i, rows in enumerate(node_rows):
-            if tree.attr[i] < 0 and rows.size == 4:
-                # 2-2 tie -> smaller code
-                assert tree.leaf_proto[tree.leaf_slot[i]][0] == 0.0
 
 
 class TestSerialization:
@@ -468,9 +442,8 @@ class TestSerialization:
         with np.load(path, allow_pickle=False) as z:
             back = FlatTree(**{f.name: z[f.name] for f in fields(FlatTree)})
         assert oracles.flat_fingerprint(back) == oracles.flat_fingerprint(tree)
-        batch = back.predictions(d.X)
-        rows = [oracles.ref_predict(tree, d.X[i]) for i in range(d.m)]
-        np.testing.assert_array_equal(batch, np.vstack(rows))
+        np.testing.assert_array_equal(
+            back.route(d.X), [oracles.ref_leaf(tree, x) for x in d.X])
 
     def test_preorder_traversal_counts(self):
         d, tree = self.grown()
@@ -484,5 +457,3 @@ class TestSerialization:
         children = np.sort(tree.child[internal].ravel())
         np.testing.assert_array_equal(children, np.arange(1, tree.attr.size))
         np.testing.assert_array_equal(tree.child[leaves], -1)
-        np.testing.assert_array_equal(tree.leaf_slot[leaves],
-                                      np.arange(leaves.size))
