@@ -12,14 +12,15 @@ ensemble's forest record (see tree.FlatTree):
   values are shuffled. A row is reconstructed by its leaf's prototype,
   which the forest record does not keep: rf-score, its one reader,
   rebuilds each batch of trees' prototypes from their bootstrap rows.
-  Each tree's matrix of per-row, per-attribute error terms is computed
-  once; a shuffle of attribute i only changes column i of it and the rows
-  that the shuffle sends to another leaf, so each shuffle patches a copy
-  of the matrix instead of recomputing it, with the same terms and the
-  same order of summation. One walk routes the out-of-bag rows of a batch
-  of trees, and one walk per group of shuffled attributes reroutes the
-  rows that may move, each from the first node on its path that tests the
-  attribute.
+  Each out-of-bag row's error terms, and the partial sums that numpy's
+  pairwise summation of them forms, are computed once. A shuffle of
+  attribute i only changes term i of a row that keeps its leaf, so the
+  row's new sum is the new term added up its path of partial sums,
+  bit for bit the sum of the recomputed row; only the rows that the
+  shuffle sends to another leaf get a new full row of terms. One walk
+  routes the out-of-bag rows of a batch of trees, and one more reroutes,
+  for every shuffled attribute at once, the rows that may move, each
+  from the first node on its path that tests the attribute.
 
 Per-tree contributions are stacked in tree order and reduced with one
 pairwise sum, so the totals depend neither on accumulation order nor on
@@ -106,18 +107,16 @@ def symbolic(e: Ensemble) -> Ranking:
     return Ranking("symbolic", imp, e.dataset.attr_names, _provenance(e, "symbolic"))
 
 
-# memory cap, in float64 elements, for one tree's stack of patched error
-# matrices over a group of attributes; the tree's new full rows of terms
-# for the group take at most as much again
-_BLOCK_BUDGET = 8_000_000
 # out-of-bag cells (rows x n) that one batch of trees may hold. A batch
-# keeps about five values per cell (its rows, error terms, shuffles and
-# first-testing nodes). Rebuilding its prototypes briefly adds the values
-# of its bootstrap rows, about 2.7 per cell, and the prototypes keep at
-# most about 1.7 (a leaf per distinct bootstrap row). On the planted
+# keeps at most about six float64 values per cell at once: the out-of-bag
+# values, their predictions, their shuffles, the patched sums and the two
+# of the pairwise partial sums (the terms and the nodes above them). The
+# leaf prototypes, and later the first-testing nodes, add about 1.7 each
+# (a leaf per distinct bootstrap row), and rebuilding the prototypes
+# briefly adds the values of the bootstrap rows, about 2.7. On the planted
 # 180 x 50 ET-100 fold, batches 4 to 16 times larger measured no faster,
 # and batches of one tree as slow as scoring tree by tree.
-_BATCH_CELLS = _BLOCK_BUDGET // 128
+_BATCH_CELLS = 62_500
 
 
 def random_forest_score(e: Ensemble) -> Ranking:
@@ -142,14 +141,16 @@ def random_forest_score(e: Ensemble) -> Ranking:
 
     Trees are scored in batches of the forest record. One walk routes the
     out-of-bag rows of all of a batch's trees, each row from its own
-    tree's root, and each tree t keeps the |oob| x n matrix E of
-    per-attribute error terms; e_t is the mean of its row means. A shuffle
-    of column i is then a patch of a copy of E: column i takes the terms
-    of the shuffled values against the same predictions, and the rows
-    whose leaf the shuffle changes take their full rows of terms. This is
-    exact, and the patched copy's row means and their mean are taken in
-    the same order as a full recomputation's, so e_t^i is bit for bit the
-    same:
+    tree's root, and each row's n error terms are summed once, keeping the
+    partial sums of numpy's pairwise order (see _pairwise_order); e_t is
+    the mean of tree t's row means. A shuffle of column i is then a patch:
+    a row takes the term of its shuffled value against the same
+    prediction, and its new sum is that term added up its path of
+    partial sums, which is the sum numpy forms of the patched row, bit for
+    bit. The rows whose leaf the shuffle changes take their full rows of
+    terms, summed by numpy. The patched row means and their mean are
+    taken in the same order as a full recomputation's, so e_t^i is bit for
+    bit the same:
 
     * A row whose root-to-leaf path tests no i cannot change leaf.
     * A row whose path first tests i at node f (the batch's
@@ -158,18 +159,18 @@ def random_forest_score(e: Ensemble) -> Ranking:
       path down to f after the shuffle, since no node above f reads column
       i. It is rerouted from f, with its shuffled value read in place of
       column i and no copy of its row; one walk reroutes the moved rows of
-      a group of attributes across all the batch's trees.
+      every attribute across all the batch's trees.
     * A moved row that reaches its old leaf keeps its prediction, so its
-      full row of terms equals E's row with column i patched, which the
-      copy already holds. Only rows that reach a new leaf get a new row.
+      full row of terms is its old row with term i patched, whose sum the
+      patch already gives. Only rows that reach a new leaf get a new row.
 
     Tree t's shuffles come from one stream, keyed by (seed,
     OOB_PERMUTATION, t): before any attribute is scored it draws all n of
     them in one call, and row i of
     ``rng.permuted(np.tile(np.arange(|oob|), (n, 1)), axis=1)`` is the
     shuffle of attribute i (row r takes the value of row perm[r]). How
-    trees are batched and attributes grouped under ``_BLOCK_BUDGET``
-    cannot change a draw or a term.
+    trees are batched under ``_BATCH_CELLS`` cannot change a draw, a term
+    or a sum.
 
     The trees are scored in contiguous ranges of the record by the
     ``e.workers`` processes the ensemble was grown with: this process
@@ -222,17 +223,23 @@ def _tree_contributions(X, scale, nominal, seed, trees: _Trees) -> list:
     an empty out-of-bag set or a zero baseline error. The trees go in
     batches of at most _BATCH_CELLS out-of-bag cells, one tree at least."""
     cells = np.cumsum([oob.size for oob in trees.oobs]) * X.shape[1]
+    order = _pairwise_order(X.shape[1])
     out = []
     while len(out) < len(trees):
         a = len(out)
         b = max(a + 1, int(np.searchsorted(
             cells, (cells[a - 1] if a else 0) + _BATCH_CELLS, "right")))
-        out += _batch_contributions(X, scale, nominal, seed, trees[a:b])
+        out += _batch_contributions(X, scale, nominal, seed, order,
+                                    trees[a:b])
     return out
 
 
-def _batch_contributions(X, scale, nominal, seed, trees: _Trees) -> list:
-    """_tree_contributions for one batch of trees."""
+def _batch_contributions(X, scale, nominal, seed, order,
+                         trees: _Trees) -> list:
+    """_tree_contributions for one batch of trees, ``order`` being
+    _pairwise_order(n). Every (attribute, row) array of the batch is laid
+    out (n, rows): attribute i's values of all out-of-bag rows lie in one
+    contiguous row."""
     f, n = trees.forest, X.shape[1]
     slots = np.cumsum(f.attr < 0) - 1  # at a leaf node: its leaf's number
     # each tree's draws routed from its root and grouped by leaf, in draw
@@ -245,57 +252,148 @@ def _batch_contributions(X, scale, nominal, seed, trees: _Trees) -> list:
                              np.bincount(at, minlength=slots[-1] + 1))
     sizes = np.array([oob.size for oob in trees.oobs])
     head = np.append(0, np.cumsum(sizes))  # tree t's rows: head[t]:head[t + 1]
-    base = X[np.concatenate(trees.oobs)]
-    leaf = f.route(base, np.repeat(f.node_start[:-1], sizes))
+    oob = np.concatenate(trees.oobs)
+    leaf = f.route(X, np.repeat(f.node_start[:-1], sizes), oob)
     slot = slots[leaf]
-    E = _row_errors(base, proto[slot], scale, nominal)
-    row_means = E.mean(axis=1)
-    # src[i, r]: the row whose value of attribute i row r takes
-    src = np.zeros((n, base.shape[0]), dtype=np.intp)
+    values, predicted = X[oob].T, proto[slot].T
+    # partial[k, r]: node k of row r's sum tree (see _pairwise_order)
+    partial = np.empty((2 * n, oob.size))
+    _row_errors(values, predicted, scale, nominal, out=partial[:n])
+    row_means = _partial_sums(order, partial) / n
+    # shuffled[i, r]: row r's value of attribute i after i's shuffle
+    shuffled = values.copy(order="C")
     e_base = np.zeros(len(trees))
-    for t, oob in enumerate(trees.oobs):
-        if oob.size:
+    for t, rows in enumerate(trees.oobs):
+        if rows.size:
             e_base[t] = row_means[head[t]:head[t + 1]].mean()
         if e_base[t] != 0.0:
-            src[:, head[t]:head[t + 1]] = head[t] + streams.stream(
-                seed, streams.OOB_PERMUTATION, trees.first + t).permuted(
-                    np.tile(np.arange(oob.size), (n, 1)), axis=1)
+            part = slice(head[t], head[t + 1])
+            shuffled[:, part] = np.take_along_axis(
+                values[:, part], streams.stream(
+                    seed, streams.OOB_PERMUTATION, trees.first + t).permuted(
+                        np.tile(np.arange(rows.size), (n, 1)), axis=1), axis=1)
     used = np.flatnonzero(e_base != 0.0)
     if not used.size:
         return [None] * len(trees)
+    # sums[i, r]: row r's sum of error terms after i's shuffle, where the
+    # shuffle keeps the row's leaf: term i is the shuffled value's term
+    # against the same prediction, and the other terms are unchanged
+    sums = _row_errors(shuffled, predicted, scale, nominal,
+                       out=np.empty_like(shuffled))
+    del values, predicted
+    _patched_sums(order, partial, sums)
+    del partial
+    # one walk reroutes the moved rows of every tree, each from the first
+    # node on its path that tests the shuffled attribute
     scored = np.flatnonzero(np.repeat(e_base != 0.0, sizes))
     first = _first_tests(f, slots, n)
-    tested = (first >= 0)[slot[scored]]
-    errors = np.empty((len(trees), n))
-    group = max(1, _BLOCK_BUDGET // (sizes.max() * n))
-    for start in range(0, n, group):
-        attrs = np.arange(start, min(start + group, n))
-        # one walk reroutes the group's moved rows of every tree, each from
-        # the first node on its path that tests the shuffled attribute
-        r, j = np.nonzero(tested[:, attrs])
-        q, a = scored[r], attrs[j]
-        value = base[src[a, q], a]
-        moved = f.route(base, first[slot[q], a], q, (a, value))
-        changed = moved != leaf[q]
-        q, j, a, value, moved = (v[changed] for v in (q, j, a, value, moved))
-        cut = np.searchsorted(q, head)
-        for t in used:
-            rows, mine = slice(head[t], head[t + 1]), slice(cut[t], cut[t + 1])
-            stack = np.repeat(E[None, rows], attrs.size, axis=0)
-            # shuffled[j, r]: row r's value of attrs[j] after the shuffle,
-            # scored against the same predictions
-            shuffled = base[src[attrs, rows], attrs[:, None]]
-            stack[np.arange(attrs.size), :, attrs] = _row_errors(
-                shuffled.T, proto[slot[rows]][:, attrs], scale[attrs],
-                nominal[attrs]).T
-            # new full rows for the rows that reach a new leaf
-            full = base[q[mine]]
-            full[np.arange(full.shape[0]), a[mine]] = value[mine]
-            stack[j[mine], q[mine] - head[t]] = _row_errors(
-                full, proto[slots[moved[mine]]], scale, nominal)
-            errors[t, attrs] = stack.mean(axis=2).mean(axis=1)
-    return [(errors[t] - e_base[t]) / e_base[t] if e_base[t] != 0.0 else None
-            for t in range(len(trees))]
+    r, a = np.nonzero((first >= 0)[slot[scored]])
+    q = scored[r]
+    value = shuffled[a, q]
+    moved = f.route(X, first[slot[q], a], oob[q], (a, value))
+    del first, shuffled
+    changed = moved != leaf[q]
+    q, a, value, moved = (v[changed] for v in (q, a, value, moved))
+    # a row that reaches a new leaf gets a new full row of terms
+    full = X[oob[q]]
+    full[np.arange(q.size), a] = value
+    sums[a, q] = np.ascontiguousarray(_row_errors(
+        full.T, proto[slots[moved]].T, scale, nominal).T).sum(axis=1)
+    sums /= n
+    return [(sums[:, head[t]:head[t + 1]].mean(axis=1) - e_base[t]) / e_base[t]
+            if e_base[t] != 0.0 else None for t in range(len(trees))]
+
+
+def _partial_sums(order, partial: np.ndarray) -> np.ndarray:
+    """Fill rows n.. of ``partial``, (2n, rows), whose first n rows hold
+    each column's n terms: the other nodes of the column's sum tree
+    (``order`` is _pairwise_order(n)), then +0.0 in the last row. Returns
+    the row of totals, bit for bit the ``sum`` of each column's terms laid
+    out as one contiguous row."""
+    levels, _, root = order
+    partial[-1] = 0.0
+    for nodes, left, right in levels:
+        partial[nodes] = partial[left] + partial[right]
+    return partial[root]
+
+
+def _patched_sums(order, partial: np.ndarray, new: np.ndarray) -> None:
+    """Replace each ``new[i, r]`` (n, rows) by the sum of row r of terms
+    with term i replaced by ``new[i, r]``, from the partial sums that
+    _partial_sums filled: the new term added up term i's path of sibling
+    partial sums, one (n, rows) gather and add per level of depth."""
+    step = np.empty_like(new)
+    for siblings in order[1]:
+        new += np.take(partial, siblings, axis=0, out=step, mode="clip")
+
+
+def _pairwise_order(n: int):
+    """numpy's order of summation for a C-contiguous float64 row of n terms
+    (its pairwise sum, to which ``sum`` and ``mean`` of such a row both
+    reduce), as a tree of additions over nodes 0..2n-2: the terms are nodes
+    0..n-1 and each later node adds two earlier ones.
+
+    * Fewer than 8 terms are added in order.
+    * From 8 to 128 terms, lane j adds up terms j, j + 8, ... in order over
+      the first n - n % 8; the lanes join as ((r0 + r1) + (r2 + r3)) +
+      ((r4 + r5) + (r6 + r7)), and the n % 8 last terms follow in order.
+    * Above 128, the row splits after its first n // 2 terms, rounded down
+      to a multiple of 8, and the sums of the two parts are added.
+
+    Returns (levels, path, root). ``levels`` lists (nodes, left, right)
+    index arrays, one per height in the tree, so that computing them in
+    turn as ``V[nodes] = V[left] + V[right]`` over an array V whose first n
+    rows hold the terms fills every partial sum, row ``root`` the total.
+    ``path`` is (depth, n): column i lists, from term i up to the root, the
+    node added to the running sum at each step, padded with 2n - 1, the id
+    of a +0.0 row. As float addition commutes, V[i] replaced by a new term
+    and added along column i gives the pairwise sum of the row with term i
+    replaced, bit for bit; with terms >= +0 (or inf or NaN) the padding
+    adds nothing."""
+    left, right, height = [], [], [0] * n
+
+    def add(x, y):
+        left.append(x)
+        right.append(y)
+        height.append(1 + max(height[x], height[y]))
+        return len(height) - 1
+
+    def total(lo, size):
+        if size < 8:
+            acc = lo
+            for k in range(lo + 1, lo + size):
+                acc = add(acc, k)
+            return acc
+        if size <= 128:
+            lane = list(range(lo, lo + 8))
+            end = lo + size - size % 8
+            for k in range(lo + 8, end):
+                lane[(k - lo) % 8] = add(lane[(k - lo) % 8], k)
+            acc = add(add(add(lane[0], lane[1]), add(lane[2], lane[3])),
+                      add(add(lane[4], lane[5]), add(lane[6], lane[7])))
+            for k in range(end, lo + size):
+                acc = add(acc, k)
+            return acc
+        half = size // 2 - size // 2 % 8
+        return add(total(lo, half), total(lo + half, size - half))
+
+    root = total(0, n)
+    left, right, height = (np.array(v, dtype=np.intp)
+                           for v in (left, right, height))
+    nodes = np.arange(n, 2 * n - 1)
+    by_height = np.argsort(height[n:], kind="stable")
+    cuts = np.flatnonzero(np.diff(height[n:][by_height])) + 1
+    levels = [(nodes[k], left[k], right[k])
+              for k in np.split(by_height, cuts) if k.size]
+    parent = np.full(2 * n - 1, -1, dtype=np.intp)
+    sibling = np.empty(2 * n - 1, dtype=np.intp)
+    parent[left], parent[right] = nodes, nodes
+    sibling[left], sibling[right] = right, left
+    steps, at = [], np.arange(n)
+    while (up := parent[at] >= 0).any():
+        steps.append(np.where(up, sibling[at], 2 * n - 1))
+        at = np.where(up, parent[at], at)
+    return levels, np.array(steps, dtype=np.intp).reshape(-1, n), root
 
 
 def _leaf_prototypes(X: np.ndarray, nominal: np.ndarray, rows: np.ndarray,
@@ -321,18 +419,18 @@ def _leaf_prototypes(X: np.ndarray, nominal: np.ndarray, rows: np.ndarray,
 
 
 def _row_errors(X: np.ndarray, predicted: np.ndarray, scale: np.ndarray,
-                nominal: np.ndarray) -> np.ndarray:
-    """Reconstruction error terms along the last axis: the squared
-    difference times ``scale`` (the inverse training variance of a numeric
-    attribute, 0 where that variance is 0) or, where ``nominal``, the 0/1
-    mismatch."""
+                nominal: np.ndarray, out=None) -> np.ndarray:
+    """Reconstruction error terms of (n, rows) arrays, attribute j's in row
+    j: the squared difference times ``scale`` (the inverse training
+    variance of a numeric attribute, 0 where that variance is 0) or, where
+    ``nominal``, the 0/1 mismatch. Written to ``out`` if given."""
     # an overflowing term is inf or NaN and makes the importance non-finite
     with np.errstate(over="ignore", invalid="ignore"):
-        err = X - predicted
+        err = np.subtract(X, predicted, out=out)
         err *= err
-        err *= scale
+        err *= scale[:, None]
     if nominal.any():
-        err[..., nominal] = X[..., nominal] != predicted[..., nominal]
+        err[nominal] = X[nominal] != predicted[nominal]
     return err
 
 

@@ -83,17 +83,32 @@ class SplitWorkspace:
         self.nominal = ~num
         self.weight = np.concatenate(weights)
         self.Z = np.ascontiguousarray(np.concatenate(blocks, axis=1))
+        # scoring's buffers, grown to the largest frontier scored
+        self._rows = self._means = np.empty(0)
 
-    def scoring(self, rows: np.ndarray, heads: np.ndarray,
-                counts: np.ndarray) -> np.ndarray:
+    def scoring(self, rows: np.ndarray, heads: np.ndarray, counts: np.ndarray,
+                seg: np.ndarray) -> np.ndarray:
         """Z's rows for a frontier whose node f owns the ``counts[f]`` rows
-        from ``heads[f]`` on, each node's value columns centered on that
-        node's own means."""
-        sub = self.Z[rows]
+        from ``heads[f]`` on (``seg`` names each row's node), each node's
+        value columns centered on that node's own means.
+
+        The result is a view of a buffer that the workspace keeps and reuses
+        for every frontier it scores, so it stays valid only until the next
+        call. A stack's levels then fault in their pages once, not anew at
+        every level."""
+        cells = rows.size * self.Z.shape[1]
+        if self._rows.size < cells:
+            self._rows = np.empty(cells)
+        sub = self._rows[:cells].reshape(rows.size, self.Z.shape[1])
+        # mode "raise" would gather through a temporary copy of ``out``
+        np.take(self.Z, rows, axis=0, out=sub, mode="clip")
         if self.P:
+            if self._means.size < rows.size * self.P:
+                self._means = np.empty(rows.size * self.P)
             V = sub[:, :self.P]
             mean = np.add.reduceat(V, heads, axis=0) / counts[:, None]
-            V -= np.repeat(mean, counts, axis=0)
+            V -= np.take(mean, seg, axis=0, mode="clip",
+                         out=self._means[:V.size].reshape(V.shape))
         return sub
 
     def square_sums(self, S: np.ndarray) -> np.ndarray:
@@ -174,7 +189,7 @@ def search_frontier(d: Dataset, ws: SplitWorkspace, policy: SplitSearchPolicy,
     seg = np.repeat(np.arange(F), counts)
     k = min(policy.n_candidates, d.n)
     cand = _first_k_stable(keys, k)
-    scored = ws.scoring(rows, heads, counts)
+    scored = ws.scoring(rows, heads, counts, seg)
     totals = np.add.reduceat(scored, heads, axis=0)
     base = ws.square_sums(totals) / counts
     vals = d.X[rows[:, None], cand[seg]]

@@ -455,7 +455,7 @@ def permutation_rows(e, t, size):
         np.tile(np.arange(size), (e.dataset.n, 1)), axis=1)
 
 
-def oob_error(e, t, rows, permuted_attr=None):
+def oob_error(e, t, rows, permuted_attr=None, protos=None):
     """Reconstruction error of tree t over the given rows: the mean over
     rows of the mean over attributes of (x - prototype)^2 / variance
     (numeric; 0 when the ensemble's training variance is 0) or the 0/1
@@ -468,13 +468,14 @@ def oob_error(e, t, rows, permuted_attr=None):
     call over n copies of 0..|rows|-1.
 
     The prototypes are ref_leaf_prototypes of the tree's bootstrap draws,
-    ``e.in_bags[t]``.
+    ``e.in_bags[t]``, or ``protos`` when the caller computed them already.
     """
     rows = np.asarray(rows, dtype=np.intp)
     if rows.size == 0:
         raise ValueError("error over an empty row set is undefined")
     d, flat = e.dataset, e.flats[t]
-    protos = ref_leaf_prototypes(d, flat, e.in_bags[t])
+    if protos is None:
+        protos = ref_leaf_prototypes(d, flat, e.in_bags[t])
     X = d.X[rows].copy()
     if permuted_attr is not None:
         attr = int(permuted_attr)

@@ -187,10 +187,13 @@ def oracle_rf_score(e):
         oob = e.oobs[t]
         if oob.size == 0:
             continue
-        base = oob_error(e, t, oob)
+        protos = oracles.ref_leaf_prototypes(e.dataset, e.flats[t],
+                                             e.in_bags[t])
+        base = oob_error(e, t, oob, protos=protos)
         if base == 0.0:
             continue
-        shuffled = np.array([oob_error(e, t, oob, permuted_attr=i)
+        shuffled = np.array([oob_error(e, t, oob, permuted_attr=i,
+                                       protos=protos)
                              for i in range(e.dataset.n)])
         contributions.append((shuffled - base) / base)
     return np.vstack(contributions).sum(axis=0) / len(contributions)
@@ -199,13 +202,21 @@ def oracle_rf_score(e):
 def rf_fixture(name):
     """Tables for the rf-score oracle: random mixed ones, one with a
     constant numeric and a constant nominal column, one made of repeated
-    rows, one of six distinct rows repeated with a nominal column, and one
-    whose numeric columns sit at 1e6 with a 1e-3 spread."""
+    rows, one of six distinct rows repeated with a nominal column, one
+    whose numeric columns sit at 1e6 with a 1e-3 spread, and wide random
+    mixed ones. numpy sums a row of fewer than 8 terms in order; 13 and 29
+    terms take its 8 lanes and a tail of 5, and 137 its split into halves
+    of 64 and 73 terms."""
     rng = np.random.default_rng({"mixed0": 40, "mixed1": 41, "mixed2": 42,
                                  "constant": 43, "duplicates": 44,
-                                 "offset": 45, "dup_nominal": 46}[name])
+                                 "offset": 45, "dup_nominal": 46,
+                                 "wide13": 47, "wide29": 48,
+                                 "wide137": 49}[name])
     if name.startswith("mixed"):
         return oracles.random_mixed_dataset(rng, 30, 7)
+    if name.startswith("wide"):
+        n = int(name[4:])
+        return oracles.random_mixed_dataset(rng, 30 if n < 100 else 24, n)
     if name == "constant":
         d = oracles.random_mixed_dataset(rng, 30, 5)
         return Dataset(name, d.attr_names + ("c_num", "c_nom"),
@@ -272,7 +283,8 @@ class TestPatchedRandomForestScore:
 
     @pytest.mark.parametrize("fixture", ["mixed0", "mixed1", "mixed2",
                                          "constant", "duplicates", "offset",
-                                         "dup_nominal"])
+                                         "dup_nominal", "wide13", "wide29",
+                                         "wide137"])
     @pytest.mark.parametrize("method", ["et", "rf", "bagging"])
     def test_matches_oob_error_oracle(self, method, fixture):
         d = rf_fixture(fixture)
@@ -305,26 +317,33 @@ class TestPatchedRandomForestScore:
                 changed += int((after != before).sum())
         assert kept > 0 and changed > 0
 
-    def test_grouping_of_attributes_changes_nothing(self, monkeypatch):
+    def test_batching_of_trees_changes_nothing(self, monkeypatch):
         d = oracles.random_mixed_dataset(np.random.default_rng(61), 40, 7)
-        built = build(d, EnsembleConfig(method="et", n_trees=8, seed=6))
-        # equal out-of-bag sizes make a budget mean the same group size in
-        # every tree
-        k = min(o.size for o in built.oobs)
-        e = dataclasses.replace(built, oobs=[o[:k] for o in built.oobs])
-        assert scores._BLOCK_BUDGET >= k * d.n * d.n  # one group by default
+        e = build(d, EnsembleConfig(method="et", n_trees=8, seed=6))
+        sizes = [o.size for o in e.oobs]
+        assert len(set(sizes)) > 2  # so batches join unequal row counts
         whole = random_forest_score(e).importance
         np.testing.assert_array_equal(whole, oracle_rf_score(e))
-        for per_group in (1, 3):
-            monkeypatch.setattr(scores, "_BLOCK_BUDGET", per_group * k * d.n)
+        real, batches = scores._batch_contributions, []
+
+        def spy(*args):
+            batches.append([rows.size for rows in args[-1].oobs])
+            return real(*args)
+
+        monkeypatch.setattr(scores, "_batch_contributions", spy)
+        # batches of one tree, of three times the smallest tree's cells,
+        # and of the first two trees' cells: each cuts at other trees
+        k = min(sizes)
+        for cells in (1, 3 * k * d.n, (sizes[0] + sizes[1]) * d.n):
+            monkeypatch.setattr(scores, "_BATCH_CELLS", cells)
+            batches.clear()
             np.testing.assert_array_equal(
                 random_forest_score(e).importance, whole)
-        monkeypatch.undo()
-        # batches of one tree, and of three
-        for per_batch in (1, 3):
-            monkeypatch.setattr(scores, "_BATCH_CELLS", per_batch * k * d.n)
-            np.testing.assert_array_equal(
-                random_forest_score(e).importance, whole)
+            assert [s for b in batches for s in b] == sizes
+        # the last budget mixes unequal out-of-bag sizes in one batch and
+        # batches of unequal tree counts
+        assert any(len(set(b)) > 1 for b in batches)
+        assert len({len(b) for b in batches}) > 1
 
     @pytest.mark.parametrize("method", ["et", "rf", "bagging"])
     def test_path_attribute_map_matches_recursive_walk(self, method):
@@ -371,6 +390,54 @@ def grown_stump_table(values):
     tree = grow_tree(d, np.arange(d.m), SplitSearchPolicy(1, ALL_THRESHOLDS),
                      compute_stats(d), np.random.default_rng(0))
     return d, tree
+
+
+class TestPairwiseOrder:
+    """rf-score rebuilds numpy's pairwise order of summation to patch row
+    sums; a numpy that sums a row in another order fails here first."""
+
+    LENGTHS = [*range(1, 301), 1000, 2000, 4097]
+
+    def terms(self, rng, shape):
+        """Terms >= +0 over 16 decades, a tenth of them +0.0, so that any
+        other order of addition moves bits."""
+        x = 10.0 ** rng.uniform(-8, 8, size=shape) * rng.uniform(size=shape)
+        x[rng.uniform(size=shape) < 0.1] = 0.0
+        return x
+
+    def partial_sums(self, M):
+        """_pairwise_order(n) and the partial sums of M's rows, laid out
+        (2n, rows) as rf-score lays them out."""
+        n = M.shape[1]
+        order = scores._pairwise_order(n)
+        partial = np.empty((2 * n, M.shape[0]))
+        partial[:n] = M.T
+        return order, partial, scores._partial_sums(order, partial)
+
+    def test_totals_are_numpy_sums_and_means(self):
+        rng = np.random.default_rng(23)
+        for n in self.LENGTHS:
+            M = self.terms(rng, (3, n))
+            _, _, total = self.partial_sums(M)
+            assert total.tobytes() == M.sum(axis=1).tobytes(), n
+            stacked = np.repeat(M[None], 2, axis=0).mean(axis=2)
+            assert (total / n).tobytes() == stacked[1].tobytes(), n
+
+    def test_patched_rows_are_full_recomputations(self):
+        rng = np.random.default_rng(29)
+        for n in self.LENGTHS:
+            M = self.terms(rng, (2, n))
+            new = self.terms(rng, (n, 2))
+            order, partial, _ = self.partial_sums(M)
+            got = new.copy()
+            scores._patched_sums(order, partial, got)
+            # every term of the short rows; the first and last 9 and 40
+            # others of the long ones
+            cols = (np.arange(n) if n <= 300 else np.unique(np.concatenate(
+                [np.arange(9), np.arange(n - 9, n), rng.choice(n, 40)])))
+            full = np.repeat(M[None], cols.size, axis=0)
+            full[np.arange(cols.size), :, cols] = new[cols]
+            assert got[cols].tobytes() == full.sum(axis=2).tobytes(), n
 
 
 class TestLeafPrototypes:

@@ -284,6 +284,30 @@ class TestFrontierIndependence:
                     splits += int(alone.attr[0] >= 0)
         assert splits >= 100
 
+    def test_reused_workspace_matches_a_fresh_one(self):
+        """One workspace searches a small frontier, then a larger one whose
+        rows its buffers must grow to hold; each result equals, array for
+        array, that of a fresh workspace."""
+        grown = 0
+        for case, d, nodes in self.frontiers():
+            stats = compute_stats(d)
+            ws = SplitWorkspace(d, stats)
+            for mode in (ALL_THRESHOLDS, ONE_RANDOM_THRESHOLD):
+                policy = SplitSearchPolicy(1 + case % d.n, mode)
+                for part in ([nodes[0][:2]], nodes):
+                    keys, u = draw_frontier(np.random.default_rng(case),
+                                            len(part), d.n, policy)
+                    args = (policy, np.concatenate(part),
+                            np.cumsum([0] + [r.size for r in part]), keys, u)
+                    size = ws._rows.size
+                    got = search_frontier(d, ws, *args)
+                    grown += part is nodes and ws._rows.size > size
+                    want = search_frontier(d, SplitWorkspace(d, stats), *args)
+                    for f in fields(got):
+                        assert (getattr(got, f.name).tobytes()
+                                == getattr(want, f.name).tobytes())
+        assert grown == 17  # each table's larger frontier, in the first mode
+
 
 class TestCandidatePick:
     """A node's candidates are its first k attributes by a stable sort of
