@@ -149,6 +149,15 @@ def _check_rows(rows, m: int) -> np.ndarray:
     return rows
 
 
+def _complement(rows: np.ndarray, m: int) -> np.ndarray:
+    """The rows of 0..m-1 that ``rows`` never lists, ascending: what
+    ``np.setdiff1d(np.arange(m), rows)`` gives, from a mask instead of a
+    sort."""
+    keep = np.ones(m, dtype=bool)
+    keep[rows] = False
+    return np.flatnonzero(keep)
+
+
 def compute_stats(d: Dataset) -> AttributeStats:
     """Statistics over all rows of ``d``; for a subset, pass
     ``d.restrict_rows(rows)``."""

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import streams
 from .data import (ComputationError, Dataset, IngestionError, _check_rows,
-                   write_rows)
+                   _complement, write_rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +47,7 @@ class FoldPlan:
         return self.folds[i]
 
     def train_rows(self, i: int) -> np.ndarray:
-        return np.setdiff1d(np.arange(self.n_examples), self.folds[i])
+        return _complement(self.folds[i], self.n_examples)
 
 
 # memory cap, in bytes, for one block of queries' float64 screen against

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parallel, streams
-from .data import AttributeStats, Dataset, IngestionError, compute_stats
+from .data import (AttributeStats, Dataset, IngestionError, _complement,
+                   compute_stats)
 from .tree import (ALL_THRESHOLDS, ONE_RANDOM_THRESHOLD, FlatTree,
                    SplitSearchPolicy, SplitWorkspace, _grow_stack)
 
@@ -123,7 +124,7 @@ def _grow_chunk(d, stats, policy, seed, tree_ids):
                 for t in tree_ids[s0:s0 + size]]
         bags = [rng.integers(0, d.m, size=d.m) for rng in rngs]
         out.append((_grow_stack(d, ws, policy, bags, rngs), bags,
-                    [np.setdiff1d(np.arange(d.m), bag) for bag in bags]))
+                    [_complement(bag, d.m) for bag in bags]))
     return out
 
 

@@ -36,7 +36,7 @@ import numpy as np
 from . import parallel, streams
 from .data import ComputationError, write_rows
 from .forest import Ensemble
-from .segments import first_max, sorted_runs
+from .segments import Buffers, first_max, sorted_runs
 from .tree import FlatTree
 
 
@@ -108,15 +108,24 @@ def symbolic(e: Ensemble) -> Ranking:
 
 
 # out-of-bag cells (rows x n) that one batch of trees may hold. A batch
-# keeps at most about six float64 values per cell at once: the out-of-bag
-# values, their predictions, their shuffles, the patched sums and the two
-# of the pairwise partial sums (the terms and the nodes above them). The
-# leaf prototypes, and later the first-testing nodes, add about 1.7 each
-# (a leaf per distinct bootstrap row), and rebuilding the prototypes
-# briefly adds the values of the bootstrap rows, about 2.7. On the planted
-# 180 x 50 ET-100 fold, batches 4 to 16 times larger measured no faster,
-# and batches of one tree as slow as scoring tree by tree.
+# keeps about seven float64 values per cell, each in a buffer that every
+# batch of one _tree_contributions call reuses (see segments.Buffers): the
+# out-of-bag values, their predictions, their shuffles, the patched sums,
+# the step of each patch and two of the pairwise partial sums (the terms
+# and the nodes above them). The leaf prototypes, also in a buffer, and
+# the first-testing nodes add about 1.7 each (a leaf per distinct
+# bootstrap row), and rebuilding the prototypes briefly adds the values
+# of the bootstrap rows, about 2.7; kept in a buffer too, they raised
+# planted-et's peak RSS by about 1 MB and saved no measurable time. On the
+# planted 180 x 50 ET-100 fold, batches 4 to 16 times larger measured no
+# faster, and batches of one tree as slow as scoring tree by tree.
 _BATCH_CELLS = 62_500
+
+# rows that change leaf whose full rows of terms one step of the rebuild
+# holds, in three buffers of this many rows x n. On the planted 200 x 50
+# table a batch moves about 3 700 rows; steps of 256 and 1024 rows
+# measured alike, and steps of 64 slower.
+_REBUILD_ROWS = 256
 
 
 def random_forest_score(e: Ensemble) -> Ranking:
@@ -224,22 +233,27 @@ def _tree_contributions(X, scale, nominal, seed, trees: _Trees) -> list:
     batches of at most _BATCH_CELLS out-of-bag cells, one tree at least."""
     cells = np.cumsum([oob.size for oob in trees.oobs]) * X.shape[1]
     order = _pairwise_order(X.shape[1])
+    buffers = Buffers()
     out = []
     while len(out) < len(trees):
         a = len(out)
         b = max(a + 1, int(np.searchsorted(
             cells, (cells[a - 1] if a else 0) + _BATCH_CELLS, "right")))
         out += _batch_contributions(X, scale, nominal, seed, order,
-                                    trees[a:b])
+                                    buffers, trees[a:b])
     return out
 
 
-def _batch_contributions(X, scale, nominal, seed, order,
+def _batch_contributions(X, scale, nominal, seed, order, buffers: Buffers,
                          trees: _Trees) -> list:
     """_tree_contributions for one batch of trees, ``order`` being
     _pairwise_order(n). Every (attribute, row) array of the batch is laid
     out (n, rows): attribute i's values of all out-of-bag rows lie in one
-    contiguous row."""
+    contiguous row. The large arrays are views of ``buffers``, which every
+    batch of the call reuses, so a call faults their pages in once, not
+    at every batch. The rows that change leaf get their full rows of terms
+    _REBUILD_ROWS rows at a time, each summed as one contiguous row, as
+    the whole set at once would be."""
     f, n = trees.forest, X.shape[1]
     slots = np.cumsum(f.attr < 0) - 1  # at a leaf node: its leaf's number
     # each tree's draws routed from its root and grouped by leaf, in draw
@@ -249,19 +263,24 @@ def _batch_contributions(X, scale, nominal, seed, order,
                                     [bag.size for bag in trees.in_bags]),
                        drawn)]
     proto = _leaf_prototypes(X, nominal, drawn[np.argsort(at, kind="stable")],
-                             np.bincount(at, minlength=slots[-1] + 1))
+                             np.bincount(at, minlength=slots[-1] + 1),
+                             buffers)
     sizes = np.array([oob.size for oob in trees.oobs])
     head = np.append(0, np.cumsum(sizes))  # tree t's rows: head[t]:head[t + 1]
     oob = np.concatenate(trees.oobs)
     leaf = f.route(X, np.repeat(f.node_start[:-1], sizes), oob)
     slot = slots[leaf]
-    values, predicted = X[oob].T, proto[slot].T
+    values = np.take(X, oob, axis=0, mode="clip",
+                     out=buffers("values", (oob.size, n))).T
+    predicted = np.take(proto, slot, axis=0, mode="clip",
+                        out=buffers("predicted", (oob.size, n))).T
     # partial[k, r]: node k of row r's sum tree (see _pairwise_order)
-    partial = np.empty((2 * n, oob.size))
+    partial = buffers("partial", (2 * n, oob.size))
     _row_errors(values, predicted, scale, nominal, out=partial[:n])
     row_means = _partial_sums(order, partial) / n
     # shuffled[i, r]: row r's value of attribute i after i's shuffle
-    shuffled = values.copy(order="C")
+    shuffled = buffers("shuffled", values.shape)
+    shuffled[...] = values
     e_base = np.zeros(len(trees))
     for t, rows in enumerate(trees.oobs):
         if rows.size:
@@ -279,10 +298,8 @@ def _batch_contributions(X, scale, nominal, seed, order,
     # shuffle keeps the row's leaf: term i is the shuffled value's term
     # against the same prediction, and the other terms are unchanged
     sums = _row_errors(shuffled, predicted, scale, nominal,
-                       out=np.empty_like(shuffled))
-    del values, predicted
-    _patched_sums(order, partial, sums)
-    del partial
+                       out=buffers("sums", shuffled.shape))
+    _patched_sums(order, partial, sums, buffers("step", sums.shape))
     # one walk reroutes the moved rows of every tree, each from the first
     # node on its path that tests the shuffled attribute
     scored = np.flatnonzero(np.repeat(e_base != 0.0, sizes))
@@ -291,14 +308,21 @@ def _batch_contributions(X, scale, nominal, seed, order,
     q = scored[r]
     value = shuffled[a, q]
     moved = f.route(X, first[slot[q], a], oob[q], (a, value))
-    del first, shuffled
+    del first
     changed = moved != leaf[q]
     q, a, value, moved = (v[changed] for v in (q, a, value, moved))
-    # a row that reaches a new leaf gets a new full row of terms
-    full = X[oob[q]]
-    full[np.arange(q.size), a] = value
-    sums[a, q] = np.ascontiguousarray(_row_errors(
-        full.T, proto[slots[moved]].T, scale, nominal).T).sum(axis=1)
+    # a row that reaches a new leaf gets a new full row of terms, built
+    # _REBUILD_ROWS rows at a time in the same three buffers
+    full, pred, err = (buffers(name, (min(q.size, _REBUILD_ROWS), n))
+                       for name in ("full", "pred", "err"))
+    for c0 in range(0, q.size, _REBUILD_ROWS):
+        c = slice(c0, c0 + _REBUILD_ROWS)
+        k = q[c].size
+        np.take(X, oob[q[c]], axis=0, out=full[:k], mode="clip")
+        full[np.arange(k), a[c]] = value[c]
+        np.take(proto, slots[moved[c]], axis=0, out=pred[:k], mode="clip")
+        _row_errors(full[:k].T, pred[:k].T, scale, nominal, out=err[:k].T)
+        sums[a[c], q[c]] = err[:k].sum(axis=1)
     sums /= n
     return [(sums[:, head[t]:head[t + 1]].mean(axis=1) - e_base[t]) / e_base[t]
             if e_base[t] != 0.0 else None for t in range(len(trees))]
@@ -317,12 +341,13 @@ def _partial_sums(order, partial: np.ndarray) -> np.ndarray:
     return partial[root]
 
 
-def _patched_sums(order, partial: np.ndarray, new: np.ndarray) -> None:
+def _patched_sums(order, partial: np.ndarray, new: np.ndarray,
+                  step: np.ndarray) -> None:
     """Replace each ``new[i, r]`` (n, rows) by the sum of row r of terms
     with term i replaced by ``new[i, r]``, from the partial sums that
     _partial_sums filled: the new term added up term i's path of sibling
-    partial sums, one (n, rows) gather and add per level of depth."""
-    step = np.empty_like(new)
+    partial sums, one (n, rows) gather into ``step``, of new's shape, and
+    one add per level of depth."""
     for siblings in order[1]:
         new += np.take(partial, siblings, axis=0, out=step, mode="clip")
 
@@ -397,15 +422,17 @@ def _pairwise_order(n: int):
 
 
 def _leaf_prototypes(X: np.ndarray, nominal: np.ndarray, rows: np.ndarray,
-                     sizes: np.ndarray) -> np.ndarray:
+                     sizes: np.ndarray, buffers: Buffers) -> np.ndarray:
     """Leaf predictions, leaf l owning the next ``sizes[l]`` rows of X
     listed in ``rows``: per attribute, the mean of those rows or, where
-    ``nominal``, their modal code, ties to the smallest code."""
+    ``nominal``, their modal code, ties to the smallest code, in the
+    buffer "proto" of ``buffers``."""
     sub = X[rows]
     # a leaf sum that overflows keeps an inf or NaN prototype
     with np.errstate(over="ignore", invalid="ignore"):
-        proto = (np.add.reduceat(sub, np.cumsum(sizes) - sizes, axis=0)
-                 / sizes[:, None])
+        proto = np.add.reduceat(sub, np.cumsum(sizes) - sizes, axis=0,
+                                out=buffers("proto", (sizes.size, X.shape[1])))
+        proto /= sizes[:, None]
     nom = np.flatnonzero(nominal)
     if nom.size:
         group = (np.repeat(np.arange(sizes.size), sizes)[:, None] * nom.size

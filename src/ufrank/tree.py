@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import AttributeStats, Dataset, _check_rows
-from .segments import first_max, group_sums, running_sums, sorted_runs
+from .segments import (Buffers, first_max, group_sums, running_sums,
+                       sorted_runs)
 
 ALL_THRESHOLDS = "all-thresholds"
 ONE_RANDOM_THRESHOLD = "one-random-threshold"
@@ -66,6 +67,14 @@ class SplitWorkspace:
     Each node first centers its value columns on its own means. The three
     terms then carry no large common offset, so they do not cancel when a
     column's spread is small next to its magnitude; h is shift invariant.
+
+    The workspace keeps the large per-level arrays in four buffers (see
+    segments.Buffers) that every frontier it searches reuses, each grown
+    to the largest frontier so far: "rows" and "means" for scoring's
+    centered rows of Z, "yes" and "no" for the squared side sums of
+    gains. The levels of a stack, and the stacks that one workspace grows,
+    then fault these pages in once, not at every level. What scoring
+    returns is a view of "rows", valid only until its next call.
     """
 
     def __init__(self, d: Dataset, stats: AttributeStats):
@@ -83,47 +92,43 @@ class SplitWorkspace:
         self.nominal = ~num
         self.weight = np.concatenate(weights)
         self.Z = np.ascontiguousarray(np.concatenate(blocks, axis=1))
-        # scoring's buffers, grown to the largest frontier scored
-        self._rows = self._means = np.empty(0)
+        self.buffers = Buffers()
 
     def scoring(self, rows: np.ndarray, heads: np.ndarray, counts: np.ndarray,
                 seg: np.ndarray) -> np.ndarray:
         """Z's rows for a frontier whose node f owns the ``counts[f]`` rows
         from ``heads[f]`` on (``seg`` names each row's node), each node's
-        value columns centered on that node's own means.
-
-        The result is a view of a buffer that the workspace keeps and reuses
-        for every frontier it scores, so it stays valid only until the next
-        call. A stack's levels then fault in their pages once, not anew at
-        every level."""
-        cells = rows.size * self.Z.shape[1]
-        if self._rows.size < cells:
-            self._rows = np.empty(cells)
-        sub = self._rows[:cells].reshape(rows.size, self.Z.shape[1])
+        value columns centered on that node's own means. The result is a
+        view of the workspace's buffers (see the class notes)."""
+        sub = self.buffers("rows", (rows.size, self.Z.shape[1]))
         # mode "raise" would gather through a temporary copy of ``out``
         np.take(self.Z, rows, axis=0, out=sub, mode="clip")
         if self.P:
-            if self._means.size < rows.size * self.P:
-                self._means = np.empty(rows.size * self.P)
             V = sub[:, :self.P]
             mean = np.add.reduceat(V, heads, axis=0) / counts[:, None]
             V -= np.take(mean, seg, axis=0, mode="clip",
-                         out=self._means[:V.size].reshape(V.shape))
+                         out=self.buffers("means", V.shape))
         return sub
 
-    def square_sums(self, S: np.ndarray) -> np.ndarray:
-        """sum over columns of w * S^2, for each row of column sums S."""
-        q = S * S
+    def square_sums(self, S: np.ndarray, out=None) -> np.ndarray:
+        """sum over columns of w * S^2, for each row of column sums S, with
+        S^2 formed in ``out`` if given (S itself may be ``out``)."""
+        q = np.multiply(S, S, out=out)
         q *= self.weight
         return q.sum(axis=1)
 
     def gains(self, totals: np.ndarray, base: np.ndarray, size: np.ndarray,
-              S: np.ndarray, L: np.ndarray) -> np.ndarray:
-        """h per candidate row: yes side with sums S and size L, in a node
-        with sums ``totals``, ``size`` rows and ``base`` square_sums(totals)
-        / size."""
-        return (self.square_sums(S) / L
-                + self.square_sums(totals - S) / (size - L) - base) / self.n
+              owner: np.ndarray, S: np.ndarray, L: np.ndarray) -> np.ndarray:
+        """h per candidate row: yes side with sums S and size L, in the node
+        ``owner`` of a frontier whose nodes have sums ``totals``, ``size``
+        rows and ``base`` square_sums(totals) / size. Both sides' squared
+        sums are formed in the workspace's buffers."""
+        no = np.take(totals, owner, axis=0, mode="clip",
+                     out=self.buffers("no", S.shape))
+        np.subtract(no, S, out=no)
+        return (self.square_sums(S, out=self.buffers("yes", S.shape)) / L
+                + self.square_sums(no, out=no) / (size[owner] - L)
+                - base[owner]) / self.n
 
 
 # Bytes one all-thresholds pass may hold; slots are searched in groups.
@@ -206,7 +211,7 @@ def search_frontier(d: Dataset, ws: SplitWorkspace, policy: SplitSearchPolicy,
             found = _one_random_candidates(seg, heads, scored, vals[:, part],
                                            nominal[:, part], u[:, part])
         owner, slot, value, S, L = found
-        h = ws.gains(totals[owner], base[owner], counts[owner], S, L)
+        h = ws.gains(totals, base, counts, owner, S, L)
         parts.append((owner, s0 + slot, value, h))
     # every node's candidates stay listed in enumeration order
     owner, slot, value, h = (parts[0] if len(parts) == 1 else

@@ -47,14 +47,21 @@ class TestFoldPlan:
         np.testing.assert_array_equal(np.sort(all_rows), np.arange(23))
 
     def test_folds_are_sorted_and_complementary(self):
-        plan = FoldPlan.make(17, n_folds=5, seed=1)
-        for i in range(plan.n_folds):
-            test = plan.test_rows(i)
-            train = plan.train_rows(i)
-            assert (np.diff(test) > 0).all()
-            assert (np.diff(train) > 0).all()
-            np.testing.assert_array_equal(
-                np.sort(np.concatenate([test, train])), np.arange(17))
+        """Training rows come from a mask over the fold; they equal
+        setdiff1d's sorted intp complement, array and dtype, also with
+        folds of one row (m = n_folds) and at m = 2."""
+        for m, n_folds in ((17, 5), (2, 2), (7, 7)):
+            plan = FoldPlan.make(m, n_folds=n_folds, seed=1)
+            for i in range(plan.n_folds):
+                test = plan.test_rows(i)
+                train = plan.train_rows(i)
+                assert (np.diff(test) > 0).all()
+                assert (np.diff(train) > 0).all()
+                np.testing.assert_array_equal(
+                    np.sort(np.concatenate([test, train])), np.arange(m))
+                want = np.setdiff1d(np.arange(m), test)
+                assert train.dtype == want.dtype
+                np.testing.assert_array_equal(train, want)
 
     def test_seeded_and_reproducible(self):
         a = FoldPlan.make(30, 10, seed=2)

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,13 +105,22 @@ class TestBuild:
             assert ensemble_fingerprint(bag) == ensemble_fingerprint(rf)
 
     def test_bootstrap_shape_and_oob_complement(self):
-        d = small_dataset(4, m=25)
-        e = build(d, EnsembleConfig(method="rf", n_trees=10, seed=2))
-        for bag, oob in zip(e.in_bags, e.oobs):
-            assert bag.size == d.m
-            assert bag.min() >= 0 and bag.max() < d.m
-            np.testing.assert_array_equal(
-                oob, np.setdiff1d(np.arange(d.m), bag))
+        """Out-of-bag rows come from a mask over the bag; they equal
+        setdiff1d's sorted intp complement, array and dtype, on random
+        tables and at m = 2, where a bag may hold both rows (an empty
+        out-of-bag set) or one row twice."""
+        sizes = set()
+        for m, seed in [(25, 2), (200, 3)] + [(2, s) for s in range(8)]:
+            d = small_dataset(4, m=m)
+            e = build(d, EnsembleConfig(method="rf", n_trees=10, seed=seed))
+            for bag, oob in zip(e.in_bags, e.oobs):
+                assert bag.size == d.m
+                assert bag.min() >= 0 and bag.max() < d.m
+                want = np.setdiff1d(np.arange(d.m), bag)
+                assert oob.dtype == want.dtype
+                np.testing.assert_array_equal(oob, want)
+                sizes.add((m, oob.size))
+        assert {(2, 0), (2, 1)} <= sizes
 
     def test_oob_nonempty_for_usual_sizes(self):
         # with m >= 10 a bootstrap that covers every row is vanishingly rare
@@ -392,3 +405,39 @@ class TestOOBError:
         _, e = self.stump_fixture()
         with pytest.raises(ValueError, match="empty"):
             oob_error(e, 0, np.array([], dtype=np.intp))
+
+
+FAULT_PROBE = """
+import resource
+from ufrank import (EnsembleConfig, SynthSpec, build, make_planted,
+                    random_forest_score)
+d = make_planted(SynthSpec(m=200, n_informative=5, n_noise=45, seed=0))
+
+
+def run():
+    random_forest_score(build(d, EnsembleConfig(n_trees=300, seed=1)))
+
+
+run()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_growth_and_rf_score_fault_their_arrays_in_once_per_call():
+    """Growth keeps its per-level arrays, and rf-score its per-batch ones,
+    in buffers that live for the whole call, so a second ET-300 build and
+    rf-score at one worker on a planted 200 x 50 table fault in 2.7k-4.1k
+    pages (15 runs), whatever the allocator did with the first call's
+    memory. Fresh temporaries at every level and batch, which the
+    allocator hands back to the OS and takes again, measured 14k-58k (15
+    runs; glibc, numpy 2.4, x86-64). 300 trees, since the buffers' own
+    first touch, once per call, is about as large as what 20 trees fault
+    in afresh. Run in a fresh interpreter, so that no other test's heap
+    shapes the count."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    assert int(proc.stdout) < 10_000

@@ -345,6 +345,35 @@ class TestPatchedRandomForestScore:
         assert any(len(set(b)) > 1 for b in batches)
         assert len({len(b) for b in batches}) > 1
 
+    @pytest.mark.parametrize("fixture", ["wide13", "wide137", "dup_nominal"])
+    def test_rebuild_step_changes_nothing(self, monkeypatch, fixture):
+        """The rows that change leaf get their full rows of terms rebuilt
+        _REBUILD_ROWS at a time in reused buffers. One row at a time,
+        three at a time (a short last step) and all at once give the
+        importances of the default, byte for byte."""
+        e = build(rf_fixture(fixture),
+                  EnsembleConfig(method="et", n_trees=8, seed=5))
+        want = random_forest_score(e).importance.tobytes()
+        real, rows = scores._row_errors, []
+
+        def spy(*args, **kwargs):
+            rows.append(args[0].shape[1])  # the (n, rows) layout's rows
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scores, "_row_errors", spy)
+        steps = {}
+        for step in (1, 3, 10**9):
+            monkeypatch.setattr(scores, "_REBUILD_ROWS", step)
+            rows.clear()
+            assert random_forest_score(e).importance.tobytes() == want
+            # one batch: the out-of-bag terms, the shuffled terms, then
+            # the rebuild's steps
+            steps[step] = rows[2:]
+        moved = len(steps[1])
+        assert moved > 3 and steps[1] == [1] * moved
+        assert steps[3] == [3] * (moved // 3) + [moved % 3] * (moved % 3 > 0)
+        assert steps[10**9] == [moved]
+
     @pytest.mark.parametrize("method", ["et", "rf", "bagging"])
     def test_path_attribute_map_matches_recursive_walk(self, method):
         d = oracles.random_mixed_dataset(np.random.default_rng(81), 40, 8)
@@ -366,12 +395,14 @@ class TestPatchedRandomForestScore:
 def rebuilt_prototypes(e, monkeypatch):
     """The leaf prototypes that rf-score rebuilds for each tree of ``e``,
     caught from its calls of scores._leaf_prototypes at one worker (one
-    call per batch of trees, in tree order) and cut per tree."""
+    call per batch of trees, in tree order, each copied out of the buffer
+    that the next batch reuses) and cut per tree."""
     real, calls = scores._leaf_prototypes, []
 
     def spy(*args):
-        calls.append(real(*args))
-        return calls[-1]
+        proto = real(*args)
+        calls.append(proto.copy())
+        return proto
 
     with monkeypatch.context() as patch:
         patch.setattr(scores, "_leaf_prototypes", spy)
@@ -430,7 +461,7 @@ class TestPairwiseOrder:
             new = self.terms(rng, (n, 2))
             order, partial, _ = self.partial_sums(M)
             got = new.copy()
-            scores._patched_sums(order, partial, got)
+            scores._patched_sums(order, partial, got, np.empty_like(got))
             # every term of the short rows; the first and last 9 and 40
             # others of the long ones
             cols = (np.arange(n) if n <= 300 else np.unique(np.concatenate(

@@ -286,27 +286,47 @@ class TestFrontierIndependence:
 
     def test_reused_workspace_matches_a_fresh_one(self):
         """One workspace searches a small frontier, then a larger one whose
-        rows its buffers must grow to hold; each result equals, array for
-        array, that of a fresh workspace."""
-        grown = 0
+        rows its buffers must grow to hold, then a one-node frontier that
+        leaves the larger one's values in its buffers beyond the part it
+        uses; each result equals, array for array, that of a fresh
+        workspace."""
+        grown = reused = 0
         for case, d, nodes in self.frontiers():
             stats = compute_stats(d)
             ws = SplitWorkspace(d, stats)
+            real, cells = ws.gains, []
+
+            def spy(*args):
+                cells.append(args[4].size)  # S, the yes sides' sums
+                return real(*args)
+
+            ws.gains = spy
             for mode in (ALL_THRESHOLDS, ONE_RANDOM_THRESHOLD):
                 policy = SplitSearchPolicy(1 + case % d.n, mode)
-                for part in ([nodes[0][:2]], nodes):
+                for part in ([nodes[0][:2]], nodes, nodes[-1:]):
                     keys, u = draw_frontier(np.random.default_rng(case),
                                             len(part), d.n, policy)
                     args = (policy, np.concatenate(part),
                             np.cumsum([0] + [r.size for r in part]), keys, u)
-                    size = ws._rows.size
+                    before = dict(ws.buffers.flat)
+                    cells.clear()
                     got = search_frontier(d, ws, *args)
-                    grown += part is nodes and ws._rows.size > size
+                    grown += (part is nodes and ws.buffers.flat["rows"].size
+                              > before.get("rows", np.empty(0)).size)
+                    after = ws.buffers.flat
+                    reused += (len(part) == 1 and part is not nodes
+                               and len(cells) > 0
+                               and after["yes"] is before.get("yes")
+                               and after["no"] is before.get("no")
+                               and max(cells) < after["yes"].size)
                     want = search_frontier(d, SplitWorkspace(d, stats), *args)
                     for f in fields(got):
                         assert (getattr(got, f.name).tobytes()
                                 == getattr(want, f.name).tobytes())
         assert grown == 17  # each table's larger frontier, in the first mode
+        # each table's one-node frontier after the larger one, in both
+        # modes, and in the second mode its first small frontier too
+        assert reused == 17 * 3
 
 
 class TestCandidatePick:
