@@ -12,11 +12,10 @@ ensemble's forest record (see tree.FlatTree):
   values are shuffled. A row is reconstructed by its leaf's prototype,
   which the forest record does not keep: rf-score, its one reader,
   rebuilds each batch of trees' prototypes from their bootstrap rows.
-  Each out-of-bag row's error terms, and the partial sums that numpy's
-  pairwise summation of them forms, are computed once. A shuffle of
-  attribute i only changes term i of a row that keeps its leaf, so the
-  row's new sum is the new term added up its path of partial sums,
-  bit for bit the sum of the recomputed row; only the rows that the
+  Each out-of-bag row's error terms are computed once, and the increase
+  is summed from the terms that a shuffle changes, never as the
+  difference of two nearly equal means. A shuffle of attribute i only
+  changes term i of a row that keeps its leaf; only the rows that the
   shuffle sends to another leaf get a new full row of terms. One walk
   routes the out-of-bag rows of a batch of trees, and one more reroutes,
   for every shuffled attribute at once, the rows that may move, each
@@ -108,17 +107,17 @@ def symbolic(e: Ensemble) -> Ranking:
 
 
 # out-of-bag cells (rows x n) that one batch of trees may hold. A batch
-# keeps about seven float64 values per cell, each in a buffer that every
-# batch of one _tree_contributions call reuses (see segments.Buffers): the
-# out-of-bag values, their predictions, their shuffles, the patched sums,
-# the step of each patch and two of the pairwise partial sums (the terms
-# and the nodes above them). The leaf prototypes, also in a buffer, and
-# the first-testing nodes add about 1.7 each (a leaf per distinct
-# bootstrap row), and rebuilding the prototypes briefly adds the values
-# of the bootstrap rows, about 2.7; kept in a buffer too, they raised
-# planted-et's peak RSS by about 1 MB and saved no measurable time. On the
-# planted 180 x 50 ET-100 fold, batches 4 to 16 times larger measured no
-# faster, and batches of one tree as slow as scoring tree by tree.
+# keeps five float64 values per cell, each in a buffer that every batch of
+# one _tree_contributions call reuses (see segments.Buffers): the
+# out-of-bag values, their predictions, their error terms, their shuffles
+# and each shuffle's growth of the row's error. The leaf prototypes, also
+# in a buffer, and the first-testing nodes add about 1.7 each (a leaf per
+# distinct bootstrap row), and rebuilding the prototypes briefly adds the
+# values of the bootstrap rows, about 2.7; kept in a buffer too, they
+# raised planted-et's peak RSS by about 1 MB and saved no measurable time.
+# On the planted 180 x 50 ET-100 fold, batches 4 to 16 times larger
+# measured no faster, and batches of one tree as slow as scoring tree by
+# tree.
 _BATCH_CELLS = 62_500
 
 # rows that change leaf whose full rows of terms one step of the rebuild
@@ -131,13 +130,19 @@ _REBUILD_ROWS = 256
 def random_forest_score(e: Ensemble) -> Ranking:
     """Permutation importance over out-of-bag rows.
 
-    For tree t with baseline error e_t over its out-of-bag set, attribute i
-    contributes (e_t^i - e_t) / e_t, where e_t^i is the error after
-    shuffling attribute i's values among those rows (the shuffle moves an
-    example's routing and the value its reconstruction is compared to).
-    Trees with an empty out-of-bag set or zero baseline error carry no
-    information for a ratio and are skipped, with the divisor reduced
-    accordingly.
+    Tree t's baseline error e_t is the mean over its out-of-bag rows of
+    each row's mean error term. With E_rj the terms of those rows and E'_rj
+    the terms after shuffling attribute i's values among them (the shuffle
+    moves an example's routing and the value its reconstruction is
+    compared to), attribute i contributes
+
+        mean_r sum_j (E'_rj - E_rj) / n / e_t,
+
+    which is (e_t^i - e_t) / e_t, the relative increase of the error, in
+    exact arithmetic. Summed from the changed terms, it loses no digits to
+    the cancellation of two nearly equal means. Trees with an empty
+    out-of-bag set or zero baseline error carry no information for a
+    ratio and are skipped, with the divisor reduced accordingly.
 
     A row is reconstructed by the prototype of the leaf it reaches: per
     attribute, the mean (numeric) or the modal code (nominal, ties to the
@@ -150,16 +155,17 @@ def random_forest_score(e: Ensemble) -> Ranking:
 
     Trees are scored in batches of the forest record. One walk routes the
     out-of-bag rows of all of a batch's trees, each row from its own
-    tree's root, and each row's n error terms are summed once, keeping the
-    partial sums of numpy's pairwise order (see _pairwise_order); e_t is
-    the mean of tree t's row means. A shuffle of column i is then a patch:
-    a row takes the term of its shuffled value against the same
-    prediction, and its new sum is that term added up its path of
-    partial sums, which is the sum numpy forms of the patched row, bit for
-    bit. The rows whose leaf the shuffle changes take their full rows of
-    terms, summed by numpy. The patched row means and their mean are
-    taken in the same order as a full recomputation's, so e_t^i is bit for
-    bit the same:
+    tree's root, and each row's n error terms are computed once, laid out
+    so that numpy takes each row's mean as that of one contiguous row;
+    e_t is the mean of tree t's row means. A row's growth sum_j (E'_rj -
+    E_rj) under a shuffle of column i is its new term i less its old one,
+    exactly, if the row keeps its leaf, since it keeps its prediction and
+    its other values. If the row reaches a new leaf, it takes a full row of
+    new terms, and its growth is numpy's sum of that row less its old
+    terms, laid out as one contiguous row. Tree t's growths of attribute i
+    are averaged as one contiguous row too, so with finite terms each
+    contribution is, bit for bit, that of a recomputation that reroutes
+    every row and sums each row's changed terms:
 
     * A row whose root-to-leaf path tests no i cannot change leaf.
     * A row whose path first tests i at node f (the batch's
@@ -169,9 +175,8 @@ def random_forest_score(e: Ensemble) -> Ranking:
       i. It is rerouted from f, with its shuffled value read in place of
       column i and no copy of its row; one walk reroutes the moved rows of
       every attribute across all the batch's trees.
-    * A moved row that reaches its old leaf keeps its prediction, so its
-      full row of terms is its old row with term i patched, whose sum the
-      patch already gives. Only rows that reach a new leaf get a new row.
+    * A moved row that reaches its old leaf keeps its prediction, so only
+      its term i changes. Only rows that reach a new leaf get a new row.
 
     Tree t's shuffles come from one stream, keyed by (seed,
     OOB_PERMUTATION, t): before any attribute is scored it draws all n of
@@ -232,28 +237,28 @@ def _tree_contributions(X, scale, nominal, seed, trees: _Trees) -> list:
     an empty out-of-bag set or a zero baseline error. The trees go in
     batches of at most _BATCH_CELLS out-of-bag cells, one tree at least."""
     cells = np.cumsum([oob.size for oob in trees.oobs]) * X.shape[1]
-    order = _pairwise_order(X.shape[1])
     buffers = Buffers()
     out = []
     while len(out) < len(trees):
         a = len(out)
         b = max(a + 1, int(np.searchsorted(
             cells, (cells[a - 1] if a else 0) + _BATCH_CELLS, "right")))
-        out += _batch_contributions(X, scale, nominal, seed, order,
-                                    buffers, trees[a:b])
+        out += _batch_contributions(X, scale, nominal, seed, buffers,
+                                    trees[a:b])
     return out
 
 
-def _batch_contributions(X, scale, nominal, seed, order, buffers: Buffers,
+def _batch_contributions(X, scale, nominal, seed, buffers: Buffers,
                          trees: _Trees) -> list:
-    """_tree_contributions for one batch of trees, ``order`` being
-    _pairwise_order(n). Every (attribute, row) array of the batch is laid
-    out (n, rows): attribute i's values of all out-of-bag rows lie in one
-    contiguous row. The large arrays are views of ``buffers``, which every
-    batch of the call reuses, so a call faults their pages in once, not
-    at every batch. The rows that change leaf get their full rows of terms
-    _REBUILD_ROWS rows at a time, each summed as one contiguous row, as
-    the whole set at once would be."""
+    """_tree_contributions for one batch of trees. Every (attribute, row)
+    array of the batch is laid out (n, rows): attribute i's values of all
+    out-of-bag rows lie in one contiguous row. The out-of-bag error terms
+    are the exception: each row's n terms lie together, so that a row's
+    mean is numpy's sum of one contiguous row. The large arrays are views
+    of ``buffers``, which every batch of the call reuses, so a call faults
+    their pages in once, not at every batch. The rows that change leaf get
+    their full rows of terms _REBUILD_ROWS rows at a time, each summed as
+    one contiguous row, as the whole set at once would be."""
     f, n = trees.forest, X.shape[1]
     slots = np.cumsum(f.attr < 0) - 1  # at a leaf node: its leaf's number
     # each tree's draws routed from its root and grouped by leaf, in draw
@@ -274,10 +279,11 @@ def _batch_contributions(X, scale, nominal, seed, order, buffers: Buffers,
                      out=buffers("values", (oob.size, n))).T
     predicted = np.take(proto, slot, axis=0, mode="clip",
                         out=buffers("predicted", (oob.size, n))).T
-    # partial[k, r]: node k of row r's sum tree (see _pairwise_order)
-    partial = buffers("partial", (2 * n, oob.size))
-    _row_errors(values, predicted, scale, nominal, out=partial[:n])
-    row_means = _partial_sums(order, partial) / n
+    # terms[i, r]: row r's error term of attribute i, a row's n terms
+    # contiguous in memory
+    terms = _row_errors(values, predicted, scale, nominal,
+                        out=buffers("terms", (oob.size, n)).T)
+    row_means = terms.T.mean(axis=1)
     # shuffled[i, r]: row r's value of attribute i after i's shuffle
     shuffled = buffers("shuffled", values.shape)
     shuffled[...] = values
@@ -294,12 +300,12 @@ def _batch_contributions(X, scale, nominal, seed, order, buffers: Buffers,
     used = np.flatnonzero(e_base != 0.0)
     if not used.size:
         return [None] * len(trees)
-    # sums[i, r]: row r's sum of error terms after i's shuffle, where the
-    # shuffle keeps the row's leaf: term i is the shuffled value's term
-    # against the same prediction, and the other terms are unchanged
-    sums = _row_errors(shuffled, predicted, scale, nominal,
-                       out=buffers("sums", shuffled.shape))
-    _patched_sums(order, partial, sums, buffers("step", sums.shape))
+    # growth[i, r]: how much row r's sum of error terms grows when i is
+    # shuffled. Where the shuffle keeps the row's leaf, only term i
+    # changes: to the shuffled value's term against the same prediction
+    growth = _row_errors(shuffled, predicted, scale, nominal,
+                         out=buffers("growth", shuffled.shape))
+    growth -= terms
     # one walk reroutes the moved rows of every tree, each from the first
     # node on its path that tests the shuffled attribute
     scored = np.flatnonzero(np.repeat(e_base != 0.0, sizes))
@@ -311,8 +317,9 @@ def _batch_contributions(X, scale, nominal, seed, order, buffers: Buffers,
     del first
     changed = moved != leaf[q]
     q, a, value, moved = (v[changed] for v in (q, a, value, moved))
-    # a row that reaches a new leaf gets a new full row of terms, built
-    # _REBUILD_ROWS rows at a time in the same three buffers
+    # a row that reaches a new leaf grows by the sum of its full row of new
+    # terms less its old ones, built _REBUILD_ROWS rows at a time in the
+    # same three buffers
     full, pred, err = (buffers(name, (min(q.size, _REBUILD_ROWS), n))
                        for name in ("full", "pred", "err"))
     for c0 in range(0, q.size, _REBUILD_ROWS):
@@ -322,103 +329,10 @@ def _batch_contributions(X, scale, nominal, seed, order, buffers: Buffers,
         full[np.arange(k), a[c]] = value[c]
         np.take(proto, slots[moved[c]], axis=0, out=pred[:k], mode="clip")
         _row_errors(full[:k].T, pred[:k].T, scale, nominal, out=err[:k].T)
-        sums[a[c], q[c]] = err[:k].sum(axis=1)
-    sums /= n
-    return [(sums[:, head[t]:head[t + 1]].mean(axis=1) - e_base[t]) / e_base[t]
+        err[:k] -= np.take(terms.T, q[c], axis=0, out=pred[:k], mode="clip")
+        growth[a[c], q[c]] = err[:k].sum(axis=1)
+    return [growth[:, head[t]:head[t + 1]].mean(axis=1) / n / e_base[t]
             if e_base[t] != 0.0 else None for t in range(len(trees))]
-
-
-def _partial_sums(order, partial: np.ndarray) -> np.ndarray:
-    """Fill rows n.. of ``partial``, (2n, rows), whose first n rows hold
-    each column's n terms: the other nodes of the column's sum tree
-    (``order`` is _pairwise_order(n)), then +0.0 in the last row. Returns
-    the row of totals, bit for bit the ``sum`` of each column's terms laid
-    out as one contiguous row."""
-    levels, _, root = order
-    partial[-1] = 0.0
-    for nodes, left, right in levels:
-        partial[nodes] = partial[left] + partial[right]
-    return partial[root]
-
-
-def _patched_sums(order, partial: np.ndarray, new: np.ndarray,
-                  step: np.ndarray) -> None:
-    """Replace each ``new[i, r]`` (n, rows) by the sum of row r of terms
-    with term i replaced by ``new[i, r]``, from the partial sums that
-    _partial_sums filled: the new term added up term i's path of sibling
-    partial sums, one (n, rows) gather into ``step``, of new's shape, and
-    one add per level of depth."""
-    for siblings in order[1]:
-        new += np.take(partial, siblings, axis=0, out=step, mode="clip")
-
-
-def _pairwise_order(n: int):
-    """numpy's order of summation for a C-contiguous float64 row of n terms
-    (its pairwise sum, to which ``sum`` and ``mean`` of such a row both
-    reduce), as a tree of additions over nodes 0..2n-2: the terms are nodes
-    0..n-1 and each later node adds two earlier ones.
-
-    * Fewer than 8 terms are added in order.
-    * From 8 to 128 terms, lane j adds up terms j, j + 8, ... in order over
-      the first n - n % 8; the lanes join as ((r0 + r1) + (r2 + r3)) +
-      ((r4 + r5) + (r6 + r7)), and the n % 8 last terms follow in order.
-    * Above 128, the row splits after its first n // 2 terms, rounded down
-      to a multiple of 8, and the sums of the two parts are added.
-
-    Returns (levels, path, root). ``levels`` lists (nodes, left, right)
-    index arrays, one per height in the tree, so that computing them in
-    turn as ``V[nodes] = V[left] + V[right]`` over an array V whose first n
-    rows hold the terms fills every partial sum, row ``root`` the total.
-    ``path`` is (depth, n): column i lists, from term i up to the root, the
-    node added to the running sum at each step, padded with 2n - 1, the id
-    of a +0.0 row. As float addition commutes, V[i] replaced by a new term
-    and added along column i gives the pairwise sum of the row with term i
-    replaced, bit for bit; with terms >= +0 (or inf or NaN) the padding
-    adds nothing."""
-    left, right, height = [], [], [0] * n
-
-    def add(x, y):
-        left.append(x)
-        right.append(y)
-        height.append(1 + max(height[x], height[y]))
-        return len(height) - 1
-
-    def total(lo, size):
-        if size < 8:
-            acc = lo
-            for k in range(lo + 1, lo + size):
-                acc = add(acc, k)
-            return acc
-        if size <= 128:
-            lane = list(range(lo, lo + 8))
-            end = lo + size - size % 8
-            for k in range(lo + 8, end):
-                lane[(k - lo) % 8] = add(lane[(k - lo) % 8], k)
-            acc = add(add(add(lane[0], lane[1]), add(lane[2], lane[3])),
-                      add(add(lane[4], lane[5]), add(lane[6], lane[7])))
-            for k in range(end, lo + size):
-                acc = add(acc, k)
-            return acc
-        half = size // 2 - size // 2 % 8
-        return add(total(lo, half), total(lo + half, size - half))
-
-    root = total(0, n)
-    left, right, height = (np.array(v, dtype=np.intp)
-                           for v in (left, right, height))
-    nodes = np.arange(n, 2 * n - 1)
-    by_height = np.argsort(height[n:], kind="stable")
-    cuts = np.flatnonzero(np.diff(height[n:][by_height])) + 1
-    levels = [(nodes[k], left[k], right[k])
-              for k in np.split(by_height, cuts) if k.size]
-    parent = np.full(2 * n - 1, -1, dtype=np.intp)
-    sibling = np.empty(2 * n - 1, dtype=np.intp)
-    parent[left], parent[right] = nodes, nodes
-    sibling[left], sibling[right] = right, left
-    steps, at = [], np.arange(n)
-    while (up := parent[at] >= 0).any():
-        steps.append(np.where(up, sibling[at], 2 * n - 1))
-        at = np.where(up, parent[at], at)
-    return levels, np.array(steps, dtype=np.intp).reshape(-1, n), root
 
 
 def _leaf_prototypes(X: np.ndarray, nominal: np.ndarray, rows: np.ndarray,

@@ -131,7 +131,11 @@ class SplitWorkspace:
                 - base[owner]) / self.n
 
 
-# Bytes one all-thresholds pass may hold; slots are searched in groups.
+# Bytes that one group of slots' candidates may hold, 24 per candidate and
+# Z column (three float64 arrays: the yes sums, the no sums and squares).
+# A slot holds one candidate per cut with all thresholds, at most one per
+# row, and at most one per node with one random threshold; slots are
+# searched in groups within this bound.
 _BLOCK_BUDGET = 16_000_000
 
 
@@ -200,7 +204,8 @@ def search_frontier(d: Dataset, ws: SplitWorkspace, policy: SplitSearchPolicy,
     vals = d.X[rows[:, None], cand[seg]]
     nominal = ws.nominal[cand]
 
-    group = max(1, _BLOCK_BUDGET // (24 * rows.size * max(scored.shape[1], 1)))
+    per_slot = rows.size if u is None else F
+    group = max(1, _BLOCK_BUDGET // (24 * per_slot * max(scored.shape[1], 1)))
     parts = []
     for s0 in range(0, k, group):
         part = slice(s0, s0 + group)

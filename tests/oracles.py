@@ -423,9 +423,9 @@ def ref_leaf_prototypes(d, flat, bag):
                 codes, counts = np.unique(col, return_counts=True)
                 proto[j] = codes[np.argmax(counts)]  # codes ascend
             else:
-                # the first row plus numpy's pairwise sum of the others is
-                # the order np.add.reduceat sums a leaf's rows in, so the
-                # rf-score cross-check can demand bit equality
+                # np.add.reduceat adds a leaf's first row to numpy's sum
+                # of the others; taking that sum with numpy too, not a
+                # hand-built order, lets the cross-check demand bit equality
                 proto[j] = (col[0] + col[1:].sum()) / col.size
         out.append(proto)
     return np.array(out)
@@ -455,11 +455,12 @@ def permutation_rows(e, t, size):
         np.tile(np.arange(size), (e.dataset.n, 1)), axis=1)
 
 
-def oob_error(e, t, rows, permuted_attr=None, protos=None):
-    """Reconstruction error of tree t over the given rows: the mean over
-    rows of the mean over attributes of (x - prototype)^2 / variance
-    (numeric; 0 when the ensemble's training variance is 0) or the 0/1
-    mismatch (nominal), one example at a time.
+def oob_terms(e, t, rows, permuted_attr=None, protos=None):
+    """Reconstruction error terms of tree t over the given rows, one
+    (n,) array per row, computed one example at a time: per attribute,
+    (x - prototype)^2 / variance (numeric; 0 when the ensemble's training
+    variance is 0) or the 0/1 mismatch (nominal), against the prototype of
+    the leaf the example reaches from the root.
 
     ``permuted_attr`` (an attribute index) first shuffles that column
     among the rows: row r takes the value of row perm[r], where perm is
@@ -484,8 +485,8 @@ def oob_error(e, t, rows, permuted_attr=None, protos=None):
         for r in range(rows.size):
             X[r, attr] = column[perm[r]]
     variance = e.stats.denominator
-    per_row = np.empty(rows.size)
-    for r, x in enumerate(X):
+    out = []
+    for x in X:
         proto = ref_predict(flat, protos, x)
         terms = np.zeros(d.n)
         for j, kind in enumerate(d.kinds):
@@ -496,5 +497,27 @@ def oob_error(e, t, rows, permuted_attr=None, protos=None):
                 # multiply by the inverse, as the package does, so that the
                 # rf-score cross-check can demand bit equality
                 terms[j] = delta * delta * (1.0 / variance[j])
-        per_row[r] = terms.mean()
-    return float(per_row.mean())
+        out.append(terms)
+    return out
+
+
+def oob_error(e, t, rows, permuted_attr=None, protos=None):
+    """Reconstruction error of tree t over the given rows: the mean over
+    rows of the mean of each row's oob_terms (same arguments)."""
+    return float(np.array([terms.mean() for terms in oob_terms(
+        e, t, rows, permuted_attr, protos)]).mean())
+
+
+def oob_importance(e, t, rows, attr, protos=None):
+    """Tree t's rf-score contribution of attribute ``attr`` over the given
+    rows, the relative increase (e_t^i - e_t) / e_t of its error when the
+    column is shuffled, taken as the sum of the changes: with E and E' the
+    rows' oob_terms before and after the shuffle (every row rerouted from
+    the root), mean_r sum_j (E'_rj - E_rj) / n / e_t, where e_t is
+    oob_error of the unshuffled rows. Each row's changes are summed as one
+    (n,) array, the mean over rows as one (|rows|,) array."""
+    before = oob_terms(e, t, rows, protos=protos)
+    after = oob_terms(e, t, rows, attr, protos)
+    growth = np.array([(new - old).sum() for new, old in zip(after, before)])
+    e_t = np.array([terms.mean() for terms in before]).mean()
+    return float(growth.mean() / e.dataset.n / e_t)

@@ -1,12 +1,14 @@
 import contextlib
 import dataclasses
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import oracles
-from oracles import flat_leaf, flat_stump, oob_error
+from oracles import flat_leaf, flat_stump, oob_error, oob_importance
 from ufrank import (ALL_THRESHOLDS, ComputationError, Dataset, EnsembleConfig,
                     FlatTree, Nominal, Numeric, Ranking, SplitSearchPolicy,
                     build, compute_stats, genie3, grow_tree,
@@ -168,20 +170,19 @@ class TestRandomForestScore:
             oob = e.oobs[t]
             if oob.size == 0:
                 continue
-            base = oob_error(e, t, oob)
-            if base == 0.0:
+            if oob_error(e, t, oob) == 0.0:
                 continue
-            shuffled = np.array([oob_error(e, t, oob, permuted_attr=i)
-                                 for i in range(d.n)])
-            contributions.append((shuffled - base) / base)
+            contributions.append([oob_importance(e, t, oob, i)
+                                  for i in range(d.n)])
         want = np.vstack(contributions).sum(axis=0) / len(contributions)
         np.testing.assert_array_equal(r.importance, want)
         assert r.provenance["trees_used"] == len(contributions)
 
 
 def oracle_rf_score(e):
-    """rf-score from the per-row oob_error walk: per usable tree, the
-    relative error increase of every attribute's shuffle, averaged."""
+    """rf-score from the per-row oob_terms walk: per usable tree, the
+    relative error increase of every attribute's shuffle, summed from the
+    changed terms (oob_importance), averaged."""
     contributions = []
     for t in range(e.n_trees):
         oob = e.oobs[t]
@@ -189,13 +190,10 @@ def oracle_rf_score(e):
             continue
         protos = oracles.ref_leaf_prototypes(e.dataset, e.flats[t],
                                              e.in_bags[t])
-        base = oob_error(e, t, oob, protos=protos)
-        if base == 0.0:
+        if oob_error(e, t, oob, protos=protos) == 0.0:
             continue
-        shuffled = np.array([oob_error(e, t, oob, permuted_attr=i,
-                                       protos=protos)
-                             for i in range(e.dataset.n)])
-        contributions.append((shuffled - base) / base)
+        contributions.append([oob_importance(e, t, oob, i, protos)
+                              for i in range(e.dataset.n)])
     return np.vstack(contributions).sum(axis=0) / len(contributions)
 
 
@@ -204,9 +202,10 @@ def rf_fixture(name):
     constant numeric and a constant nominal column, one made of repeated
     rows, one of six distinct rows repeated with a nominal column, one
     whose numeric columns sit at 1e6 with a 1e-3 spread, and wide random
-    mixed ones. numpy sums a row of fewer than 8 terms in order; 13 and 29
-    terms take its 8 lanes and a tail of 5, and 137 its split into halves
-    of 64 and 73 terms."""
+    mixed ones of 13, 29 and 137 columns. Both rf-score and the oracle
+    leave a row's sum of terms to numpy, as one contiguous row; the widths
+    take each of its layouts: in order below 8 terms, 8 lanes and a tail
+    of 5, and halves of 64 and 73 terms."""
     rng = np.random.default_rng({"mixed0": 40, "mixed1": 41, "mixed2": 42,
                                  "constant": 43, "duplicates": 44,
                                  "offset": 45, "dup_nominal": 46,
@@ -241,8 +240,9 @@ def rf_fixture(name):
 
 
 class TestPatchedRandomForestScore:
-    """rf-score patches each tree's out-of-bag error matrix per shuffled
-    attribute; these tests hold it to the literal recomputation."""
+    """rf-score sums the error terms that each shuffle changes; these
+    tests hold it, bit for bit, to a recomputation that reroutes every row
+    (oracles.oob_importance)."""
 
     def stump_fixture(self):
         """A stump on attribute 0 whose out-of-bag rows lie on both sides."""
@@ -263,8 +263,7 @@ class TestPatchedRandomForestScore:
         d, stump, e = self.stump_fixture()
         moved = stump.route(self.shuffled(e, 0)) != stump.route(d.X)
         assert moved.any() and not moved.all()
-        b = oob_error(e, 0, e.oobs[0])
-        want = (oob_error(e, 0, e.oobs[0], permuted_attr=0) - b) / b
+        want = oob_importance(e, 0, e.oobs[0], 0)
         assert random_forest_score(e).importance[0] == want
 
     def test_shuffling_an_untested_attribute_changes_only_its_term(self):
@@ -279,7 +278,8 @@ class TestPatchedRandomForestScore:
         np.testing.assert_allclose(
             shuffled - b, (term(X[:, 1]) - term(d.X[:, 1])).mean() / d.n,
             rtol=1e-12)
-        assert random_forest_score(e).importance[1] == (shuffled - b) / b
+        assert random_forest_score(e).importance[1] == \
+            oob_importance(e, 0, e.oobs[0], 1)
 
     @pytest.mark.parametrize("fixture", ["mixed0", "mixed1", "mixed2",
                                          "constant", "duplicates", "offset",
@@ -392,6 +392,84 @@ class TestPatchedRandomForestScore:
                 mine, np.where(want >= 0, want + forest.node_start[t], -1))
 
 
+class TestRoundingError:
+    """rf-score sums each shuffle's changed terms instead of subtracting
+    two nearly equal means. These tests measure its rounding error against
+    exact arithmetic and hold it near the literal definition."""
+
+    FIXTURES = ["mixed0", "mixed1", "mixed2", "constant", "duplicates",
+                "offset", "dup_nominal", "wide13", "wide29", "wide137"]
+
+    @staticmethod
+    def usable_trees(e):
+        """(t, out-of-bag rows, prototypes, baseline terms) of each tree
+        with out-of-bag rows and a nonzero baseline error."""
+        for t, oob in enumerate(e.oobs):
+            if oob.size:
+                protos = oracles.ref_leaf_prototypes(e.dataset, e.flats[t],
+                                                     e.in_bags[t])
+                terms = np.array(oracles.oob_terms(e, t, oob, protos=protos))
+                if terms.any():
+                    yield t, oob, protos, terms
+
+    def exact_rf_score(self, e):
+        """rf-score in rational arithmetic over the float terms oob_terms
+        gives: tree t's contribution of attribute i is the exact sum of
+        (E'_rj - E_rj) over the terms the shuffle changes, divided by the
+        exact sum of E (which is |oob| * n * e_t)."""
+        contributions = []
+        for t, oob, protos, before in self.usable_trees(e):
+            total = sum(map(Fraction, before.ravel()))
+            row = []
+            for i in range(e.dataset.n):
+                after = np.array(oracles.oob_terms(e, t, oob, i, protos))
+                changed = after != before
+                row.append((sum(map(Fraction, after[changed]))
+                            - sum(map(Fraction, before[changed]))) / total)
+            contributions.append(row)
+        return [sum(c) / len(contributions) for c in zip(*contributions)]
+
+    def test_median_error_is_within_64_ulps_of_exact(self):
+        """On the 137-attribute fixture, subtracting the two means lost a
+        median of 466 ulps per attribute to cancellation."""
+        e = build(rf_fixture("wide137"),
+                  EnsembleConfig(method="et", n_trees=8, seed=5))
+        got = random_forest_score(e).importance
+        ulps = [abs(Fraction(float(g)) - x) / Fraction(math.ulp(float(x)))
+                for g, x in zip(got, self.exact_rf_score(e))]
+        assert np.median([float(u) for u in ulps]) <= 64
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    @pytest.mark.parametrize("method", ["et", "rf", "bagging"])
+    def test_near_the_literal_relative_increase(self, method, fixture):
+        """(e_t^i - e_t) / e_t from oob_error, the definition as written.
+        Summed in any order, a mean of N >= 0 float terms is within
+        (N + 1)u of exact, relatively, where u = 2^-53; e_t and e_t^i, row
+        means (n terms) averaged over |oob| rows, are within g = (n + |oob|
+        + 2)u. A ratio c = (e_t^i - e_t) / e_t formed from them is then
+        within about g (e_t^i + e_t) / e_t + g|c| + 2u|c| <= 2(g + u)(1 +
+        |c|) of exact, and the mean over T trees adds at most (T + 1)u
+        max|c|. Both rf-score and the literal formula lie within that bound
+        of the exact value, so they lie within twice of each other; it
+        scales with 1 + max|c|, the largest relative increase of any tree,
+        since the literal formula's error follows e_t^i + e_t, not c."""
+        e = build(rf_fixture(fixture),
+                  EnsembleConfig(method=method, n_trees=8, seed=5))
+        literal = []
+        for t, oob, protos, _ in self.usable_trees(e):
+            base = oob_error(e, t, oob, protos=protos)
+            literal.append([(oob_error(e, t, oob, i, protos) - base) / base
+                            for i in range(e.dataset.n)])
+        literal = np.array(literal)
+        u = 2.0 ** -53
+        g = (e.dataset.n + max(oob.size for oob in e.oobs) + 2) * u
+        bound = (2 * (2 * (g + u) + (len(literal) + 1) * u)
+                 * (1 + np.abs(literal).max()))
+        np.testing.assert_allclose(random_forest_score(e).importance,
+                                   literal.sum(axis=0) / len(literal),
+                                   rtol=0, atol=bound)
+
+
 def rebuilt_prototypes(e, monkeypatch):
     """The leaf prototypes that rf-score rebuilds for each tree of ``e``,
     caught from its calls of scores._leaf_prototypes at one worker (one
@@ -421,54 +499,6 @@ def grown_stump_table(values):
     tree = grow_tree(d, np.arange(d.m), SplitSearchPolicy(1, ALL_THRESHOLDS),
                      compute_stats(d), np.random.default_rng(0))
     return d, tree
-
-
-class TestPairwiseOrder:
-    """rf-score rebuilds numpy's pairwise order of summation to patch row
-    sums; a numpy that sums a row in another order fails here first."""
-
-    LENGTHS = [*range(1, 301), 1000, 2000, 4097]
-
-    def terms(self, rng, shape):
-        """Terms >= +0 over 16 decades, a tenth of them +0.0, so that any
-        other order of addition moves bits."""
-        x = 10.0 ** rng.uniform(-8, 8, size=shape) * rng.uniform(size=shape)
-        x[rng.uniform(size=shape) < 0.1] = 0.0
-        return x
-
-    def partial_sums(self, M):
-        """_pairwise_order(n) and the partial sums of M's rows, laid out
-        (2n, rows) as rf-score lays them out."""
-        n = M.shape[1]
-        order = scores._pairwise_order(n)
-        partial = np.empty((2 * n, M.shape[0]))
-        partial[:n] = M.T
-        return order, partial, scores._partial_sums(order, partial)
-
-    def test_totals_are_numpy_sums_and_means(self):
-        rng = np.random.default_rng(23)
-        for n in self.LENGTHS:
-            M = self.terms(rng, (3, n))
-            _, _, total = self.partial_sums(M)
-            assert total.tobytes() == M.sum(axis=1).tobytes(), n
-            stacked = np.repeat(M[None], 2, axis=0).mean(axis=2)
-            assert (total / n).tobytes() == stacked[1].tobytes(), n
-
-    def test_patched_rows_are_full_recomputations(self):
-        rng = np.random.default_rng(29)
-        for n in self.LENGTHS:
-            M = self.terms(rng, (2, n))
-            new = self.terms(rng, (n, 2))
-            order, partial, _ = self.partial_sums(M)
-            got = new.copy()
-            scores._patched_sums(order, partial, got, np.empty_like(got))
-            # every term of the short rows; the first and last 9 and 40
-            # others of the long ones
-            cols = (np.arange(n) if n <= 300 else np.unique(np.concatenate(
-                [np.arange(9), np.arange(n - 9, n), rng.choice(n, 40)])))
-            full = np.repeat(M[None], cols.size, axis=0)
-            full[np.arange(cols.size), :, cols] = new[cols]
-            assert got[cols].tobytes() == full.sum(axis=2).tobytes(), n
 
 
 class TestLeafPrototypes:

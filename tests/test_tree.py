@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import oracles
-from ufrank import (ALL_THRESHOLDS, ONE_RANDOM_THRESHOLD, Dataset, FlatTree,
-                    Nominal, Numeric, SplitSearchPolicy, best_test,
-                    compute_stats, grow_tree)
+from ufrank import (ALL_THRESHOLDS, ONE_RANDOM_THRESHOLD, Dataset,
+                    EnsembleConfig, FlatTree, Nominal, Numeric,
+                    SplitSearchPolicy, SynthSpec, best_test, build,
+                    compute_stats, grow_tree, make_planted, tree)
 from ufrank.tree import (SplitWorkspace, _first_k_stable, draw_frontier,
                          search_frontier)
 
@@ -352,6 +353,40 @@ class TestCandidatePick:
                     kth = np.sort(keys, axis=1)[:, k - 1:k]
                     tied_rows += int(((keys <= kth).sum(axis=1) > k).sum())
         assert (tied_rows > 0) == (levels is not None)
+
+
+class TestSlotGroups:
+    """search_frontier searches a level's candidate slots in groups under
+    tree._BLOCK_BUDGET, sized by the candidates a slot may hold."""
+
+    def test_extra_trees_search_each_level_in_one_group(self, monkeypatch):
+        """With one random threshold a slot holds one candidate per node,
+        so an ET build on the planted 200 x 50 table searches every level
+        with one _one_random_candidates call, where a slot sized by its
+        rows, as with all thresholds, would split some levels in two."""
+        d = make_planted(SynthSpec(m=200, n_informative=5, n_noise=45,
+                                   seed=3)).without_target()
+        real_search, real_pick = tree.search_frontier, tree._one_random_candidates
+        levels, picks = [], []
+
+        def search(d, ws, policy, rows, starts, keys, u=None):
+            if np.diff(starts).max() >= 2:  # a level that is searched
+                levels.append(min(policy.n_candidates, d.n))
+            return real_search(d, ws, policy, rows, starts, keys, u)
+
+        def pick(seg, heads, scored, vals, nominal, u):
+            picks.append((len(levels), seg.size, scored.shape[1],
+                          vals.shape[1]))
+            return real_pick(seg, heads, scored, vals, nominal, u)
+
+        monkeypatch.setattr(tree, "search_frontier", search)
+        monkeypatch.setattr(tree, "_one_random_candidates", pick)
+        build(d, EnsembleConfig(method="et", n_trees=50, seed=1))
+        assert [level for level, *_ in picks] == list(range(1, len(levels) + 1))
+        assert all(slots == k for (_, _, _, slots), k in zip(picks, levels))
+        by_rows = [tree._BLOCK_BUDGET // (24 * rows * z)
+                   for _, rows, z, _ in picks]
+        assert any(group < k for group, k in zip(by_rows, levels))
 
 
 class TestGrowTree:
