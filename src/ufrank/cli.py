@@ -14,8 +14,9 @@ then built-in defaults.
 
 Exit codes: 0 success, 1 usage error, 2 data error (also configuration
 the loaded data cannot support, such as more folds than examples), 3
-computation error. Errors print a one-line JSON record to stderr. Any
-other exception is a bug and propagates with its traceback.
+computation error (also a setting too large to allocate, such as --trees
+or --iterations in the quadrillions). Errors print a one-line JSON record
+to stderr. Any other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -418,6 +419,8 @@ def main(argv=None) -> int:
         return _fail(2, "data", str(exc))
     except ComputationError as exc:
         return _fail(3, "computation", str(exc))
+    except MemoryError as exc:
+        return _fail(3, "computation", f"out of memory: {exc}")
 
 
 if __name__ == "__main__":

@@ -100,7 +100,8 @@ class Ensemble:
 
     @property
     def flats(self) -> list[FlatTree]:
-        """Each tree alone, as a one-tree record with its own node ids."""
+        """Each tree alone, as a one-tree record whose node arrays are
+        views of the forest record's (see FlatTree.trees)."""
         return [self.forest.trees(t, t + 1) for t in range(self.n_trees)]
 
 

@@ -169,12 +169,13 @@ def random_forest_score(e: Ensemble) -> Ranking:
 
     * A row whose root-to-leaf path tests no i cannot change leaf.
     * A row whose path first tests i at node f (the batch's
-      first-testing-node table, built in one walk down the depth levels of
-      all its trees, gives f for every leaf and attribute) follows the same
-      path down to f after the shuffle, since no node above f reads column
-      i. It is rerouted from f, with its shuffled value read in place of
-      column i and no copy of its row; one walk reroutes the moved rows of
-      every attribute across all the batch's trees.
+      first-testing-node table, FlatTree.first_tests, built in one walk
+      down the depth levels of all its trees, gives f for every leaf and
+      attribute) follows the same path down to f after the shuffle, since
+      no node above f reads column i. It is rerouted from f, with its
+      shuffled value read in place of column i and no copy of its row; one
+      walk reroutes the moved rows of every attribute across all the
+      batch's trees.
     * A moved row that reaches its old leaf keeps its prediction, so only
       its term i changes. Only rows that reach a new leaf get a new row.
 
@@ -309,7 +310,7 @@ def _batch_contributions(X, scale, nominal, seed, buffers: Buffers,
     # one walk reroutes the moved rows of every tree, each from the first
     # node on its path that tests the shuffled attribute
     scored = np.flatnonzero(np.repeat(e_base != 0.0, sizes))
-    first = _first_tests(f, slots, n)
+    first = f.first_tests(slots, n)
     r, a = np.nonzero((first >= 0)[slot[scored]])
     q = scored[r]
     value = shuffled[a, q]
@@ -373,28 +374,6 @@ def _row_errors(X: np.ndarray, predicted: np.ndarray, scale: np.ndarray,
     if nominal.any():
         err[nominal] = X[nominal] != predicted[nominal]
     return err
-
-
-def _first_tests(f: FlatTree, slots: np.ndarray, n: int) -> np.ndarray:
-    """(leaves, n) node ids of a forest record, its leaves numbered in node
-    order (``slots`` holds each leaf node's number): entry (l, i) is the
-    first node on the path from its tree's root to leaf l that tests
-    attribute i, or -1 where none does. Built in one walk down the depth
-    levels of all trees at once: each child starts from its parent's row,
-    with the parent set as its attribute's entry if none was yet."""
-    out = np.empty((slots[-1] + 1, n), dtype=np.intp)
-    level = f.node_start[:-1]
-    first = np.full((level.size, n), -1, dtype=np.intp)
-    while level.size:
-        attr = f.attr[level]
-        leaf = attr < 0
-        out[slots[level[leaf]]] = first[leaf]
-        level, attr, first = level[~leaf], attr[~leaf], first[~leaf]
-        k = np.arange(level.size)
-        first[k, attr] = np.where(first[k, attr] < 0, level, first[k, attr])
-        level = f.child[level].ravel()
-        first = np.repeat(first, 2, axis=0)
-    return out
 
 
 def _provenance(e: Ensemble, method: str) -> dict:

@@ -23,6 +23,7 @@ nodes, of its own tree or of another, share its level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -399,10 +400,14 @@ class FlatTree:
     The trees' nodes lie back to back: tree t's are node ids
     ``node_start[t]`` to ``node_start[t + 1] - 1``, in preorder (yes
     first). ``attr``, ``value`` and ``is_nominal`` encode each node's test
-    as FrontierSplits does, with -1 and NaN at leaves; ``child`` rows hold
-    (yes, no) node ids of the record, -1 at leaves. A one-tree record, as
-    grow_tree returns it and ``trees(t, t + 1)`` cuts it out, has
-    ``node_start`` [0, nodes], so its ids are the tree's own.
+    as FrontierSplits does, with -1 and NaN at leaves. A node's one link is
+    relative to itself (Knuth's sequential preorder representation): node
+    v's yes child is v + 1, its no child is v + ``skip[v]``, 1 + the size
+    of its yes subtree, and ``skip`` is 0 at leaves. No link depends on
+    where its tree lies in the record, so ``trees`` slices every node array
+    and ``concat`` joins them as they are. Only ``node_start`` counts from
+    the record's first node; a one-tree record, as grow_tree returns it,
+    has ``node_start`` [0, nodes].
 
     The record holds no leaf predictions: only rf-score needs them, and it
     rebuilds them from each tree's bootstrap rows (see
@@ -412,7 +417,7 @@ class FlatTree:
     attr: np.ndarray
     value: np.ndarray
     is_nominal: np.ndarray
-    child: np.ndarray
+    skip: np.ndarray
     n_reached: np.ndarray
     h_star: np.ndarray
     node_start: np.ndarray
@@ -428,7 +433,8 @@ class FlatTree:
         FrontierSplits (NaN at leaves). One call lays out every tree in
         preorder, yes child first, one depth at a time from subtree sizes:
         a root starts after the trees before it, a yes child follows its
-        parent, a no child follows its yes sibling's subtree.
+        parent, and a no child follows its yes sibling's subtree, so an
+        internal node's ``skip`` is 1 + the size of its yes subtree.
 
         The name dates from when this flattened linked node objects. It is
         kept because the benchmark wraps ``FlatTree.from_node`` by name and
@@ -453,37 +459,38 @@ class FlatTree:
             yes, no = child[inner].T
             pre[yes] = pre[inner] + 1
             pre[no] = pre[yes] + size[yes]
+        skip = np.where(attr >= 0, 1 + size[child[:, 0]], 0)
         order = np.argsort(pre)
-        return cls(attr[order], value[order], is_nominal[order],
-                   np.where(child >= 0, pre[child], -1)[order],
+        return cls(attr[order], value[order], is_nominal[order], skip[order],
                    n_reached[order], h_star[order], node_start)
 
     @classmethod
     def concat(cls, parts) -> "FlatTree":
         """One record of the trees of ``parts``, in order."""
-        nodes = np.cumsum([0] + [p.attr.size for p in parts])
-
-        def joined(name):
-            return np.concatenate([getattr(p, name) for p in parts])
-
-        return cls(joined("attr"), joined("value"), joined("is_nominal"),
-                   np.concatenate([_shifted(p.child, o)
-                                   for p, o in zip(parts, nodes)]),
-                   joined("n_reached"), joined("h_star"),
-                   np.concatenate([p.node_start[:-1] + o for p, o in
-                                   zip(parts, nodes)] + [nodes[-1:]]))
+        return cls(*(np.concatenate([getattr(p, name) for p in parts])
+                     for name in _NODE_FIELDS),
+                   np.cumsum(np.concatenate(
+                       [[0], *(np.diff(p.node_start) for p in parts)])))
 
     @property
     def n_trees(self) -> int:
         return self.node_start.size - 1
 
+    @cached_property
+    def child(self) -> np.ndarray:
+        """(yes, no) node ids of each node, -1 at leaves, computed from
+        ``skip`` at the first access. The package reads ``skip``; this form
+        is for readers outside it, such as the benchmark's tree depth,
+        which reads it once per internal node."""
+        node = np.arange(self.skip.size)
+        return np.where((self.skip > 0)[:, None],
+                        np.column_stack([node + 1, node + self.skip]), -1)
+
     def trees(self, a: int, b: int) -> "FlatTree":
-        """The record of trees a to b - 1 alone, its ids counted from 0."""
+        """The record of trees a to b - 1 alone: views of this record's
+        node arrays, with ``node_start`` counted from its first node."""
         n0, n1 = self.node_start[a], self.node_start[b]
-        return FlatTree(self.attr[n0:n1], self.value[n0:n1],
-                        self.is_nominal[n0:n1],
-                        _shifted(self.child[n0:n1], -n0),
-                        self.n_reached[n0:n1], self.h_star[n0:n1],
+        return FlatTree(*(getattr(self, name)[n0:n1] for name in _NODE_FIELDS),
                         self.node_start[a:b + 1] - n0)
 
     def route(self, X: np.ndarray, start=None, rows=None,
@@ -494,6 +501,8 @@ class FlatTree:
         one walk routes queries through many trees when each starts at its
         own tree's root, ``node_start[t]``. With ``swap`` = (attrs, values),
         query q reads ``values[q]`` as its value of attribute ``attrs[q]``.
+        Each step moves a query at node v to v + 1 on yes and to v +
+        ``skip[v]`` on no.
         """
         n_queries = len(X) if rows is None else len(rows)
         cur = (np.zeros(n_queries, dtype=np.intp) if start is None
@@ -506,11 +515,32 @@ class FlatTree:
             if swap is not None:
                 x = np.where(attr == swap[0][live], swap[1][live], x)
             yes = _goes_yes(x, self.value[node], self.is_nominal[node])
-            cur[live] = node = self.child[node, np.where(yes, 0, 1)]
+            cur[live] = node = node + np.where(yes, 1, self.skip[node])
             live = live[self.attr[node] >= 0]
         return cur
 
+    def first_tests(self, slots: np.ndarray, n: int) -> np.ndarray:
+        """(leaves, n) node ids, the leaves numbered in node order
+        (``slots`` holds each leaf node's number): entry (l, i) is the
+        first node on the path from its tree's root to leaf l that tests
+        attribute i, or -1 where none does. Built in one walk down the
+        depth levels of all trees at once: each child starts from its
+        parent's row, with the parent set as its attribute's entry if none
+        was yet."""
+        out = np.empty((slots[-1] + 1, n), dtype=np.intp)
+        level = self.node_start[:-1]
+        first = np.full((level.size, n), -1, dtype=np.intp)
+        while level.size:
+            attr = self.attr[level]
+            leaf = attr < 0
+            out[slots[level[leaf]]] = first[leaf]
+            level, attr, first = level[~leaf], attr[~leaf], first[~leaf]
+            k = np.arange(level.size)
+            first[k, attr] = np.where(first[k, attr] < 0, level, first[k, attr])
+            level = np.column_stack([level + 1, level + self.skip[level]]).ravel()
+            first = np.repeat(first, 2, axis=0)
+        return out
 
-def _shifted(ids: np.ndarray, by) -> np.ndarray:
-    """Node ids moved by ``by``, with -1 (none) kept."""
-    return np.where(ids >= 0, ids + by, -1)
+
+# FlatTree's per-node arrays, in field order: all but node_start
+_NODE_FIELDS = ("attr", "value", "is_nominal", "skip", "n_reached", "h_star")

@@ -4,7 +4,8 @@ Everything here recomputes results from first principles with elementary
 numpy, sharing no arithmetic helpers with the package: split quality via
 the literal weighted-impurity difference, URelief via an explicit loop
 over all (reference, neighbor) pairs, nearest neighbors via a plain scan,
-tree routing via a walk along the child pointers from the root.
+tree routing via a walk from the root along child links that
+ref_children parses from the preorder node list alone.
 Agreement between these and the package is the point of the tests that
 import them.
 """
@@ -303,7 +304,7 @@ def flat_leaf(n_reached):
     return FlatTree(attr=np.array([-1], dtype=np.intp),
                     value=np.array([np.nan]),
                     is_nominal=np.array([False]),
-                    child=np.array([[-1, -1]], dtype=np.intp),
+                    skip=np.array([0], dtype=np.intp),
                     n_reached=np.array([n_reached], dtype=np.intp),
                     h_star=np.array([0.0]),
                     node_start=np.array([0, 1], dtype=np.intp))
@@ -315,7 +316,7 @@ def flat_stump(attr, threshold, h_star, yes_n, no_n):
     return FlatTree(attr=np.array([attr, -1, -1], dtype=np.intp),
                     value=np.array([threshold, np.nan, np.nan]),
                     is_nominal=np.zeros(3, dtype=bool),
-                    child=np.array([[1, 2], [-1, -1], [-1, -1]], dtype=np.intp),
+                    skip=np.array([2, 0, 0], dtype=np.intp),
                     n_reached=np.array([yes_n + no_n, yes_n, no_n], dtype=np.intp),
                     h_star=np.array([h_star, 0.0, 0.0]),
                     node_start=np.array([0, 3], dtype=np.intp))
@@ -339,11 +340,35 @@ def _goes_yes(flat, node, value):
     return value <= flat.value[node]
 
 
+def ref_children(attr):
+    """(nodes, 2) (yes, no) node ids of a record, -1 at leaves, parsed from
+    its preorder node list and leaf flags (``attr`` < 0) alone, without
+    reading the record's links. In preorder, yes first, each node after a
+    root is a child of the latest internal node still missing one: its yes
+    child if that node has none yet, else its no child. A node that finds
+    no such parent is the root of the next tree."""
+    out = np.full((len(attr), 2), -1, dtype=np.intp)
+    waiting = []  # internal nodes missing a child, latest last
+    for node, a in enumerate(attr):
+        if waiting:
+            parent = waiting[-1]
+            if out[parent, 0] < 0:
+                out[parent, 0] = node
+            else:
+                out[parent, 1] = node
+                waiting.pop()
+        if a >= 0:
+            waiting.append(node)
+    assert not waiting, "an internal node lacks a child"
+    return out
+
+
 def ref_node_rows(d, flat, rows):
     """Row multiset reaching each node, by recursive descent along the child
-    pointers from the root: entry i holds node i's rows. Every node must be
-    reached exactly once."""
+    links (ref_children) from the root: entry i holds node i's rows. Every
+    node must be reached exactly once."""
     out = [None] * len(flat.attr)
+    children = ref_children(flat.attr)
 
     def walk(node, node_rows):
         assert out[node] is None, f"node {node} reached twice"
@@ -352,8 +377,8 @@ def ref_node_rows(d, flat, rows):
         if attr < 0:
             return
         mask = _goes_yes(flat, node, d.X[node_rows, attr])
-        walk(int(flat.child[node, 0]), node_rows[mask])
-        walk(int(flat.child[node, 1]), node_rows[~mask])
+        walk(int(children[node, 0]), node_rows[mask])
+        walk(int(children[node, 1]), node_rows[~mask])
 
     walk(0, np.asarray(rows, dtype=np.intp))
     assert all(r is not None for r in out), "a node is unreachable from the root"
@@ -366,11 +391,12 @@ def _leaf_numbers(flat):
 
 
 def ref_path_attrs(flat, n):
-    """(leaves, n) bool by recursive descent along the child pointers of a
-    one-tree record, its leaves numbered in node order: entry (l, i) says
-    whether some internal node on the path from the root to leaf l tests
-    attribute i."""
+    """(leaves, n) bool by recursive descent along the child links
+    (ref_children) of a one-tree record, its leaves numbered in node order:
+    entry (l, i) says whether some internal node on the path from the root
+    to leaf l tests attribute i."""
     number = _leaf_numbers(flat)
+    children = ref_children(flat.attr)
     out = np.zeros((len(number), n), dtype=bool)
 
     def walk(node, tested):
@@ -379,7 +405,7 @@ def ref_path_attrs(flat, n):
             for i in tested:
                 out[number[node], i] = True
             return
-        for child in flat.child[node]:
+        for child in children[node]:
             walk(int(child), tested | {attr})
 
     walk(0, frozenset())
@@ -387,11 +413,12 @@ def ref_path_attrs(flat, n):
 
 
 def ref_first_tests(flat, n):
-    """(leaves, n) node ids by recursive descent along the child pointers
-    of a one-tree record, its leaves numbered in node order: entry (l, i)
-    is the first node on the path from the root to leaf l that tests
-    attribute i, or -1 where none does."""
+    """(leaves, n) node ids by recursive descent along the child links
+    (ref_children) of a one-tree record, its leaves numbered in node order:
+    entry (l, i) is the first node on the path from the root to leaf l that
+    tests attribute i, or -1 where none does."""
     number = _leaf_numbers(flat)
+    children = ref_children(flat.attr)
     out = np.full((len(number), n), -1, dtype=np.intp)
 
     def walk(node, first):
@@ -400,7 +427,7 @@ def ref_first_tests(flat, n):
             for i, at in first.items():
                 out[number[node], i] = at
             return
-        for child in flat.child[node]:
+        for child in children[node]:
             walk(int(child), {attr: node, **first})
 
     walk(0, {})
@@ -432,12 +459,13 @@ def ref_leaf_prototypes(d, flat, bag):
 
 
 def ref_leaf(flat, x):
-    """Node id of the leaf one example reaches, following the child
-    pointers of a one-tree record node by node."""
+    """Node id of the leaf one example reaches, following the child links
+    (ref_children) of a one-tree record node by node."""
+    children = ref_children(flat.attr)
     node = 0
     while flat.attr[node] >= 0:
-        node = int(flat.child[node, 0 if _goes_yes(flat, node, x[flat.attr[node]])
-                              else 1])
+        node = int(children[node, 0 if _goes_yes(flat, node, x[flat.attr[node]])
+                            else 1])
     return node
 
 

@@ -81,7 +81,7 @@ def test_criterion_01_split_search_matches_brute_force():
 
 def total_h_star(e):
     """Sum of h* over the internal nodes met by descending each tree's bag
-    along its child pointers."""
+    along its child links (oracles.ref_children)."""
     total = 0.0
     for flat, bag in zip(e.flats, e.in_bags):
         for i, _ in enumerate(oracles.ref_node_rows(e.dataset, flat, bag)):

@@ -231,6 +231,21 @@ class TestExitCodes:
                                    flag, value), 1, "usage")
         assert flag in got
 
+    @pytest.mark.parametrize("flags", [
+        ("--trees", "1000000000000000"),
+        ("--method", "urelief", "--iterations", "1000000000000000"),
+    ], ids=["trees", "iterations"])
+    def test_setting_too_large_to_allocate_exits_3(self, planted_csv, tmp_path,
+                                                   capsys, flags):
+        # 10**15 int64 draws or tree ids: numpy refuses the allocation at
+        # once, before any work or artifact
+        out = tmp_path / "out"
+        got = error_record(run_cli(capsys, "rank", "--data", str(planted_csv),
+                                   "--workers", "1", "--out", str(out),
+                                   *flags), 3, "computation")
+        assert got.startswith("out of memory: ")
+        assert not out.exists()
+
     def test_inconsistent_synth_flags_exit_1(self, tmp_path, capsys):
         got = error_record(run_cli(capsys, "synth", "--clusters", "1",
                                    "--out", str(tmp_path)), 1, "usage")

@@ -306,6 +306,86 @@ class TestForestRecord:
             assert at == f.node_start[t] + oracles.ref_leaf(views[t], x)
 
 
+    @pytest.mark.parametrize("name", RECORD_CASES)
+    def test_slices_are_views_and_their_joins_are_the_record(self, name):
+        # the links are relative, so cutting trees out shifts no id: every
+        # node array of a slice is a view of the record's
+        e = record_ensemble(name)
+        f, T = e.forest, e.n_trees
+        want = oracles.flat_fingerprint(f)
+        for part in e.flats + [f.trees(0, T), f.trees(1, T)]:
+            for a in fields(FlatTree):
+                if a.name != "node_start":
+                    assert np.shares_memory(getattr(part, a.name),
+                                            getattr(f, a.name)), a.name
+        # every set of cut points between the trees
+        for mask in range(2 ** (T - 1)):
+            cuts = [0, *(c for c in range(1, T) if mask >> (c - 1) & 1), T]
+            parts = [f.trees(a, b) for a, b in zip(cuts, cuts[1:])]
+            assert oracles.flat_fingerprint(FlatTree.concat(parts)) == want
+
+
+LINK_TABLES = ["planted", "nominal_heavy", "ids", "m2"]
+
+
+def link_table(name):
+    """A table for the link checks: the planted 200 x 50 table; five
+    nominal columns and one numeric; one ID-like nominal column, a code
+    per row, on which every split cuts off one row, so each tree is a
+    chain hundreds of nodes deep; or an m = 2 table."""
+    rng = np.random.default_rng(91)
+    if name == "planted":
+        return make_planted(SynthSpec(m=200, n_informative=5, n_noise=45,
+                                      clusters=4, separation=6.0,
+                                      seed=3)).without_target()
+    if name == "nominal_heavy":
+        nom = oracles.random_mixed_dataset(rng, 60, 5, force_num=False)
+        return Dataset("nominal_heavy", nom.attr_names + ("x",),
+                       nom.kinds + (Numeric(),),
+                       np.column_stack([nom.X, rng.uniform(-1.0, 1.0, 60)]))
+    if name == "ids":
+        return Dataset("ids", ("id",),
+                       (Nominal(tuple(f"r{i}" for i in range(400))),),
+                       np.arange(400.0)[:, None])
+    return Dataset("two", ("a", "b"), (Numeric(), Nominal(("u", "v"))),
+                   np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+
+class TestRelativeLinks:
+    """The record stores one link per node, relative to the node: node v's
+    yes child is v + 1 and its no child v + skip[v]. oracles.ref_children
+    parses the links from the preorder node list alone."""
+
+    @pytest.mark.parametrize("name", LINK_TABLES)
+    @pytest.mark.parametrize("method", ENSEMBLES)
+    def test_links_match_the_preorder_parse(self, method, name):
+        d = link_table(name)
+        e = build(d, EnsembleConfig(method=method, n_trees=3, seed=7))
+        f = e.forest
+        want = oracles.ref_children(f.attr)
+        np.testing.assert_array_equal(f.child, want)
+        inner = np.flatnonzero(f.attr >= 0)
+        np.testing.assert_array_equal(f.skip[inner], want[inner, 1] - inner)
+        np.testing.assert_array_equal(np.delete(f.skip, inner), 0)
+        depth = np.zeros(f.attr.size, dtype=np.intp)
+        for v in inner:
+            depth[want[v]] = depth[v] + 1
+        if name == "ids":
+            assert depth.max() >= 200
+        # each tree's rows reach the leaves the oracle walk sends them to
+        rows = np.arange(d.m)
+        for t, flat in enumerate(e.flats):
+            np.testing.assert_array_equal(flat.child,
+                                          oracles.ref_children(flat.attr))
+            node_rows = oracles.ref_node_rows(d, flat, rows)
+            leaf = np.empty(d.m, dtype=np.intp)
+            for node in np.flatnonzero(flat.attr < 0):
+                leaf[node_rows[node]] = node
+            np.testing.assert_array_equal(
+                f.route(d.X, np.full(d.m, f.node_start[t])),
+                f.node_start[t] + leaf)
+
+
 class TestRecordSize:
     def test_bytes_per_node_do_not_grow_with_the_attribute_count(self):
         # a record of node tests and counts; leaf predictions, n values

@@ -65,7 +65,7 @@ def leaf_numbers(flat):
 
 def node_weight_sums(e, weight_of):
     """Per-attribute totals over the internal nodes of all trees, visited by
-    descending each tree's bag along its child pointers;
+    descending each tree's bag along its child links (oracles.ref_children);
     ``weight_of(flat, node, rows)`` sees the node's recomputed rows."""
     total = np.zeros(e.dataset.n)
     for flat, bag in zip(e.flats, e.in_bags):
@@ -380,7 +380,7 @@ class TestPatchedRandomForestScore:
         e = build(d, EnsembleConfig(method=method, n_trees=6, seed=2))
         hand = [flat_leaf(1), flat_stump(3, 0.0, 1.0, 1, 1)]
         forest = FlatTree.concat([e.forest] + hand)
-        table = scores._first_tests(forest, leaf_numbers(forest), d.n)
+        table = forest.first_tests(leaf_numbers(forest), d.n)
         leaf_start = np.append(0, np.cumsum(forest.attr < 0))[forest.node_start]
         assert table.shape == (leaf_start[-1], d.n)
         for t, flat in enumerate(e.flats + hand):
