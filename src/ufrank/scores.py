@@ -35,7 +35,7 @@ import numpy as np
 from . import parallel, streams
 from .data import ComputationError, write_rows
 from .forest import Ensemble
-from .segments import Buffers, first_max, sorted_runs
+from .segments import Buffers, first_max, group_sums, sorted_runs
 from .tree import FlatTree
 
 
@@ -110,14 +110,13 @@ def symbolic(e: Ensemble) -> Ranking:
 # keeps five float64 values per cell, each in a buffer that every batch of
 # one _tree_contributions call reuses (see segments.Buffers): the
 # out-of-bag values, their predictions, their error terms, their shuffles
-# and each shuffle's growth of the row's error. The leaf prototypes, also
-# in a buffer, and the first-testing nodes add about 1.7 each (a leaf per
-# distinct bootstrap row), and rebuilding the prototypes briefly adds the
-# values of the bootstrap rows, about 2.7; kept in a buffer too, they
-# raised planted-et's peak RSS by about 1 MB and saved no measurable time.
-# On the planted 180 x 50 ET-100 fold, batches 4 to 16 times larger
-# measured no faster, and batches of one tree as slow as scoring tree by
-# tree.
+# and each shuffle's growth of the row's error. The leaf prototypes and
+# the first-testing nodes add about 1.7 each (a leaf per distinct
+# bootstrap row), each a new array per batch: the prototypes are summed
+# from X's rows by id (segments.group_sums), with no copy of the bootstrap
+# rows' values, which would add about 2.7. On the planted 180 x 50 ET-100
+# fold, batches 4 to 16 times larger measured no faster, and batches of
+# one tree as slow as scoring tree by tree.
 _BATCH_CELLS = 62_500
 
 # rows that change leaf whose full rows of terms one step of the rebuild
@@ -269,8 +268,7 @@ def _batch_contributions(X, scale, nominal, seed, buffers: Buffers,
                                     [bag.size for bag in trees.in_bags]),
                        drawn)]
     proto = _leaf_prototypes(X, nominal, drawn[np.argsort(at, kind="stable")],
-                             np.bincount(at, minlength=slots[-1] + 1),
-                             buffers)
+                             np.bincount(at, minlength=slots[-1] + 1))
     sizes = np.array([oob.size for oob in trees.oobs])
     head = np.append(0, np.cumsum(sizes))  # tree t's rows: head[t]:head[t + 1]
     oob = np.concatenate(trees.oobs)
@@ -337,22 +335,22 @@ def _batch_contributions(X, scale, nominal, seed, buffers: Buffers,
 
 
 def _leaf_prototypes(X: np.ndarray, nominal: np.ndarray, rows: np.ndarray,
-                     sizes: np.ndarray, buffers: Buffers) -> np.ndarray:
+                     sizes: np.ndarray) -> np.ndarray:
     """Leaf predictions, leaf l owning the next ``sizes[l]`` rows of X
-    listed in ``rows``: per attribute, the mean of those rows or, where
-    ``nominal``, their modal code, ties to the smallest code, in the
-    buffer "proto" of ``buffers``."""
-    sub = X[rows]
-    # a leaf sum that overflows keeps an inf or NaN prototype
-    with np.errstate(over="ignore", invalid="ignore"):
-        proto = np.add.reduceat(sub, np.cumsum(sizes) - sizes, axis=0,
-                                out=buffers("proto", (sizes.size, X.shape[1])))
-        proto /= sizes[:, None]
+    listed in ``rows``: per attribute, the mean of those rows, summed in
+    the order listed, or, where ``nominal``, their modal code, ties to the
+    smallest code. The sums read X's rows by id (segments.group_sums);
+    only the nominal columns are gathered."""
+    # a leaf sum that overflows keeps an inf or NaN prototype; the sparse
+    # product raises no floating point warning
+    proto = group_sums(X, rows, np.cumsum(sizes) - sizes)
+    proto /= sizes[:, None]
     nom = np.flatnonzero(nominal)
     if nom.size:
         group = (np.repeat(np.arange(sizes.size), sizes)[:, None] * nom.size
                  + np.arange(nom.size))
-        _, sp, sv, _, run_head = sorted_runs(group.ravel(), sub[:, nom].ravel())
+        _, sp, sv, _, run_head = sorted_runs(group.ravel(),
+                                             X[rows[:, None], nom].ravel())
         first = np.flatnonzero(run_head)
         mode = first[first_max(sp[first],
                                 np.diff(np.append(first, sv.size)))]

@@ -4,8 +4,11 @@ The tree kernels lay out many nodes' rows one after another, each node a
 contiguous segment, and reduce them all with one call. Each function here
 computes every segment on its own, adding its entries in their order, so a
 segment's results are bit-identical whatever other segments share the
-array. Buffers holds the scratch arrays that such kernels fill again and
-again.
+array. Every float segment sum of growth and rf-score (node means and
+totals, candidate sides, leaf prototypes) is a group_sums product that
+adds a group's rows in index order; np.add.reduceat serves only exact
+reductions (min, max, integer counts). Buffers holds the scratch arrays
+that such kernels fill again and again.
 """
 
 from __future__ import annotations
@@ -28,24 +31,35 @@ def sorted_runs(pair: np.ndarray, value: np.ndarray):
     return order, sp, sv, pair_head, run_head
 
 
-def group_sums(A: np.ndarray, src: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    """Row i: the sum of the rows ``A[src[heads[i]:heads[i + 1]]]`` (the
-    last group runs to the end). A sparse indicator product adds up each
-    group on its own, in index order."""
-    # imported here so that `import ufrank` loads numpy only. The two numpy
-    # forms were measured and rejected: np.add.reduceat(A[src], heads) does
-    # not add a group's rows in index order (3797 of 6817 cells differed
-    # over 20 random tables), and np.add.at gives the same bytes but is
-    # 3-18x slower (2.0 vs 0.11 ms on 4000 x 50 rows in 200 groups; numpy
-    # 2.4, 2-core x86)
+def group_indicator(src: np.ndarray, heads: np.ndarray, n_rows: int):
+    """The sparse (groups, n_rows) 0/1 matrix G whose row i marks the rows
+    ``src[heads[i]:heads[i + 1]]`` (the last group runs to the end), a row
+    listed twice marked twice. ``G @ A`` is group_sums(A, src, heads), and
+    one G serves every array of n_rows rows."""
+    # imported here so that `import ufrank` loads numpy only
     from scipy import sparse
 
-    index = np.int32 if A.shape[0] < 2**31 else np.int64
-    indicator = sparse.csr_array(
+    index = np.int32 if n_rows < 2**31 else np.int64
+    return sparse.csr_array(
         (np.ones(src.size), src.astype(index),
          np.append(heads, src.size).astype(index)),
-        shape=(heads.size, A.shape[0]))
-    return indicator @ A
+        shape=(heads.size, n_rows))
+
+
+def group_sums(A: np.ndarray, src: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Row i: the sum of the rows ``A[src[heads[i]:heads[i + 1]]]`` (the
+    last group runs to the end), with no gather of those rows. The sparse
+    indicator product (group_indicator) adds up each group on its own: it
+    starts from zero and adds the group's rows one at a time, in index
+    order."""
+    # the two numpy forms were measured and rejected. np.add.reduceat(A[src],
+    # heads, axis=0) copies a group's first row and adds the rest with
+    # numpy's pairwise loop, run once per (group, column): 1.12 vs 0.15 ms
+    # on 4000 x 50 rows in 2000 groups, 0.16 vs 0.10 ms in 200 groups.
+    # np.add.at gives the same bytes as the product but is 3-18x slower
+    # (2.0 vs 0.11 ms on 4000 x 50 rows in 200 groups). numpy 2.4, scipy
+    # 1.17, 2-core x86
+    return group_indicator(src, heads, A.shape[0]) @ A
 
 
 def running_sums(A: np.ndarray, src: np.ndarray, heads: np.ndarray,

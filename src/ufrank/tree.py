@@ -28,8 +28,8 @@ from functools import cached_property
 import numpy as np
 
 from .data import AttributeStats, Dataset, _check_rows
-from .segments import (Buffers, first_max, group_sums, running_sums,
-                       sorted_runs)
+from .segments import (Buffers, first_max, group_indicator, group_sums,
+                       running_sums, sorted_runs)
 
 ALL_THRESHOLDS = "all-thresholds"
 ONE_RANDOM_THRESHOLD = "one-random-threshold"
@@ -74,8 +74,8 @@ class SplitWorkspace:
     to the largest frontier so far: "rows" and "means" for scoring's
     centered rows of Z, "yes" and "no" for the squared side sums of
     gains. The levels of a stack, and the stacks that one workspace grows,
-    then fault these pages in once, not at every level. What scoring
-    returns is a view of "rows", valid only until its next call.
+    then fault these pages in once, not at every level. The rows that
+    scoring returns are a view of "rows", valid only until its next call.
     """
 
     def __init__(self, d: Dataset, stats: AttributeStats):
@@ -96,20 +96,26 @@ class SplitWorkspace:
         self.buffers = Buffers()
 
     def scoring(self, rows: np.ndarray, heads: np.ndarray, counts: np.ndarray,
-                seg: np.ndarray) -> np.ndarray:
+                seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Z's rows for a frontier whose node f owns the ``counts[f]`` rows
         from ``heads[f]`` on (``seg`` names each row's node), each node's
-        value columns centered on that node's own means. The result is a
-        view of the workspace's buffers (see the class notes)."""
+        value columns centered on that node's own means, and each node's
+        column sums of them. The rows are a view of the workspace's
+        buffers (see the class notes). One indicator (group_indicator)
+        sums both the means and the totals, each node's rows in index
+        order."""
         sub = self.buffers("rows", (rows.size, self.Z.shape[1]))
         # mode "raise" would gather through a temporary copy of ``out``
         np.take(self.Z, rows, axis=0, out=sub, mode="clip")
+        node = group_indicator(np.arange(rows.size), heads, rows.size)
         if self.P:
             V = sub[:, :self.P]
-            mean = np.add.reduceat(V, heads, axis=0) / counts[:, None]
+            # the product over all of ``sub``, a contiguous array, measured
+            # faster than over its strided value columns alone
+            mean = (node @ sub)[:, :self.P] / counts[:, None]
             V -= np.take(mean, seg, axis=0, mode="clip",
                          out=self.buffers("means", V.shape))
-        return sub
+        return sub, node @ sub
 
     def square_sums(self, S: np.ndarray, out=None) -> np.ndarray:
         """sum over columns of w * S^2, for each row of column sums S, with
@@ -120,10 +126,11 @@ class SplitWorkspace:
 
     def gains(self, totals: np.ndarray, base: np.ndarray, size: np.ndarray,
               owner: np.ndarray, S: np.ndarray, L: np.ndarray) -> np.ndarray:
-        """h per candidate row: yes side with sums S and size L, in the node
+        """h per candidate row: one side with sums S and size L, in the node
         ``owner`` of a frontier whose nodes have sums ``totals``, ``size``
-        rows and ``base`` square_sums(totals) / size. Both sides' squared
-        sums are formed in the workspace's buffers."""
+        rows and ``base`` square_sums(totals) / size; the other side's sums
+        are ``totals - S``. h is symmetric in the two sides. Both sides'
+        squared sums are formed in the workspace's buffers."""
         no = np.take(totals, owner, axis=0, mode="clip",
                      out=self.buffers("no", S.shape))
         np.subtract(no, S, out=no)
@@ -188,7 +195,15 @@ def search_frontier(d: Dataset, ws: SplitWorkspace, policy: SplitSearchPolicy,
     categories ascending. Every sum is taken within one node in its rows'
     order, so a node's result is bit-identical whichever nodes share its
     frontier. The frontier may hold the nodes of one tree's level or, as
-    _grow_stack lays it out, of a level of several trees."""
+    _grow_stack lays it out, of a level of several trees.
+
+    The tie rule is exact where equal partitions get bit-equal h. With one
+    random threshold, each candidate sums its smaller side or, at equal
+    sizes, the side that holds its node's first row, in row order, so two
+    candidates that cut the node into the same two sets, or into the same
+    sets with yes and no swapped, tie exactly and the first one wins. With all thresholds, a candidate's
+    yes sums are running sums in its attribute's value order, so a tie
+    between partitions of different attributes is decided by rounding."""
     counts = np.diff(starts)
     F = counts.size
     best = (np.full(F, -1, dtype=np.intp), np.full(F, np.nan),
@@ -199,8 +214,7 @@ def search_frontier(d: Dataset, ws: SplitWorkspace, policy: SplitSearchPolicy,
     seg = np.repeat(np.arange(F), counts)
     k = min(policy.n_candidates, d.n)
     cand = _first_k_stable(keys, k)
-    scored = ws.scoring(rows, heads, counts, seg)
-    totals = np.add.reduceat(scored, heads, axis=0)
+    scored, totals = ws.scoring(rows, heads, counts, seg)
     base = ws.square_sums(totals) / counts
     vals = d.X[rows[:, None], cand[seg]]
     nominal = ws.nominal[cand]
@@ -264,7 +278,11 @@ def _goes_yes(x, value, nominal):
 
 def _one_random_candidates(seg, heads, scored, vals, nominal, u):
     """Valid one-random-threshold candidates of a group of slots as (node,
-    slot, threshold or code, yes sums, yes size), each node's in order."""
+    slot, threshold or code, side sums, side size), each node's in order.
+    The side is the smaller one or, at equal sizes, the one that holds the
+    node's first row. It depends on the partition alone, so two candidates
+    that split a node's rows into the same two sets, yes and no swapped or
+    not, sum the same rows in the same order and tie exactly in h."""
     ks = vals.shape[1]
     nominal_at = nominal[seg]
     lo = np.minimum.reduceat(vals, heads, axis=0)
@@ -281,9 +299,16 @@ def _one_random_candidates(seg, heads, scored, vals, nominal, u):
         pick = np.minimum((u[nominal] * present).astype(np.intp), present - 1)
         value[nominal] = code[run_head][np.cumsum(present) - present + pick]
         valid[nominal] = present >= 2
-    # the valid candidates' yes rows, grouped by (slot, node), in row order
-    below = _goes_yes(vals, value[seg], nominal_at)
-    s, r = np.nonzero((below & valid[seg]).T)
+    # the rows of each valid candidate's smaller side or, at equal sizes,
+    # of the side that holds its node's first row, grouped by (slot, node),
+    # in row order: the rows whose yes flag is the candidate's target (1
+    # for the yes side, 0 for the no side, 2 for an invalid candidate)
+    below = _goes_yes(vals, value[seg], nominal_at).view(np.uint8)
+    twice = 2 * np.add.reduceat(below, heads, axis=0, dtype=np.intp)
+    size = np.diff(np.append(heads, seg.size))[:, None]
+    target = np.where(twice == size, below[heads], twice < size)
+    target[~valid] = 2
+    s, r = np.nonzero((below == target[seg]).T)
     first = np.flatnonzero(np.diff(s * seg.size + seg[r], prepend=-1))
     f, s = seg[r[first]], s[first]
     return (f, s, value[f, s], group_sums(scored, r, first),

@@ -438,7 +438,8 @@ def ref_leaf_prototypes(d, flat, bag):
     """(leaves, n) prototypes of a one-tree record grown on the draws
     ``bag``, its leaves in node order. A leaf's rows are the draws that
     reach it (ref_node_rows), in draw order; a numeric column takes their
-    mean and a nominal one its most frequent code, ties to the smallest."""
+    mean, summed in draw order, and a nominal one its most frequent code,
+    ties to the smallest."""
     node_rows = ref_node_rows(d, flat, bag)
     out = []
     for node in np.flatnonzero(flat.attr < 0):
@@ -450,10 +451,10 @@ def ref_leaf_prototypes(d, flat, bag):
                 codes, counts = np.unique(col, return_counts=True)
                 proto[j] = codes[np.argmax(counts)]  # codes ascend
             else:
-                # np.add.reduceat adds a leaf's first row to numpy's sum
-                # of the others; taking that sum with numpy too, not a
-                # hand-built order, lets the cross-check demand bit equality
-                proto[j] = (col[0] + col[1:].sum()) / col.size
+                total = 0.0
+                for v in col:  # in draw order, one draw at a time
+                    total += v
+                proto[j] = total / col.size
         out.append(proto)
     return np.array(out)
 

@@ -1,9 +1,12 @@
 """Static checks of the package source: no module imports a name it never
 uses, no private function, class or method goes unused by package code,
-and ``ufrank.__all__`` lists each public name once, each one real. The demos and scripts are read, not run: every package name they import
-resolves, and every keyword they pass to a package callable is one of its
-parameters. One check runs the package in a fresh interpreter: importing
-it loads no scipy module, and each command loads only the one it uses."""
+and ``ufrank.__all__`` lists each public name once, each one real. Every
+np.add.reduceat sums integers, so float segments have one summation
+order. The demos and scripts are read, not run: every package name they
+import resolves, and every keyword they pass to a package callable is one
+of its parameters. One check runs the package in a fresh interpreter:
+importing it loads no scipy module, and each command loads only the one it
+uses."""
 
 import ast
 import importlib
@@ -14,6 +17,8 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 import ufrank
 
@@ -161,6 +166,29 @@ def test_every_private_def_is_used_by_package_code():
     unused = [f"{module}: {name}" for module, tree in trees.items()
               for name in private_defs(tree) if name not in used]
     assert unused == []
+
+
+def test_every_add_reduceat_sums_integers():
+    # numpy's reduceat adds a float segment in an order of its own (first
+    # row, then a pairwise sum); the package sums float segments with
+    # segments.group_sums, in index order, and keeps reduceat for counts
+    calls, untyped = 0, []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            func = call.func
+            if not (isinstance(func, ast.Attribute) and func.attr == "reduceat"
+                    and isinstance(func.value, ast.Attribute)
+                    and func.value.attr == "add"):
+                continue
+            calls += 1
+            dtype = next((ast.unparse(kw.value) for kw in call.keywords
+                          if kw.arg == "dtype"), "")
+            if not (dtype.startswith("np.") and np.issubdtype(
+                    getattr(np, dtype[3:], float), np.integer)):
+                untyped.append(f"{path.name}:{call.lineno}")
+    assert calls > 0
+    assert untyped == []
 
 
 SCIPY_PROBE = """

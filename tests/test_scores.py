@@ -473,8 +473,8 @@ class TestRoundingError:
 def rebuilt_prototypes(e, monkeypatch):
     """The leaf prototypes that rf-score rebuilds for each tree of ``e``,
     caught from its calls of scores._leaf_prototypes at one worker (one
-    call per batch of trees, in tree order, each copied out of the buffer
-    that the next batch reuses) and cut per tree."""
+    call per batch of trees, in tree order, each copied as it is returned)
+    and cut per tree."""
     real, calls = scores._leaf_prototypes, []
 
     def spy(*args):
@@ -526,8 +526,8 @@ class TestLeafPrototypes:
             d = rf_fixture(table)
         e = build(d, EnsembleConfig(method=method, n_trees=8, seed=5))
         if table == "dup_nominal":
-            # leaves of nine draws or more: numpy sums all but the first
-            # pairwise, which the oracle's order must match
+            # leaves of nine draws or more, where an order other than the
+            # oracle's draw order, such as numpy's pairwise sum, would show
             assert e.forest.n_reached[e.forest.attr < 0].max() >= 9
         self.assert_match_oracle(e, monkeypatch)
 
@@ -543,7 +543,7 @@ class TestLeafPrototypes:
         self.assert_match_oracle(e, monkeypatch)
 
     def test_each_leaf_sums_its_draws_in_draw_order(self, monkeypatch):
-        # 1 + (1e16 - 1e16) is 1, but -1e16 + (1e16 + 1) is 0: the yes
+        # (1 + 1e16) - 1e16 is 0, but (-1e16 + 1e16) + 1 is 1: the yes
         # leaf's mean tells the order its draws were summed in, while the
         # no leaf's draws come between them
         d = Dataset("order", ("a", "s"), (Numeric(), Numeric()),
@@ -553,8 +553,8 @@ class TestLeafPrototypes:
         e = hand_ensemble(d, [stump, stump],
                           [[3, 0, 1, 3, 2], [2, 3, 1, 0]], [[3], [3]])
         got = rebuilt_prototypes(e, monkeypatch)
-        np.testing.assert_array_equal(got[0], [[1.0 / 3.0, 0.0], [7.0, 1.0]])
-        np.testing.assert_array_equal(got[1], [[0.0, 0.0], [7.0, 1.0]])
+        np.testing.assert_array_equal(got[0], [[0.0, 0.0], [7.0, 1.0]])
+        np.testing.assert_array_equal(got[1], [[1.0 / 3.0, 0.0], [7.0, 1.0]])
         self.assert_match_oracle(e, monkeypatch)
 
     def test_prediction_matches_leaf_prototype(self, monkeypatch):

@@ -389,6 +389,70 @@ class TestSlotGroups:
         assert any(group < k for group, k in zip(by_rows, levels))
 
 
+class ReduceatNodeSums:
+    """Stands in for segments.group_indicator inside tree, where it sums
+    each node's contiguous rows: its product is np.add.reduceat, which
+    copies a node's first row and adds the rest with numpy's pairwise
+    loop, an order other than group_sums' index order."""
+
+    def __init__(self, src, heads, n_rows):
+        assert np.array_equal(src, np.arange(n_rows))
+        self.heads = heads
+
+    def __matmul__(self, A):
+        return np.add.reduceat(A, self.heads, axis=0)
+
+
+class TestSumOrder:
+    """With one random threshold, equal partitions tie exactly, so extra
+    trees pick the same tests whatever order node sums are added in."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_extra_trees_keep_their_tests_under_another_sum_order(
+            self, monkeypatch, seed):
+        d = make_planted(SynthSpec(m=200, n_informative=5, n_noise=45,
+                                   seed=seed)).without_target()
+        cfg = EnsembleConfig(method="et", n_trees=100, seed=seed)
+        want = build(d, cfg).forest
+        levels = []
+
+        def node_sums(src, heads, n_rows):
+            levels.append(heads.size)
+            return ReduceatNodeSums(src, heads, n_rows)
+
+        monkeypatch.setattr(tree, "group_indicator", node_sums)
+        got = build(d, cfg).forest
+        assert levels
+        # the other order does give other sums
+        assert got.h_star.tobytes() != want.h_star.tobytes()
+        for name in ("attr", "value", "skip", "n_reached"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    @pytest.mark.parametrize("a, c", [
+        # sides of 3 and 4 rows
+        ([0, 1, 1, 1, 0, 0, 0], [0.95, -0.7, -1.27, -0.62, 0.04, -2.33, -0.22]),
+        # sides of 4 and 4 rows
+        ([0, 1, 0, 1, 0, 1, 0, 1],
+         [-0.53, 0.57, -0.06, 0.75, -1.85, 1.57, -0.1, 0.68]),
+    ], ids=["3-4", "4-4"])
+    def test_mirrored_partitions_go_to_the_first_enumerated(self, a, c):
+        # b is 1 - a: the two attributes cut the rows into the same two
+        # sets, yes and no swapped. On these tables, a side's direct sum
+        # and its sum as totals less the other side differ in the last bit
+        a = np.array(a, dtype=np.float64)
+        d = numeric_dataset(np.column_stack([a, 1.0 - a, c]))
+        ws = SplitWorkspace(d, compute_stats(d))
+        policy = SplitSearchPolicy(2, ONE_RANDOM_THRESHOLD)
+        found = [search_frontier(d, ws, policy, np.arange(d.m),
+                                 np.array([0, d.m]), np.array([keys]),
+                                 np.array([[0.5, 0.5]]))
+                 for keys in ([0.1, 0.2, 0.9], [0.2, 0.1, 0.9])]
+        assert [int(f.attr[0]) for f in found] == [0, 1]
+        assert found[0].h.tobytes() == found[1].h.tobytes()
+        np.testing.assert_array_equal(found[0].yes, a <= 0.5)
+        np.testing.assert_array_equal(found[1].yes, a > 0.5)
+
+
 class TestGrowTree:
     def test_identical_rows_make_a_single_leaf(self):
         d = numeric_dataset([2.0, 2.0, 2.0])
