@@ -8,6 +8,9 @@ paths (artifacts embed the --data path they were given):
     synth     200 x 50 planted table (5 informative, 45 noise), seed 0,
               and a second 100 x 50 table, seed 1, for compare
     rank      genie3, symbolic, rf-score, urelief
+    mixed     the seed-0 table with two informative columns relabelled as
+              text, so that trees test nominal columns; ranked by genie3
+              (extra trees) and by rf-score on random forests
     eval      genie3, urelief, on both tables
     curve     genie3
     compare   the four eval artifacts (compare needs at least 2 x 2)
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import os
@@ -37,10 +41,29 @@ from ufrank.cli import main as cli_main  # noqa: E402
 
 DATA = "data/planted_s0.csv"
 SECOND = "data/planted_s1.csv"
+MIXED = "data/mixed_s0.csv"
 EVAL_METHODS = ("genie3", "urelief")
+# two of the seed-0 table's informative columns
+TEXT_COLUMNS = ("x11", "x18")
 
 
-def sequence(workers: int) -> list[list[str]]:
+def write_mixed() -> None:
+    """MIXED: DATA with TEXT_COLUMNS relabelled by value, ``neg`` below 0,
+    ``pos`` below 10 and ``big`` from 10 on, which the CLI reads as
+    nominal columns."""
+    with open(DATA, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    cols = [rows[0].index(name) for name in TEXT_COLUMNS]
+    for row in rows[1:]:
+        for j in cols:
+            v = float(row[j])
+            row[j] = "neg" if v < 0 else "pos" if v < 10 else "big"
+    with open(MIXED, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def sequence(workers: int) -> list:
+    """The steps in order: CLI argument lists, and write_mixed."""
     w = ["--workers", str(workers)]
     target = ["--data", DATA, "--target-column", "target"]
     steps = [["synth", "--m", "200", "--informative", "5", "--noise", "45",
@@ -49,6 +72,10 @@ def sequence(workers: int) -> list[list[str]]:
               "--seed", "1", "--out", "data"]]
     for method in ("genie3", "symbolic", "rf-score", "urelief"):
         steps.append(["rank", *target, "--method", method, *w, "--out", "rank"])
+    mixed = ["rank", "--data", MIXED, "--target-column", "target", *w,
+             "--out", "mixed"]
+    steps += [write_mixed, [*mixed, "--method", "genie3"],
+              [*mixed, "--method", "rf-score", "--ensemble", "rf"]]
     for data in (DATA, SECOND):
         for method in EVAL_METHODS:
             steps.append(["eval", "--data", data, "--target-column", "target",
@@ -71,6 +98,9 @@ def main(argv=None) -> int:
         os.chdir(tmp)
         try:
             for step in sequence(args.workers):
+                if callable(step):
+                    step()
+                    continue
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = cli_main(step)
                 if code != 0:

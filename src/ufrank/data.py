@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +57,8 @@ class Dataset:
     The feature matrix is made read-only at construction; downstream code
     treats datasets as shareable values, so any number of workers may read
     one concurrently. ``numeric_mask``, set at construction and read-only
-    too, marks the numeric columns.
+    too, marks the numeric columns, and so the kind of every test on a
+    column: ``x <= t`` on a numeric one, ``x == code`` on a nominal one.
     """
 
     name: str
@@ -94,11 +96,20 @@ class Dataset:
             t = np.asarray(self.target, dtype=np.float64)
             if t.shape != (m,):
                 raise ValueError("target length does not match the example count")
+            if not np.isfinite(t).all():
+                raise ValueError("target contains non-finite values")
             t.setflags(write=False)
             self.target = t
         mask = np.array([isinstance(k, Numeric) for k in self.kinds])
         mask.setflags(write=False)
         self.numeric_mask = mask
+
+    @cached_property
+    def stats(self) -> AttributeStats:
+        """compute_stats(self), computed at the first access and kept. A
+        dataset pickled after that carries them, so code that ships a
+        dataset to workers reads it first."""
+        return compute_stats(self)
 
     @property
     def m(self) -> int:

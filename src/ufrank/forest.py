@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parallel, streams
-from .data import (AttributeStats, Dataset, IngestionError, _complement,
-                   compute_stats)
+from .data import Dataset, IngestionError, _complement
 from .tree import (ALL_THRESHOLDS, ONE_RANDOM_THRESHOLD, FlatTree,
                    SplitSearchPolicy, SplitWorkspace, _grow_stack)
 
@@ -80,7 +79,9 @@ class Ensemble:
     every tree back to back, tree t's from ``forest.node_start[t]`` on
     (see FlatTree). ``in_bags[t]`` and ``oobs[t]`` are tree t's bootstrap
     draws, in draw order, and out-of-bag rows; the record keeps no leaf
-    predictions, and rf-score rebuilds them from ``in_bags``. ``workers``
+    predictions, and rf-score rebuilds them from ``in_bags``. The
+    statistics that normalize its scores are ``dataset.stats``, and the
+    kind of each test is its attribute's in ``dataset``. ``workers``
     is the process count it was grown with, the calling process included;
     the scores that work tree by tree (rf-score) split their trees across
     as many, and a hand-built ensemble scores inline. It never changes a
@@ -88,7 +89,6 @@ class Ensemble:
 
     config: EnsembleConfig
     dataset: Dataset
-    stats: AttributeStats
     forest: FlatTree
     in_bags: list[np.ndarray]
     oobs: list[np.ndarray]
@@ -112,12 +112,12 @@ class Ensemble:
 _STACK_ROWS = 4096
 
 
-def _grow_chunk(d, stats, policy, seed, tree_ids):
+def _grow_chunk(d, policy, seed, tree_ids):
     """Trees ``tree_ids``, grown together in stacks (see tree._grow_stack),
     as one (record, bootstraps, out-of-bag rows) per stack. Tree t's child
     stream first draws its m-sample bootstrap, then drives its growth, one
     block of draws per depth level (see grow_tree)."""
-    ws = SplitWorkspace(d, stats)
+    ws = SplitWorkspace(d)
     size = max(1, _STACK_ROWS // d.m)
     out = []
     for s0 in range(0, len(tree_ids), size):
@@ -139,10 +139,11 @@ def build(d: Dataset, cfg: EnsembleConfig, workers: int = 1) -> Ensemble:
     if d.m < 2:
         raise IngestionError("an ensemble needs at least two examples")
     d = d.without_target()
-    stats = compute_stats(d)
-    stacks = parallel.map_chunks(_grow_chunk,
-                                 (d, stats, cfg.policy(d.n), cfg.seed),
+    # computed before any chunk is pickled, so each chunk's dataset carries
+    # the statistics and no chunk writes them while another is pickled
+    d.stats
+    stacks = parallel.map_chunks(_grow_chunk, (d, cfg.policy(d.n), cfg.seed),
                                  np.arange(cfg.n_trees), workers)
-    return Ensemble(cfg, d, stats, FlatTree.concat([s[0] for s in stacks]),
+    return Ensemble(cfg, d, FlatTree.concat([s[0] for s in stacks]),
                     [bag for s in stacks for bag in s[1]],
                     [oob for s in stacks for oob in s[2]], workers)

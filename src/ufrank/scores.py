@@ -195,7 +195,7 @@ def random_forest_score(e: Ensemble) -> Ranking:
     """
     d = e.dataset
     nominal = ~d.numeric_mask
-    var = e.stats.denominator
+    var = d.stats.denominator
     scale = np.divide(1.0, var, out=np.zeros_like(var), where=(var > 0) & ~nominal)
     rows = parallel.map_chunks(_tree_contributions,
                                (d.X, scale, nominal, e.config.seed),
@@ -264,15 +264,14 @@ def _batch_contributions(X, scale, nominal, seed, buffers: Buffers,
     # each tree's draws routed from its root and grouped by leaf, in draw
     # order: the rows, in the order, that growth left at each leaf
     drawn = np.concatenate(trees.in_bags)
-    at = slots[f.route(X, np.repeat(f.node_start[:-1],
-                                    [bag.size for bag in trees.in_bags]),
-                       drawn)]
+    at = slots[f.route(X, nominal, np.repeat(
+        f.node_start[:-1], [bag.size for bag in trees.in_bags]), drawn)]
     proto = _leaf_prototypes(X, nominal, drawn[np.argsort(at, kind="stable")],
                              np.bincount(at, minlength=slots[-1] + 1))
     sizes = np.array([oob.size for oob in trees.oobs])
     head = np.append(0, np.cumsum(sizes))  # tree t's rows: head[t]:head[t + 1]
     oob = np.concatenate(trees.oobs)
-    leaf = f.route(X, np.repeat(f.node_start[:-1], sizes), oob)
+    leaf = f.route(X, nominal, np.repeat(f.node_start[:-1], sizes), oob)
     slot = slots[leaf]
     values = np.take(X, oob, axis=0, mode="clip",
                      out=buffers("values", (oob.size, n))).T
@@ -312,7 +311,7 @@ def _batch_contributions(X, scale, nominal, seed, buffers: Buffers,
     r, a = np.nonzero((first >= 0)[slot[scored]])
     q = scored[r]
     value = shuffled[a, q]
-    moved = f.route(X, first[slot[q], a], oob[q], (a, value))
+    moved = f.route(X, nominal, first[slot[q], a], oob[q], (a, value))
     del first
     changed = moved != leaf[q]
     q, a, value, moved = (v[changed] for v in (q, a, value, moved))

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import AttributeStats, Dataset, _check_rows
+from .data import Dataset, _check_rows
 from .segments import (Buffers, first_max, group_indicator, group_sums,
                        running_sums, sorted_runs)
 
@@ -52,11 +52,11 @@ class SplitSearchPolicy:
 
 class SplitWorkspace:
     """Precomputed matrix shared by every node of one tree (or one ensemble):
-    Z = [x_c | one-hot blocks] over the columns whose training denominator is
-    positive and finite, each column weighted by w = 1 / its attribute's
-    denominator. A column whose variance overflows would weigh 1/inf = 0, so
-    it adds nothing to h; left in, its S^2 overflows too, and inf * 0 would
-    make every candidate's h NaN.
+    Z = [x_c | one-hot blocks] over the columns whose training denominator
+    (``d.stats``) is positive and finite, each column weighted by w = 1 /
+    its attribute's denominator. A column whose variance overflows would
+    weigh 1/inf = 0, so it adds nothing to h; left in, its S^2 overflows
+    too, and inf * 0 would make every candidate's h NaN.
 
     Split a node's M rows into a yes side of L_y rows and a no side of L_n,
     with column sums S_y, S_n and S = S_y + S_n over them. The squared-value
@@ -78,9 +78,9 @@ class SplitWorkspace:
     scoring returns are a view of "rows", valid only until its next call.
     """
 
-    def __init__(self, d: Dataset, stats: AttributeStats):
+    def __init__(self, d: Dataset):
         self.n = d.n
-        num = d.numeric_mask
+        num, stats = d.numeric_mask, d.stats
         active = (stats.denominator > 0) & np.isfinite(stats.denominator)
         num_active = np.flatnonzero(num & active)
         blocks = [d.X[:, num_active]]
@@ -90,7 +90,6 @@ class SplitWorkspace:
             blocks.append((d.X[:, j, None] == codes).astype(np.float64))
             weights.append(np.full(codes.size, 1.0 / stats.denominator[j]))
         self.P = num_active.size
-        self.nominal = ~num
         self.weight = np.concatenate(weights)
         self.Z = np.ascontiguousarray(np.concatenate(blocks, axis=1))
         self.buffers = Buffers()
@@ -153,16 +152,16 @@ class FrontierSplits:
     best_test returns and FlatTree stores.
 
     Per node: ``attr`` is the tested attribute and ``h`` the test's
-    heuristic; ``value`` is a category code where ``nominal``, else a
-    threshold. A node without a test has ``attr`` -1, ``value`` NaN and h 0.
-    A row goes to the yes child when x[attr] <= value on a numeric test
-    (inclusive, so a boundary value goes yes) and when x[attr] == value on
-    a nominal one; no row takes a NaN value. Per row of the frontier, in
-    the order of its rows, ``yes`` is that predicate."""
+    heuristic; ``value`` is a category code where the dataset's attribute
+    ``attr`` is nominal, else a threshold. A node without a test has
+    ``attr`` -1, ``value`` NaN and h 0. A row goes to the yes child when
+    x[attr] <= value on a numeric attribute (inclusive, so a boundary value
+    goes yes) and when x[attr] == value on a nominal one; no row takes a
+    NaN value. Per row of the frontier, in the order of its rows, ``yes``
+    is that predicate."""
 
     attr: np.ndarray
     value: np.ndarray
-    nominal: np.ndarray
     h: np.ndarray
     yes: np.ndarray
 
@@ -206,8 +205,7 @@ def search_frontier(d: Dataset, ws: SplitWorkspace, policy: SplitSearchPolicy,
     between partitions of different attributes is decided by rounding."""
     counts = np.diff(starts)
     F = counts.size
-    best = (np.full(F, -1, dtype=np.intp), np.full(F, np.nan),
-            np.zeros(F, dtype=bool), np.zeros(F))
+    best = (np.full(F, -1, dtype=np.intp), np.full(F, np.nan), np.zeros(F))
     if counts.max() < 2:  # single rows cannot split
         return FrontierSplits(*best, np.zeros(rows.size, dtype=bool))
     heads = starts[:-1]
@@ -217,7 +215,7 @@ def search_frontier(d: Dataset, ws: SplitWorkspace, policy: SplitSearchPolicy,
     scored, totals = ws.scoring(rows, heads, counts, seg)
     base = ws.square_sums(totals) / counts
     vals = d.X[rows[:, None], cand[seg]]
-    nominal = ws.nominal[cand]
+    nominal = ~d.numeric_mask[cand]
 
     per_slot = rows.size if u is None else F
     group = max(1, _BLOCK_BUDGET // (24 * per_slot * max(scored.shape[1], 1)))
@@ -239,11 +237,12 @@ def search_frontier(d: Dataset, ws: SplitWorkspace, policy: SplitSearchPolicy,
     win = first_max(owner, h)
     win = win[h[win] > 0.0]
     f, s = owner[win], slot[win]
-    for out, got in zip(best, (cand[f, s], value[win], nominal[f, s], h[win])):
+    for out, got in zip(best, (cand[f, s], value[win], h[win])):
         out[f] = got
-    attr, value, is_nominal, _ = best
-    col = d.X[rows, np.maximum(attr, 0)[seg]]
-    return FrontierSplits(*best, _goes_yes(col, value[seg], is_nominal[seg]))
+    attr, value, _ = best
+    col = np.maximum(attr, 0)[seg]
+    return FrontierSplits(*best, _goes_yes(d.X[rows, col], value[seg],
+                                           ~d.numeric_mask[col]))
 
 
 def _first_k_stable(keys: np.ndarray, k: int) -> np.ndarray:
@@ -339,7 +338,7 @@ def _threshold_candidates(seg, counts, scored, vals, nominal):
             running_sums(scored, order // ks, scan, at), L)
 
 
-def best_test(d: Dataset, rows, policy: SplitSearchPolicy, stats: AttributeStats,
+def best_test(d: Dataset, rows, policy: SplitSearchPolicy,
               rng: np.random.Generator) -> FrontierSplits:
     """The strict maximizer of h among one node's candidate tests, if one
     achieves h > 0: search_frontier on the one-node frontier of ``rows``,
@@ -350,11 +349,11 @@ def best_test(d: Dataset, rows, policy: SplitSearchPolicy, stats: AttributeStats
     ``rng.random((1, k))``."""
     rows = _check_rows(rows, d.m)
     keys, u = draw_frontier(rng, 1, d.n, policy)
-    return search_frontier(d, SplitWorkspace(d, stats), policy, rows,
+    return search_frontier(d, SplitWorkspace(d), policy, rows,
                            np.array([0, rows.size]), keys, u)
 
 
-def grow_tree(d: Dataset, rows, policy: SplitSearchPolicy, stats: AttributeStats,
+def grow_tree(d: Dataset, rows, policy: SplitSearchPolicy,
               rng: np.random.Generator) -> "FlatTree":
     """Grow a fully expanded tree on the given row multiset (duplicate
     indices count with multiplicity everywhere), as a one-tree FlatTree.
@@ -375,7 +374,7 @@ def grow_tree(d: Dataset, rows, policy: SplitSearchPolicy, stats: AttributeStats
     array.
     """
     rows = _check_rows(rows, d.m)
-    return _grow_stack(d, SplitWorkspace(d, stats), policy, [rows], [rng])
+    return _grow_stack(d, SplitWorkspace(d), policy, [rows], [rng])
 
 
 def _grow_stack(d: Dataset, ws: SplitWorkspace, policy: SplitSearchPolicy,
@@ -399,7 +398,7 @@ def _grow_stack(d: Dataset, ws: SplitWorkspace, policy: SplitSearchPolicy,
         u = None if draws[0][1] is None else np.concatenate([u for _, u in draws])
         found = search_frontier(d, ws, policy, rows,
                                 np.cumsum(np.append(0, counts)), keys, u)
-        levels.append((counts, found.attr, found.value, found.nominal, found.h))
+        levels.append((counts, found.attr, found.value, found.h))
         # children in their parents' order, yes child first, each keeping
         # its rows' order; the rows of unsplit nodes sort last. Each tree's
         # nodes stay together, in tree order.
@@ -412,9 +411,8 @@ def _grow_stack(d: Dataset, ws: SplitWorkspace, policy: SplitSearchPolicy,
         rows = rows[order[:counts.sum()]]
         tree = np.repeat(tree[split], 2)
 
-    n_reached, attr, value, nominal, h = (np.concatenate(a)
-                                          for a in zip(*levels))
-    return FlatTree.from_node(attr, value, nominal, n_reached, h, len(bags))
+    n_reached, attr, value, h = (np.concatenate(a) for a in zip(*levels))
+    return FlatTree.from_node(attr, value, n_reached, h, len(bags))
 
 
 @dataclass
@@ -424,13 +422,16 @@ class FlatTree:
 
     The trees' nodes lie back to back: tree t's are node ids
     ``node_start[t]`` to ``node_start[t + 1] - 1``, in preorder (yes
-    first). ``attr``, ``value`` and ``is_nominal`` encode each node's test
-    as FrontierSplits does, with -1 and NaN at leaves. A node's one link is
-    relative to itself (Knuth's sequential preorder representation): node
-    v's yes child is v + 1, its no child is v + ``skip[v]``, 1 + the size
-    of its yes subtree, and ``skip`` is 0 at leaves. No link depends on
-    where its tree lies in the record, so ``trees`` slices every node array
-    and ``concat`` joins them as they are. Only ``node_start`` counts from
+    first). ``attr`` and ``value`` encode each node's test as
+    FrontierSplits does, with -1 and NaN at leaves. A test's kind is its
+    attribute's kind in the dataset the trees were grown on, so the record
+    stores none: ``route`` takes the dataset's nominal mask. A node's one
+    link is relative to itself (Knuth's sequential preorder
+    representation): node v's yes child is v + 1, its no child is v +
+    ``skip[v]``, 1 + the size of its yes subtree, and ``skip`` is 0 at
+    leaves. No link depends on where its tree lies in the record, so
+    ``trees`` slices every node array and ``concat`` joins them as they
+    are. Only ``node_start`` counts from
     the record's first node; a one-tree record, as grow_tree returns it,
     has ``node_start`` [0, nodes].
 
@@ -441,25 +442,24 @@ class FlatTree:
 
     attr: np.ndarray
     value: np.ndarray
-    is_nominal: np.ndarray
     skip: np.ndarray
     n_reached: np.ndarray
     h_star: np.ndarray
     node_start: np.ndarray
 
     @classmethod
-    def from_node(cls, attr, value, is_nominal, n_reached, h_star,
-                  trees) -> "FlatTree":
+    def from_node(cls, attr, value, n_reached, h_star, trees) -> "FlatTree":
         """The record of ``trees`` trees from their node records in level
         order, the depth levels of all trees together as _grow_stack grows
         them: the first ``trees`` records are the roots, in tree order, and
         the r-th internal node's children are records trees + 2r (yes) and
         trees + 2r + 1 (no). Each test's ``value`` is encoded as in
-        FrontierSplits (NaN at leaves). One call lays out every tree in
-        preorder, yes child first, one depth at a time from subtree sizes:
-        a root starts after the trees before it, a yes child follows its
-        parent, and a no child follows its yes sibling's subtree, so an
-        internal node's ``skip`` is 1 + the size of its yes subtree.
+        FrontierSplits (NaN at leaves); its kind is left to the dataset. One
+        call lays out every tree in preorder, yes child first, one depth at
+        a time from subtree sizes: a root starts after the trees before it,
+        a yes child follows its parent, and a no child follows its yes
+        sibling's subtree, so an internal node's ``skip`` is 1 + the size of
+        its yes subtree.
 
         The name dates from when this flattened linked node objects. It is
         kept because the benchmark wraps ``FlatTree.from_node`` by name and
@@ -486,8 +486,8 @@ class FlatTree:
             pre[no] = pre[yes] + size[yes]
         skip = np.where(attr >= 0, 1 + size[child[:, 0]], 0)
         order = np.argsort(pre)
-        return cls(attr[order], value[order], is_nominal[order], skip[order],
-                   n_reached[order], h_star[order], node_start)
+        return cls(attr[order], value[order], skip[order], n_reached[order],
+                   h_star[order], node_start)
 
     @classmethod
     def concat(cls, parts) -> "FlatTree":
@@ -518,10 +518,12 @@ class FlatTree:
         return FlatTree(*(getattr(self, name)[n0:n1] for name in _NODE_FIELDS),
                         self.node_start[a:b + 1] - n0)
 
-    def route(self, X: np.ndarray, start=None, rows=None,
+    def route(self, X: np.ndarray, nominal: np.ndarray, start=None, rows=None,
               swap=None) -> np.ndarray:
-        """Node id of the leaf each query reaches. Query q reads row
-        ``rows[q]`` of X (row q without ``rows``) and starts at node
+        """Node id of the leaf each query reaches. A test on attribute i
+        reads x == value where ``nominal[i]`` (the dataset's
+        ``~numeric_mask``), else x <= value. Query q reads row ``rows[q]``
+        of X (row q without ``rows``) and starts at node
         ``start[q]`` (node 0, the first tree's root, without ``start``), so
         one walk routes queries through many trees when each starts at its
         own tree's root, ``node_start[t]``. With ``swap`` = (attrs, values),
@@ -539,7 +541,7 @@ class FlatTree:
             x = X[live if rows is None else rows[live], attr]
             if swap is not None:
                 x = np.where(attr == swap[0][live], swap[1][live], x)
-            yes = _goes_yes(x, self.value[node], self.is_nominal[node])
+            yes = _goes_yes(x, self.value[node], nominal[attr])
             cur[live] = node = node + np.where(yes, 1, self.skip[node])
             live = live[self.attr[node] >= 0]
         return cur
@@ -568,4 +570,4 @@ class FlatTree:
 
 
 # FlatTree's per-node arrays, in field order: all but node_start
-_NODE_FIELDS = ("attr", "value", "is_nominal", "skip", "n_reached", "h_star")
+_NODE_FIELDS = ("attr", "value", "skip", "n_reached", "h_star")

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parallel, streams
-from .data import AttributeStats, Dataset, IngestionError, compute_stats
+from .data import Dataset, IngestionError
 from .scores import Ranking
 
 _CLAMP = 1e-12
@@ -107,7 +107,8 @@ _BLOCK_BUDGET = 4_000_000
 class _Kernel:
     """Per-call setup shared by every block of references: the rows (C-order
     float64, as Dataset keeps them), the divisor of each column (the
-    training range on a numeric attribute with positive range, 1
+    training range, ``d.stats.value_range``, on a numeric attribute with
+    positive range, 1
     elsewhere), the screen's weight of each column (1 / divisor on a
     numeric column, 0 on a nominal one) and the nominal columns with their
     codes. A numeric column of zero range holds one finite value, so its
@@ -120,10 +121,10 @@ class _Kernel:
     codes: np.ndarray
 
     @classmethod
-    def make(cls, d: Dataset, stats: AttributeStats) -> "_Kernel":
-        num = d.numeric_mask
-        spread = num & (stats.value_range > 0)
-        divisor = np.where(spread, stats.value_range, 1.0)
+    def make(cls, d: Dataset) -> "_Kernel":
+        num, value_range = d.numeric_mask, d.stats.value_range
+        spread = num & (value_range > 0)
+        divisor = np.where(spread, value_range, 1.0)
         nominal = np.flatnonzero(~num)
         return cls(d.X, divisor, np.where(num, 1.0 / divisor, 0.0), nominal,
                    d.X[:, nominal])
@@ -159,8 +160,7 @@ class _Kernel:
         return dm, dm.mean(axis=-1)
 
 
-def _contributions(d: Dataset, stats: AttributeStats, k: int,
-                   refs: np.ndarray):
+def _contributions(d: Dataset, k: int, refs: np.ndarray):
     """Each reference's raw sums over its K nearest rows: (sum of d_X,
     per-attribute sum of d_i, per-attribute sum of d_i * d_X). Neighbor ties
     at the boundary resolve to the smaller row index.
@@ -170,7 +170,7 @@ def _contributions(d: Dataset, stats: AttributeStats, k: int,
     value) + n * tiny; the exact d_X of the candidates, stable-sorted in
     row order, gives the same K rows in the same order as a full stable
     sort of every row's exact d_X (see the module docstring)."""
-    kernel = _Kernel.make(d, stats)
+    kernel = _Kernel.make(d)
     block = max(1, min(refs.size, _BLOCK_BUDGET // (8 * d.m)))
     buf = np.empty((block, d.m))
     rho = 1.0 + 8 * (d.n + 4) * np.finfo(np.float64).eps
@@ -206,10 +206,10 @@ def urelief_state(d: Dataset, cfg: UReliefConfig,
     worker counts, and for I = m independent of visit order altogether.
     At ``workers`` >= 2 the reference rows are split into that many
     contiguous chunks: this process scores the first and the pool the
-    others, each sent the table and its statistics.
+    others, each sent the table with its statistics.
     """
     d = d.without_target()
-    stats = compute_stats(d)
+    d.stats  # computed before the chunks are pickled, as in forest.build
     k, iterations = cfg.resolve(d.m)
     rng = streams.stream(cfg.seed, streams.RELIEF)
     if iterations <= d.m:
@@ -217,7 +217,7 @@ def urelief_state(d: Dataset, cfg: UReliefConfig,
     else:
         refs = rng.integers(0, d.m, size=iterations)
 
-    parts = parallel.map_chunks(_contributions, (d, stats, k), refs, workers)
+    parts = parallel.map_chunks(_contributions, (d, k), refs, workers)
     sum_dc = np.array([p[0] for p in parts])
     sum_da = np.vstack([p[1] for p in parts])
     sum_joint = np.vstack([p[2] for p in parts])

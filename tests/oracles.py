@@ -303,7 +303,6 @@ def flat_leaf(n_reached):
     """Hand-made one-node tree: a lone leaf."""
     return FlatTree(attr=np.array([-1], dtype=np.intp),
                     value=np.array([np.nan]),
-                    is_nominal=np.array([False]),
                     skip=np.array([0], dtype=np.intp),
                     n_reached=np.array([n_reached], dtype=np.intp),
                     h_star=np.array([0.0]),
@@ -311,11 +310,12 @@ def flat_leaf(n_reached):
 
 
 def flat_stump(attr, threshold, h_star, yes_n, no_n):
-    """Hand-made three-node tree: the root tests x[attr] <= threshold; its
-    yes and no leaves are reached by yes_n and no_n rows."""
+    """Hand-made three-node tree: the root tests attribute ``attr`` against
+    ``threshold`` (x <= threshold on a numeric attribute, x == threshold on
+    a nominal one); its yes and no leaves are reached by yes_n and no_n
+    rows."""
     return FlatTree(attr=np.array([attr, -1, -1], dtype=np.intp),
                     value=np.array([threshold, np.nan, np.nan]),
-                    is_nominal=np.zeros(3, dtype=bool),
                     skip=np.array([2, 0, 0], dtype=np.intp),
                     n_reached=np.array([yes_n + no_n, yes_n, no_n], dtype=np.intp),
                     h_star=np.array([h_star, 0.0, 0.0]),
@@ -333,9 +333,10 @@ def flat_fingerprint(flat):
     return out
 
 
-def _goes_yes(flat, node, value):
-    """Whether a value (or an array of them) takes node's yes branch."""
-    if flat.is_nominal[node]:
+def _goes_yes(d, flat, node, value):
+    """Whether a value (or an array of them) takes node's yes branch: the
+    test's kind is that of its attribute in ``d``."""
+    if not d.numeric_mask[flat.attr[node]]:
         return value == flat.value[node]
     return value <= flat.value[node]
 
@@ -376,7 +377,7 @@ def ref_node_rows(d, flat, rows):
         attr = int(flat.attr[node])
         if attr < 0:
             return
-        mask = _goes_yes(flat, node, d.X[node_rows, attr])
+        mask = _goes_yes(d, flat, node, d.X[node_rows, attr])
         walk(int(children[node, 0]), node_rows[mask])
         walk(int(children[node, 1]), node_rows[~mask])
 
@@ -459,21 +460,22 @@ def ref_leaf_prototypes(d, flat, bag):
     return np.array(out)
 
 
-def ref_leaf(flat, x):
-    """Node id of the leaf one example reaches, following the child links
-    (ref_children) of a one-tree record node by node."""
+def ref_leaf(d, flat, x):
+    """Node id of the leaf one example of ``d``'s attributes reaches,
+    following the child links (ref_children) of a one-tree record node by
+    node."""
     children = ref_children(flat.attr)
     node = 0
     while flat.attr[node] >= 0:
-        node = int(children[node, 0 if _goes_yes(flat, node, x[flat.attr[node]])
-                            else 1])
+        node = int(children[node, 0 if _goes_yes(d, flat, node,
+                                                 x[flat.attr[node]]) else 1])
     return node
 
 
-def ref_predict(flat, protos, x):
+def ref_predict(d, flat, protos, x):
     """Prototype of the leaf one example reaches, read from ``protos``
     (ref_leaf_prototypes)."""
-    return protos[_leaf_numbers(flat)[ref_leaf(flat, x)]]
+    return protos[_leaf_numbers(flat)[ref_leaf(d, flat, x)]]
 
 
 def permutation_rows(e, t, size):
@@ -513,10 +515,10 @@ def oob_terms(e, t, rows, permuted_attr=None, protos=None):
         column = X[:, attr].copy()
         for r in range(rows.size):
             X[r, attr] = column[perm[r]]
-    variance = e.stats.denominator
+    variance = d.stats.denominator
     out = []
     for x in X:
-        proto = ref_predict(flat, protos, x)
+        proto = ref_predict(d, flat, protos, x)
         terms = np.zeros(d.n)
         for j, kind in enumerate(d.kinds):
             if isinstance(kind, Nominal):

@@ -18,8 +18,8 @@ import pytest
 import oracles
 from ufrank import (ALL_THRESHOLDS, ComputationError, Dataset, EnsembleConfig,
                     FoldPlan, Numeric, SplitSearchPolicy, SynthSpec,
-                    UReliefConfig, best_test, compare_methods, compute_stats,
-                    cv_mse, error_curve, genie3, load_csv, make_planted,
+                    UReliefConfig, best_test, compare_methods, cv_mse,
+                    error_curve, genie3, load_csv, make_planted,
                     make_ranker, random_forest_score, urelief)
 from ufrank.cli import main as cli_main
 from ufrank.forest import build
@@ -43,7 +43,7 @@ def assert_is_maximizer(d, rows, got, candidates):
         return
     assert got.attr[0] >= 0, f"missed a split with h={hmax}"
     assert got.h[0] == pytest.approx(hmax, rel=1e-9)
-    kind = "category" if got.nominal[0] else "threshold"
+    kind = "threshold" if d.numeric_mask[got.attr[0]] else "category"
     got_desc = (int(got.attr[0]), (kind, float(got.value[0])))
     for attr, descriptor, h, mask in ties:
         if (attr, descriptor) == got_desc:
@@ -61,12 +61,11 @@ def test_criterion_01_split_search_matches_brute_force():
         m = int(rng.integers(3, 13))
         n = int(rng.integers(1, 4))
         d = oracles.random_mixed_dataset(rng, m, n)
-        stats = compute_stats(d)
         dens = oracles.ref_denominators(d, np.arange(d.m))
         rows = np.arange(m)
         seed = 510_000 + case
         got = best_test(d, rows, SplitSearchPolicy(d.n, ALL_THRESHOLDS),
-                        stats, np.random.default_rng(seed))
+                        np.random.default_rng(seed))
         order = np.random.default_rng(seed).choice(d.n, size=d.n,
                                                    replace=False)
         cands = oracles.ref_candidates_all(d, rows, dens, order)

@@ -1,3 +1,4 @@
+import pickle
 import warnings
 
 import numpy as np
@@ -68,6 +69,12 @@ class TestDataset:
             Dataset("bad", ("a",), (Numeric(),), np.zeros((3, 1)),
                     target=np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        with pytest.raises(ValueError, match="target contains non-finite"):
+            Dataset("bad", ("a",), (Numeric(),), np.zeros((3, 1)),
+                    target=np.array([0.0, bad, 1.0]))
+
     def test_without_target_drops_only_target(self):
         d = small_mixed()
         dt = Dataset(d.name, d.attr_names, d.kinds, d.X,
@@ -123,6 +130,23 @@ class TestComputeStats:
         b = compute_stats(dup)
         np.testing.assert_array_equal(a.denominator, b.denominator)
         np.testing.assert_array_equal(a.value_range, b.value_range)
+
+    def test_dataset_stats_are_compute_stats_kept(self):
+        d = small_mixed()
+        s = d.stats
+        want = compute_stats(d)
+        for name in ("denominator", "value_range"):
+            assert getattr(s, name).tobytes() == getattr(want, name).tobytes()
+        assert d.stats is s
+        # a row subset is a new dataset with its own rows' statistics
+        sub = d.restrict_rows(np.array([0, 1]))
+        np.testing.assert_array_equal(sub.stats.denominator,
+                                      compute_stats(sub).denominator)
+        assert sub.stats.denominator[1] == 0.0 != s.denominator[1]
+        # a dataset pickled after the access carries them
+        back = pickle.loads(pickle.dumps(d))
+        assert "stats" in vars(back)
+        assert back.stats.denominator.tobytes() == s.denominator.tobytes()
 
     def test_overflowing_variance_is_inf_without_a_warning(self):
         # column a alternates +-1e160: finite values whose squares overflow

@@ -11,7 +11,7 @@ import oracles
 from oracles import oob_error
 from ufrank import (ALL_THRESHOLDS, ONE_RANDOM_THRESHOLD, Dataset,
                     EnsembleConfig, FlatTree, Nominal, Numeric, SynthSpec, build,
-                    compute_stats, genie3, grow_tree, make_planted,
+                    genie3, grow_tree, make_planted,
                     random_forest_score, subset_size, streams, symbolic)
 from ufrank import forest
 from ufrank.forest import ENSEMBLES, SUBSET_RULES, Ensemble
@@ -149,7 +149,7 @@ class TestBuild:
         # training denominator, otherwise a further split would have h > 0
         d = small_dataset(7, m=20, n=3)
         e = build(d, EnsembleConfig(method="bagging", n_trees=3, seed=9))
-        active = e.stats.denominator > 0
+        active = e.dataset.stats.denominator > 0
         for flat, bag in zip(e.flats, e.in_bags):
             node_rows = oracles.ref_node_rows(d, flat, bag)
             for i in np.flatnonzero(flat.attr < 0):
@@ -185,13 +185,13 @@ def grown_alone(d, cfg):
     """ensemble_fingerprint of cfg's ensemble with every tree grown by
     grow_tree on its own: stream (seed, TREE, t) draws the bootstrap, then
     drives that tree's growth."""
-    stats, policy = compute_stats(d), cfg.policy(d.n)
+    policy = cfg.policy(d.n)
     flats, bags = [], []
     for t in range(cfg.n_trees):
         rng = streams.stream(cfg.seed, streams.TREE, t)
         bags.append(rng.integers(0, d.m, size=d.m))
         flats.append(oracles.flat_fingerprint(
-            grow_tree(d, bags[-1], policy, stats, rng)))
+            grow_tree(d, bags[-1], policy, rng)))
     return (flats, [bag.tolist() for bag in bags],
             [np.setdiff1d(np.arange(d.m), bag).tolist() for bag in bags])
 
@@ -241,17 +241,16 @@ RECORD_CASES = [*ENSEMBLES, "hand", *(f"m2-{m}" for m in ENSEMBLES)]
 def record_ensemble(name):
     """An ensemble whose forest-wide route is checked: et, rf or bagging on
     a table with a nominal column; "hand", a hand-built ensemble of a
-    root-only tree, a stump and a stump with an empty out-of-bag set; or
-    "m2-" and a method, on an m=2 table."""
+    root-only tree and two stumps on the nominal column k (k == 1, then
+    k == 3 with an empty out-of-bag set); or "m2-" and a method, on an m=2
+    table."""
     d = nominal_table()
     if name in ENSEMBLES:
         return build(d, EnsembleConfig(method=name, n_trees=5, seed=21))
     if name == "hand":
         stump = oracles.flat_stump(2, 1.0, 1.0, 12, 12)
         by_code = oracles.flat_stump(2, 3.0, 2.0, 12, 12)
-        by_code.is_nominal[0] = True  # tests k == code 3
         return Ensemble(EnsembleConfig(method="rf", n_trees=3, seed=4), d,
-                        compute_stats(d),
                         FlatTree.concat([oracles.flat_leaf(24), stump, by_code]),
                         [np.arange(24)] * 3,
                         [np.arange(0, 24, 2), np.arange(1, 24, 3),
@@ -280,15 +279,16 @@ class TestForestRecord:
                  np.concatenate(e.oobs)),
                 (np.repeat(np.arange(e.n_trees), d.m),
                  np.tile(np.arange(d.m), e.n_trees))):
-            leaf = f.route(d.X[rows], f.node_start[tree_of])
+            leaf = f.route(d.X[rows], ~d.numeric_mask, f.node_start[tree_of])
             np.testing.assert_array_equal(
-                leaf, f.route(d.X, f.node_start[tree_of], rows))
+                leaf, f.route(d.X, ~d.numeric_mask, f.node_start[tree_of],
+                              rows))
             assert (f.node_start[tree_of] <= leaf).all()
             assert (leaf < f.node_start[tree_of + 1]).all()
             assert (f.attr[leaf] < 0).all()
             for t, row, at in zip(tree_of, rows, leaf):
-                assert at == f.node_start[t] + oracles.ref_leaf(views[t],
-                                                                d.X[row])
+                assert at == f.node_start[t] + oracles.ref_leaf(
+                    d, views[t], d.X[row])
 
     @pytest.mark.parametrize("name", RECORD_CASES)
     def test_swapped_values_route_as_the_changed_row(self, name):
@@ -299,11 +299,12 @@ class TestForestRecord:
         rows = np.tile(np.arange(d.m), e.n_trees)
         attrs = rng.integers(0, d.n, size=rows.size)
         values = d.X[rng.integers(0, d.m, size=rows.size), attrs]
-        leaf = f.route(d.X, f.node_start[tree_of], rows, (attrs, values))
+        leaf = f.route(d.X, ~d.numeric_mask, f.node_start[tree_of], rows,
+                       (attrs, values))
         for t, row, a, v, at in zip(tree_of, rows, attrs, values, leaf):
             x = d.X[row].copy()
             x[a] = v
-            assert at == f.node_start[t] + oracles.ref_leaf(views[t], x)
+            assert at == f.node_start[t] + oracles.ref_leaf(d, views[t], x)
 
 
     @pytest.mark.parametrize("name", RECORD_CASES)
@@ -382,7 +383,7 @@ class TestRelativeLinks:
             for node in np.flatnonzero(flat.attr < 0):
                 leaf[node_rows[node]] = node
             np.testing.assert_array_equal(
-                f.route(d.X, np.full(d.m, f.node_start[t])),
+                f.route(d.X, ~d.numeric_mask, np.full(d.m, f.node_start[t])),
                 f.node_start[t] + leaf)
 
 
@@ -414,7 +415,7 @@ class TestTreePrefixes:
         for T in (1, 7, 25):
             cfg = EnsembleConfig(method=method, n_trees=T, seed=17)
             fresh = build(d, cfg, workers)
-            cut = Ensemble(cfg, big.dataset, big.stats, big.forest.trees(0, T),
+            cut = Ensemble(cfg, big.dataset, big.forest.trees(0, T),
                            big.in_bags[:T], big.oobs[:T], workers)
             assert oracles.flat_fingerprint(cut.forest) == \
                 oracles.flat_fingerprint(fresh.forest)
@@ -427,7 +428,7 @@ class TestTreePrefixes:
 def hand_ensemble(d, tree, in_bag, oob, cfg=None):
     """Ensemble wrapper around an explicitly constructed one-tree record."""
     return Ensemble(cfg or EnsembleConfig(method="rf", n_trees=1, seed=3),
-                    d, compute_stats(d), tree,
+                    d, tree,
                     [np.asarray(in_bag, dtype=np.intp)],
                     [np.asarray(oob, dtype=np.intp)])
 

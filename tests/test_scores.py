@@ -11,7 +11,7 @@ import oracles
 from oracles import flat_leaf, flat_stump, oob_error, oob_importance
 from ufrank import (ALL_THRESHOLDS, ComputationError, Dataset, EnsembleConfig,
                     FlatTree, Nominal, Numeric, Ranking, SplitSearchPolicy,
-                    build, compute_stats, genie3, grow_tree,
+                    build, genie3, grow_tree,
                     random_forest_score, ranking_rows, ranking_to_csv, scores,
                     symbolic)
 from ufrank.forest import Ensemble
@@ -52,7 +52,7 @@ class TestRanking:
 def hand_ensemble(d, trees, in_bags, oobs, seed=3):
     """An ensemble whose forest record joins the given one-tree records."""
     return Ensemble(EnsembleConfig(method="rf", n_trees=len(trees), seed=seed),
-                    d, compute_stats(d), FlatTree.concat(trees),
+                    d, FlatTree.concat(trees),
                     [np.asarray(b, dtype=np.intp) for b in in_bags],
                     [np.asarray(o, dtype=np.intp) for o in oobs])
 
@@ -261,7 +261,9 @@ class TestPatchedRandomForestScore:
 
     def test_shuffling_the_tested_attribute_reroutes_rows(self):
         d, stump, e = self.stump_fixture()
-        moved = stump.route(self.shuffled(e, 0)) != stump.route(d.X)
+        nominal = ~d.numeric_mask
+        moved = (stump.route(self.shuffled(e, 0), nominal)
+                 != stump.route(d.X, nominal))
         assert moved.any() and not moved.all()
         want = oob_importance(e, 0, e.oobs[0], 0)
         assert random_forest_score(e).importance[0] == want
@@ -269,12 +271,14 @@ class TestPatchedRandomForestScore:
     def test_shuffling_an_untested_attribute_changes_only_its_term(self):
         d, stump, e = self.stump_fixture()
         X = self.shuffled(e, 1)
-        np.testing.assert_array_equal(stump.route(X), stump.route(d.X))
+        np.testing.assert_array_equal(stump.route(X, ~d.numeric_mask),
+                                      stump.route(d.X, ~d.numeric_mask))
         b = oob_error(e, 0, e.oobs[0])
         shuffled = oob_error(e, 0, e.oobs[0], permuted_attr=1)
         protos = oracles.ref_leaf_prototypes(d, stump, e.in_bags[0])
-        proto = np.array([oracles.ref_predict(stump, protos, x)[1] for x in d.X])
-        term = lambda col: (col - proto) ** 2 / e.stats.denominator[1]
+        proto = np.array([oracles.ref_predict(d, stump, protos, x)[1]
+                          for x in d.X])
+        term = lambda col: (col - proto) ** 2 / d.stats.denominator[1]
         np.testing.assert_allclose(
             shuffled - b, (term(X[:, 1]) - term(d.X[:, 1])).mean() / d.n,
             rtol=1e-12)
@@ -303,14 +307,14 @@ class TestPatchedRandomForestScore:
         kept = changed = 0
         for t, flat in enumerate(e.flats):
             X = e.dataset.X[e.oobs[t]]
-            before = flat.route(X)
+            before = flat.route(X, ~e.dataset.numeric_mask)
             tested = oracles.ref_path_attrs(flat, e.dataset.n)[
                 leaf_numbers(flat)[before]]
             perms = oracles.permutation_rows(e, t, len(X))
             for i in range(e.dataset.n):
                 shuffled = X.copy()
                 shuffled[:, i] = X[perms[i], i]
-                after = flat.route(shuffled)
+                after = flat.route(shuffled, ~e.dataset.numeric_mask)
                 # a row whose path does not test i never moves
                 assert (after[~tested[:, i]] == before[~tested[:, i]]).all()
                 kept += int((after[tested[:, i]] == before[tested[:, i]]).sum())
@@ -497,7 +501,7 @@ def grown_stump_table(values):
     d = Dataset("numeric", ("x0",), (Numeric(),),
                 np.array(values, dtype=np.float64)[:, None])
     tree = grow_tree(d, np.arange(d.m), SplitSearchPolicy(1, ALL_THRESHOLDS),
-                     compute_stats(d), np.random.default_rng(0))
+                     np.random.default_rng(0))
     return d, tree
 
 
@@ -563,10 +567,11 @@ class TestLeafPrototypes:
         got, = rebuilt_prototypes(e, monkeypatch)
         protos = oracles.ref_leaf_prototypes(d, tree, np.arange(4))
         X = np.array([[1.0], [9.0]])
-        predicted = got[leaf_numbers(tree)[tree.route(X)]]
+        predicted = got[leaf_numbers(tree)[tree.route(X, ~d.numeric_mask)]]
         np.testing.assert_array_equal(predicted, [[0.0], [10.0]])
         for x, row in zip(X, predicted):
-            assert row.tobytes() == oracles.ref_predict(tree, protos, x).tobytes()
+            assert row.tobytes() == oracles.ref_predict(d, tree, protos,
+                                                      x).tobytes()
 
     def test_nominal_prototype_mode_ties_to_smallest_code(self, monkeypatch):
         d = Dataset("nom", ("c",), (Nominal(("a", "b", "c")),),

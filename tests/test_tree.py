@@ -7,7 +7,7 @@ import oracles
 from ufrank import (ALL_THRESHOLDS, ONE_RANDOM_THRESHOLD, Dataset,
                     EnsembleConfig, FlatTree, Nominal, Numeric,
                     SplitSearchPolicy, SynthSpec, best_test, build,
-                    compute_stats, grow_tree, make_planted, tree)
+                    grow_tree, make_planted, tree)
 from ufrank.tree import (SplitWorkspace, _first_k_stable, draw_frontier,
                          search_frontier)
 
@@ -106,11 +106,10 @@ class TestBestTestHandCases:
         # [0,0,10,10]: the only candidate threshold is 5; both children are
         # pure, so h = 4*impu(all) - 0 - 0 = 4
         d = numeric_dataset([0.0, 0.0, 10.0, 10.0])
-        stats = compute_stats(d)
         rows = np.arange(4)
         res = best_test(d, rows, SplitSearchPolicy(1, ALL_THRESHOLDS),
-                        stats, np.random.default_rng(0))
-        assert res.attr.tolist() == [0] and res.nominal.tolist() == [False]
+                        np.random.default_rng(0))
+        assert res.attr.tolist() == [0] and d.numeric_mask[res.attr].all()
         assert res.value[0] == 5.0
         assert res.h[0] == pytest.approx(4.0, rel=1e-12)
         np.testing.assert_array_equal(np.sort(rows[res.yes]), [0, 1])
@@ -118,16 +117,14 @@ class TestBestTestHandCases:
 
     def test_constant_rows_give_no_split(self):
         d = numeric_dataset([3.0, 3.0, 3.0])
-        stats = compute_stats(d)
         res = best_test(d, np.arange(3), SplitSearchPolicy(1, ALL_THRESHOLDS),
-                        stats, np.random.default_rng(0))
+                        np.random.default_rng(0))
         assert_no_split(res, 3)
 
     def test_single_row_gives_no_split(self):
         d = numeric_dataset([1.0, 2.0])
-        stats = compute_stats(d)
         res = best_test(d, np.array([0]), SplitSearchPolicy(1, ALL_THRESHOLDS),
-                        stats, np.random.default_rng(0))
+                        np.random.default_rng(0))
         assert_no_split(res, 1)
 
     @pytest.mark.parametrize("search", [best_test, grow_tree])
@@ -137,16 +134,15 @@ class TestBestTestHandCases:
         d = numeric_dataset([1.0, 2.0])
         with pytest.raises(ValueError, match="out of range"):
             search(d, rows, SplitSearchPolicy(1, ALL_THRESHOLDS),
-                   compute_stats(d), np.random.default_rng(0))
+                   np.random.default_rng(0))
 
     def test_separating_attribute_beats_noise(self):
         rng = np.random.default_rng(5)
         block = np.concatenate([np.zeros(5), np.ones(5) * 10.0])
         noise = rng.uniform(size=10)
         d = numeric_dataset(np.column_stack([block, noise]))
-        stats = compute_stats(d)
         res = best_test(d, np.arange(10), SplitSearchPolicy(2, ALL_THRESHOLDS),
-                        stats, np.random.default_rng(1))
+                        np.random.default_rng(1))
         assert res.attr.tolist() == [0]
 
     def test_midpoint_that_rounds_up_falls_back_to_lower_value(self):
@@ -157,10 +153,9 @@ class TestBestTestHandCases:
         b = np.nextafter(a, np.inf)
         assert a + (b - a) / 2 == b  # the rounding this test is about
         d = numeric_dataset([a, b])
-        stats = compute_stats(d)
         res = best_test(d, np.arange(2), SplitSearchPolicy(1, ALL_THRESHOLDS),
-                        stats, np.random.default_rng(0))
-        assert res.nominal.tolist() == [False] and res.value[0] == a
+                        np.random.default_rng(0))
+        assert d.numeric_mask[res.attr].all() and res.value[0] == a
         np.testing.assert_array_equal(res.yes, [True, False])
 
 
@@ -168,10 +163,9 @@ class TestBestTestOracle:
     """best_test against an exhaustive first-principles maximizer."""
 
     def check_all_thresholds(self, d, rows, seed):
-        stats = compute_stats(d)
         dens = oracles.ref_denominators(d, np.arange(d.m))
         policy = SplitSearchPolicy(d.n, ALL_THRESHOLDS)
-        got = best_test(d, rows, policy, stats, np.random.default_rng(seed))
+        got = best_test(d, rows, policy, np.random.default_rng(seed))
         order = np.random.default_rng(seed).choice(d.n, size=d.n, replace=False)
         cands = oracles.ref_candidates_all(d, rows, dens, order)
         self.compare(d, rows, got, cands)
@@ -187,7 +181,7 @@ class TestBestTestOracle:
             return
         assert got.attr[0] >= 0, f"missed a split with h={hmax}"
         assert got.h[0] == pytest.approx(hmax, rel=1e-9)
-        kind = "category" if got.nominal[0] else "threshold"
+        kind = "threshold" if d.numeric_mask[got.attr[0]] else "category"
         got_desc = (int(got.attr[0]), (kind, float(got.value[0])))
         for attr, descriptor, h, mask in ties:
             if (attr, descriptor) == got_desc:
@@ -227,12 +221,11 @@ class TestBestTestOracle:
             n = int(rng.integers(2, 5))
             n_cand = int(rng.integers(1, n + 1))
             d = oracles.random_mixed_dataset(rng, m, n)
-            stats = compute_stats(d)
             dens = oracles.ref_denominators(d, np.arange(d.m))
             seed = 3000 + case
             got = best_test(d, np.arange(m),
                             SplitSearchPolicy(n_cand, ONE_RANDOM_THRESHOLD),
-                            stats, np.random.default_rng(seed))
+                            np.random.default_rng(seed))
             cands = oracles.ref_candidates_one_random(
                 d, np.arange(m), dens, n_cand, np.random.default_rng(seed))
             self.compare(d, np.arange(m), got, cands)
@@ -264,7 +257,7 @@ class TestFrontierIndependence:
     def test_each_node_matches_its_lone_search(self):
         splits = 0
         for case, d, nodes in self.frontiers():
-            ws = SplitWorkspace(d, compute_stats(d))
+            ws = SplitWorkspace(d)
             for mode in (ALL_THRESHOLDS, ONE_RANDOM_THRESHOLD):
                 policy = SplitSearchPolicy(1 + case % d.n, mode)
                 keys, u = draw_frontier(np.random.default_rng(case), len(nodes),
@@ -277,7 +270,6 @@ class TestFrontierIndependence:
                         d, ws, policy, rows, np.array([0, rows.size]),
                         keys[f:f + 1], None if u is None else u[f:f + 1])
                     assert joint.attr[f] == alone.attr[0]
-                    assert joint.nominal[f] == alone.nominal[0]
                     assert joint.value[f].tobytes() == alone.value[0].tobytes()
                     assert joint.h[f].tobytes() == alone.h[0].tobytes()
                     np.testing.assert_array_equal(
@@ -293,8 +285,7 @@ class TestFrontierIndependence:
         workspace."""
         grown = reused = 0
         for case, d, nodes in self.frontiers():
-            stats = compute_stats(d)
-            ws = SplitWorkspace(d, stats)
+            ws = SplitWorkspace(d)
             real, cells = ws.gains, []
 
             def spy(*args):
@@ -320,7 +311,7 @@ class TestFrontierIndependence:
                                and after["yes"] is before.get("yes")
                                and after["no"] is before.get("no")
                                and max(cells) < after["yes"].size)
-                    want = search_frontier(d, SplitWorkspace(d, stats), *args)
+                    want = search_frontier(d, SplitWorkspace(d), *args)
                     for f in fields(got):
                         assert (getattr(got, f.name).tobytes()
                                 == getattr(want, f.name).tobytes())
@@ -441,7 +432,7 @@ class TestSumOrder:
         # and its sum as totals less the other side differ in the last bit
         a = np.array(a, dtype=np.float64)
         d = numeric_dataset(np.column_stack([a, 1.0 - a, c]))
-        ws = SplitWorkspace(d, compute_stats(d))
+        ws = SplitWorkspace(d)
         policy = SplitSearchPolicy(2, ONE_RANDOM_THRESHOLD)
         found = [search_frontier(d, ws, policy, np.arange(d.m),
                                  np.array([0, d.m]), np.array([keys]),
@@ -456,9 +447,8 @@ class TestSumOrder:
 class TestGrowTree:
     def test_identical_rows_make_a_single_leaf(self):
         d = numeric_dataset([2.0, 2.0, 2.0])
-        stats = compute_stats(d)
         tree = grow_tree(d, np.arange(3), SplitSearchPolicy(1, ALL_THRESHOLDS),
-                         stats, np.random.default_rng(0))
+                         np.random.default_rng(0))
         assert isinstance(tree, FlatTree)
         np.testing.assert_array_equal(tree.attr, [-1])
         assert tree.n_reached[0] == 3
@@ -466,11 +456,10 @@ class TestGrowTree:
     def test_two_point_pairs_make_a_stump(self):
         # growth is to purity, so only identical pairs stop at depth one
         d = numeric_dataset([0.0, 0.0, 10.0, 10.0])
-        stats = compute_stats(d)
         tree = grow_tree(d, np.arange(4), SplitSearchPolicy(1, ALL_THRESHOLDS),
-                         stats, np.random.default_rng(0))
+                         np.random.default_rng(0))
         np.testing.assert_array_equal(tree.attr, [0, -1, -1])
-        assert tree.value[0] == 5.0 and not tree.is_nominal[0]
+        assert tree.value[0] == 5.0 and d.numeric_mask[tree.attr[0]]
         np.testing.assert_array_equal(tree.child[0], [1, 2])
         np.testing.assert_array_equal(tree.n_reached, [4, 2, 2])
 
@@ -490,8 +479,7 @@ class TestGrowTree:
             self.check_partition_and_h_star(data, bag, policy, seed)
 
     def check_partition_and_h_star(self, d, rows, policy, seed):
-        stats = compute_stats(d)
-        tree = grow_tree(d, rows, policy, stats, np.random.default_rng(seed))
+        tree = grow_tree(d, rows, policy, np.random.default_rng(seed))
         node_rows = oracles.ref_node_rows(d, tree, rows)
         leaf = tree.attr < 0
         assert (~leaf).sum() >= 3
@@ -504,7 +492,7 @@ class TestGrowTree:
             assert tree.n_reached[i] == rows_i.size
             if not leaf[i]:
                 col = d.X[rows_i, tree.attr[i]]
-                if tree.is_nominal[i]:
+                if not d.numeric_mask[tree.attr[i]]:
                     mask = col == tree.value[i]
                 else:
                     mask = col <= tree.value[i]
@@ -520,13 +508,12 @@ class TestGrowTree:
         for case in range(30):
             m = int(rng.integers(3, 25))
             d = oracles.random_mixed_dataset(rng, m, int(rng.integers(1, 5)))
-            stats = compute_stats(d)
             rows = rng.integers(0, m, size=m)
             mode = (ALL_THRESHOLDS, ONE_RANDOM_THRESHOLD)[case % 2]
             policy = SplitSearchPolicy(int(rng.integers(1, d.n + 1)), mode)
-            tree = grow_tree(d, rows, policy, stats,
+            tree = grow_tree(d, rows, policy,
                              np.random.default_rng(500 + case))
-            res = best_test(d, rows, policy, stats,
+            res = best_test(d, rows, policy,
                             np.random.default_rng(500 + case))
             if res.attr[0] < 0:
                 np.testing.assert_array_equal(tree.attr, [-1])
@@ -534,7 +521,6 @@ class TestGrowTree:
             roots += 1
             assert tree.attr[0] == res.attr[0]
             assert tree.value[0] == res.value[0]
-            assert tree.is_nominal[0] == res.nominal[0]
             assert tree.h_star[0].tobytes() == res.h[0].tobytes()
             node_rows = oracles.ref_node_rows(d, tree, rows)
             yes, no = tree.child[0]
@@ -545,17 +531,16 @@ class TestGrowTree:
     def test_same_seed_same_tree(self):
         rng = np.random.default_rng(2)
         d = oracles.random_mixed_dataset(rng, 25, 3)
-        stats = compute_stats(d)
         policy = SplitSearchPolicy(2, ONE_RANDOM_THRESHOLD)
-        t1 = grow_tree(d, np.arange(25), policy, stats, np.random.default_rng(8))
-        t2 = grow_tree(d, np.arange(25), policy, stats, np.random.default_rng(8))
+        t1 = grow_tree(d, np.arange(25), policy, np.random.default_rng(8))
+        t2 = grow_tree(d, np.arange(25), policy, np.random.default_rng(8))
         assert oracles.flat_fingerprint(t1) == oracles.flat_fingerprint(t2)
 
     def test_empty_rows_rejected(self):
         d = numeric_dataset([1.0, 2.0])
         with pytest.raises(ValueError):
             grow_tree(d, np.array([], dtype=np.intp),
-                      SplitSearchPolicy(1, ALL_THRESHOLDS), compute_stats(d),
+                      SplitSearchPolicy(1, ALL_THRESHOLDS),
                       np.random.default_rng(0))
 
 
@@ -563,7 +548,21 @@ class TestPredictAndRouting:
     def test_boundary_value_takes_yes_branch(self):
         stump = oracles.flat_stump(0, 5.0, 1.0, 2, 2)
         X = np.array([[5.0], [5.0 + 1e-9]])
-        np.testing.assert_array_equal(stump.route(X), [1, 2])
+        np.testing.assert_array_equal(stump.route(X, np.array([False])),
+                                      [1, 2])
+
+    @pytest.mark.parametrize("kind", [Numeric(), Nominal(("a", "b", "c"))])
+    def test_test_kind_comes_from_the_dataset(self, kind):
+        # one record, value 1.0 on column k: x <= 1 on a numeric k, x == 1
+        # on a nominal one
+        X = np.column_stack([np.zeros(3), [0.0, 1.0, 2.0]])
+        d = Dataset("k", ("a", "k"), (Numeric(), kind), X)
+        stump = oracles.flat_stump(1, 1.0, 1.0, 2, 1)
+        yes = X[:, 1] <= 1.0 if isinstance(kind, Numeric) else X[:, 1] == 1.0
+        leaf = stump.route(d.X, ~d.numeric_mask)
+        np.testing.assert_array_equal(leaf, np.where(yes, 1, 2))
+        np.testing.assert_array_equal(
+            leaf, [oracles.ref_leaf(d, stump, x) for x in d.X])
 
 
 class TestSerialization:
@@ -572,9 +571,8 @@ class TestSerialization:
     def grown(self):
         rng = np.random.default_rng(21)
         d = oracles.random_mixed_dataset(rng, 30, 3)
-        stats = compute_stats(d)
         tree = grow_tree(d, np.arange(30), SplitSearchPolicy(3, ALL_THRESHOLDS),
-                         stats, np.random.default_rng(5))
+                         np.random.default_rng(5))
         return d, tree
 
     def test_flat_tree_round_trip_and_batch_routing(self, tmp_path):
@@ -586,7 +584,8 @@ class TestSerialization:
             back = FlatTree(**{f.name: z[f.name] for f in fields(FlatTree)})
         assert oracles.flat_fingerprint(back) == oracles.flat_fingerprint(tree)
         np.testing.assert_array_equal(
-            back.route(d.X), [oracles.ref_leaf(tree, x) for x in d.X])
+            back.route(d.X, ~d.numeric_mask),
+            [oracles.ref_leaf(d, tree, x) for x in d.X])
 
     def test_preorder_traversal_counts(self):
         d, tree = self.grown()

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import oracles
-from ufrank import (Dataset, Nominal, Numeric, UReliefConfig, compute_stats,
-                    urelief, urelief_state)
+from ufrank import (Dataset, Nominal, Numeric, UReliefConfig, urelief,
+                    urelief_state)
 from ufrank.urelief import _Kernel, _contributions
 
 # the package namespace binds the name ``urelief`` to the function
@@ -26,7 +26,7 @@ class TestDistances:
     URelief computes from one reference row to every row."""
 
     def distances_to(self, d, r):
-        return _Kernel.make(d, compute_stats(d)).exact(r, np.arange(d.m))
+        return _Kernel.make(d).exact(r, np.arange(d.m))
 
     def test_numeric_scaled_by_training_range(self):
         d = numeric_dataset([0.0, 5.0, 10.0])
@@ -124,7 +124,7 @@ class TestBlockKernel:
             # every row once, then draws with replacement
             refs = np.concatenate([np.arange(d.m),
                                    rng.integers(0, d.m, size=d.m)])
-            got = _contributions(d, compute_stats(d), k, refs)
+            got = _contributions(d, k, refs)
             assert len(got) == refs.size
             for r, part in zip(refs, got):
                 want = oracles.ref_urelief_contribution(d, int(r), k)
@@ -138,7 +138,7 @@ class TestBlockKernel:
         # room; this checks the two against each other directly
         eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
         for d, _ in kernel_tables():
-            kernel = _Kernel.make(d, compute_stats(d))
+            kernel = _Kernel.make(d)
             refs = np.arange(d.m)
             screen = kernel.screen(refs, np.empty((d.m, d.m)))
             exact = d.n * np.vstack([kernel.exact(r, refs)[1] for r in refs])
