@@ -15,9 +15,14 @@ paths (artifacts embed the --data path they were given):
     curve     genie3
     compare   the four eval artifacts (compare needs at least 2 x 2)
     ari-check
+    settings  the seed-0 table at settings other than the defaults, so
+              that the config blocks record them: rank and eval by
+              urelief with K = 5 and I = 50, rank by symbolic on 10
+              bagged trees with every attribute a candidate, and eval by
+              rf-score on 20 random-forest trees with a sqrt sample
 
-Every method runs at its default settings. The package is imported from
-this checkout's ``src/``.
+Every other step runs each method at its default settings. The package
+is imported from this checkout's ``src/``.
 
     python3 scripts/artifact_hashes.py --workers 1
     python3 scripts/artifact_hashes.py --workers 2
@@ -86,6 +91,13 @@ def sequence(workers: int) -> list:
                     for data in (DATA, SECOND) for method in EVAL_METHODS),
                   "--out", "compare"])
     steps.append(["ari-check", *target, *w, "--out", "ari"])
+    settings = [*target, *w, "--out", "settings"]
+    urelief = ["--method", "urelief", "--neighbors", "5", "--iterations", "50"]
+    steps += [["rank", *settings, *urelief], ["eval", *settings, *urelief],
+              ["rank", *settings, "--method", "symbolic", "--ensemble",
+               "bagging", "--trees", "10", "--subset-rule", "all"],
+              ["eval", *settings, "--method", "rf-score", "--ensemble", "rf",
+               "--trees", "20", "--subset-rule", "sqrt"]]
     return steps
 
 

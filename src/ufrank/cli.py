@@ -5,9 +5,12 @@ JSON (with CSV mirrors where a table shape is natural) and embeds the
 configuration that produced it, minus execution-only knobs (worker count,
 output directory), so a report can be reproduced from its own config block
 and re-running with a different --workers value yields byte-identical
-files. A rank artifact records URelief's K and I as resolved on the table
-it ranked. Eval and curve rank each training fold on its own, so they
-record K and I as given, null meaning resolved on each fold's rows.
+files. A method's settings in a config block are its ranker's (see
+rankers). A rank artifact records URelief's K and I as resolved on the
+table it ranked. Eval and curve rank each training fold on its own, so
+they record K and I as given, null meaning resolved on each fold's rows;
+they need a numeric target. Compare tests at the fixed level
+evaluate.ALPHA, which its config block records.
 
 Options resolve as: explicit flags, then values from a --config JSON file,
 then built-in defaults.
@@ -137,9 +140,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = commands["compare"] = sub.add_parser(
         "compare", help="rank-based comparison of eval artifacts")
     p.add_argument("inputs", nargs="+", help="eval JSON artifacts")
-    p.add_argument("--alpha", type=float, choices=(0.05,), default=0.05,
-                   help="significance level (critical distances are "
-                        "tabulated for 0.05 only)")
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None,
                    help="JSON file of flag defaults (explicit flags win)")
@@ -235,20 +235,10 @@ def _load(args) -> Dataset:
     return load_csv(args.data, target_column=args.target_column)
 
 
-def _method_config(args) -> dict:
-    """The ranker's settings as given; URelief's K and I may be None, which
-    means resolved on the rows ranked."""
-    cfg = {"method": args.method, "seed": args.seed}
-    if args.method == "urelief":
-        cfg["neighbors"], cfg["iterations"] = args.neighbors, args.iterations
-    else:
-        cfg["ensemble"] = args.ensemble
-        cfg["trees"] = args.trees
-        cfg["subset_rule"] = args.subset_rule
-    return cfg
-
-
 def _ranker(args):
+    """The ranker the flags select. Its ``settings`` are the flags as given:
+    URelief's K and I may be None, which means resolved on the rows
+    ranked."""
     return make_ranker(args.method, trees=args.trees, ensemble=args.ensemble,
                        subset_rule=args.subset_rule, neighbors=args.neighbors,
                        iterations=args.iterations, seed=args.seed,
@@ -269,13 +259,14 @@ def _emit(args, stem: str, payload: dict) -> Path | None:
 
 def _cmd_rank(args) -> int:
     d = _load(args)
-    ranking = _ranker(args)(d.without_target())
+    ranker = _ranker(args)
+    ranking = ranker(d.without_target())
     payload = {
         "artifact": "ranking",
         "config": {"command": "rank", "data": args.data,
                    "target_column": args.target_column,
                    **{key: ranking.provenance[key]
-                      for key in _method_config(args)}},
+                      for key in ranker.settings}},
         "dataset": {"name": d.name, "m": d.m, "n": d.n},
         "ranking": ranking_rows(ranking),
     }
@@ -289,12 +280,13 @@ def _cmd_rank(args) -> int:
 def _cmd_eval(args) -> int:
     d = _load(args)
     plan = FoldPlan.make(d.m, args.folds, args.seed)
-    mse = cv_mse(d, _ranker(args), args.top_k, plan)
+    ranker = _ranker(args)
+    mse = cv_mse(d, ranker, args.top_k, plan)
     payload = {
         "artifact": "eval",
         "config": {"command": "eval", "data": args.data,
                    "target_column": args.target_column, "folds": args.folds,
-                   "top_k": args.top_k, **_method_config(args)},
+                   "top_k": args.top_k, **ranker.settings},
         "dataset": {"name": d.name, "m": d.m, "n": d.n},
         "method": args.method,
         "mse": mse,
@@ -306,12 +298,13 @@ def _cmd_eval(args) -> int:
 def _cmd_curve(args) -> int:
     d = _load(args)
     plan = FoldPlan.make(d.m, args.folds, args.seed)
-    report = error_curve(d, _ranker(args), plan)
+    ranker = _ranker(args)
+    report = error_curve(d, ranker, plan)
     payload = {
         "artifact": "curve",
         "config": {"command": "curve", "data": args.data,
                    "target_column": args.target_column, "folds": args.folds,
-                   **_method_config(args)},
+                   **ranker.settings},
         **dataclasses.asdict(report),
     }
     stem = f"{d.name}_{args.method}_curve_{args.seed}"
@@ -353,9 +346,9 @@ def _cmd_compare(args) -> int:
             raise IngestionError(f"dataset {dataset!r} lacks results for "
                                  f"{', '.join(missing)}")
     matrix = [[cells[ds][meth] for meth in methods] for ds in datasets]
-    report = compare_methods(matrix, methods, datasets, args.alpha)
+    report = compare_methods(matrix, methods, datasets)
     payload = {"artifact": "compare",
-               "config": {"command": "compare", "alpha": args.alpha},
+               "config": {"command": "compare", "alpha": report.alpha},
                **dataclasses.asdict(report)}
     path = _emit(args, "compare", payload)
     if path is not None:

@@ -59,6 +59,8 @@ class Dataset:
     one concurrently. ``numeric_mask``, set at construction and read-only
     too, marks the numeric columns, and so the kind of every test on a
     column: ``x <= t`` on a numeric one, ``x == code`` on a nominal one.
+    ``target_kind`` is the target's kind; a nominal target holds codes,
+    as a nominal column does.
     """
 
     name: str
@@ -67,6 +69,7 @@ class Dataset:
     X: np.ndarray
     target: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
+    target_kind: AttributeKind = Numeric()
 
     def __post_init__(self) -> None:
         self.attr_names = tuple(self.attr_names)
@@ -83,13 +86,8 @@ class Dataset:
             raise ValueError("attribute names must be unique")
         if not np.isfinite(X).all():
             raise ValueError("feature matrix contains non-finite values")
-        for j, kind in enumerate(self.kinds):
-            if isinstance(kind, Nominal):
-                codes = X[:, j]
-                if ((codes != np.floor(codes)) | (codes < 0)
-                        | (codes >= len(kind.domain))).any():
-                    raise ValueError(f"column {self.attr_names[j]!r} holds codes "
-                                     f"outside its nominal domain")
+        for name, kind, codes in zip(self.attr_names, self.kinds, X.T):
+            _check_codes(f"column {name!r}", kind, codes)
         X.setflags(write=False)
         self.X = X
         if self.target is not None:
@@ -98,6 +96,7 @@ class Dataset:
                 raise ValueError("target length does not match the example count")
             if not np.isfinite(t).all():
                 raise ValueError("target contains non-finite values")
+            _check_codes("the target", self.target_kind, t)
             t.setflags(write=False)
             self.target = t
         mask = np.array([isinstance(k, Numeric) for k in self.kinds])
@@ -131,7 +130,16 @@ class Dataset:
         rows = _check_rows(rows, self.m)
         target = None if self.target is None else self.target[rows]
         return Dataset(self.name, self.attr_names, self.kinds, self.X[rows],
-                       target, self.meta)
+                       target, self.meta, self.target_kind)
+
+
+def _check_codes(what: str, kind: AttributeKind, values: np.ndarray) -> None:
+    """Raise ValueError unless a nominal kind's ``values`` are codes of its
+    domain."""
+    if isinstance(kind, Nominal) and (
+            (values != np.floor(values)) | (values < 0)
+            | (values >= len(kind.domain))).any():
+        raise ValueError(f"{what} holds codes outside its nominal domain")
 
 
 @dataclass(frozen=True)
@@ -196,11 +204,12 @@ def load_csv(path, schema=None, target_column: str | None = None) -> Dataset:
 
     A schema is a sequence of entries, one per column: "numeric" or
     Numeric(), "nominal", or a Nominal with a declared domain. The target
-    column's entry is ignored: the target's kind is always inferred. A
-    column with no entry is numeric iff every value parses as a finite
-    real, else nominal. A numeric entry requires that; a nominal column
-    takes its declared domain, else its values in first-seen order, and a
-    value outside a declared domain is an error.
+    column's entry is ignored: the target's kind is always inferred, and
+    kept as the dataset's ``target_kind``. A column with no entry is
+    numeric iff every value parses as a finite real, else nominal. A
+    numeric entry requires that; a nominal column takes its declared
+    domain, else its values in first-seen order, and a value outside a
+    declared domain is an error.
     """
     path = Path(path)
     try:
@@ -272,15 +281,13 @@ def load_csv(path, schema=None, target_column: str | None = None) -> Dataset:
         matrix[:, j] = codes
         kinds.append(Nominal(domain))
 
-    target = None
-    if target_idx is not None:
-        target = matrix[:, target_idx].copy()
-        keep = [j for j in range(width) if j != target_idx]
-        matrix = matrix[:, keep]
-        header = [header[j] for j in keep]
-        kinds = [kinds[j] for j in keep]
-
-    return Dataset(path.stem, tuple(header), tuple(kinds), matrix, target)
+    if target_idx is None:
+        return Dataset(path.stem, tuple(header), tuple(kinds), matrix)
+    keep = [j for j in range(width) if j != target_idx]
+    return Dataset(path.stem, tuple(header[j] for j in keep),
+                   tuple(kinds[j] for j in keep), matrix[:, keep],
+                   matrix[:, target_idx].copy(),
+                   target_kind=kinds[target_idx])
 
 
 def _schema_kind(entry):
@@ -324,16 +331,16 @@ def write_csv(d: Dataset, path) -> None:
     if d.target is not None:
         header.append("target")
 
+    def cell(kind, v) -> str:
+        return (kind.domain[int(v)] if isinstance(kind, Nominal)
+                else repr(float(v)))
+
     def rows():
         yield header
         for i in range(d.m):
-            row = []
-            for j, kind in enumerate(d.kinds):
-                v = d.X[i, j]
-                row.append(kind.domain[int(v)] if isinstance(kind, Nominal)
-                           else repr(float(v)))
+            row = list(map(cell, d.kinds, d.X[i]))
             if d.target is not None:
-                row.append(repr(float(d.target[i])))
+                row.append(cell(d.target_kind, d.target[i]))
             yield row
 
     write_rows(path, rows())

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .data import (ComputationError, Dataset, IngestionError, _check_rows,
-                   _complement, write_rows)
+from .data import (ComputationError, Dataset, IngestionError, Nominal,
+                   _check_rows, _complement, write_rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,12 +229,23 @@ def _fold_errors(d: Dataset, rankings: list, plan: FoldPlan,
     return out
 
 
+def _check_target(d: Dataset, caller: str) -> None:
+    """Raise IngestionError unless ``d`` has a numeric target. A nominal
+    (text) target is refused: an MSE over its codes would depend on how
+    its labels are numbered."""
+    if d.target is None:
+        raise IngestionError(f"{caller} needs a dataset with a target")
+    if isinstance(d.target_kind, Nominal):
+        raise IngestionError(f"{caller} needs a numeric target, not a text "
+                             f"one: the MSE of category codes depends on "
+                             f"how the labels are numbered")
+
+
 def cv_mse(d: Dataset, ranker, k_features: int, plan: FoldPlan) -> float:
     """Mean over folds of the test-fold MSE of a 1NN regressor on the fold's
     top ``k_features`` attributes. The ranker sees only training-fold
     features; the target and the test fold stay hidden from it."""
-    if d.target is None:
-        raise IngestionError("cv_mse needs a dataset with a target")
+    _check_target(d, "cv_mse")
     if not 1 <= k_features <= d.n:
         raise IngestionError(f"k_features must be in [1, {d.n}], got {k_features}")
     rankings = _fold_rankings(d, ranker, plan)
@@ -267,8 +278,7 @@ class CurveReport:
 def error_curve(d: Dataset, ranker, plan: FoldPlan) -> CurveReport:
     """cv_mse swept over the geometric k grid; each fold is ranked once and
     the ranking reused for every k."""
-    if d.target is None:
-        raise IngestionError("error_curve needs a dataset with a target")
+    _check_target(d, "error_curve")
     ks = k_grid(d.n)
     rankings = _fold_rankings(d, ranker, plan)
     fold_mse = _fold_errors(d, rankings, plan, ks)
@@ -401,17 +411,20 @@ def clustering_hypothesis_ari(d: Dataset, class_count: int | None = None,
     return float(np.median(aris))
 
 
-# Two-sided studentized-range quantiles q_0.05(k) / sqrt(2) for the Nemenyi
-# critical distance, methods k = 2..10.
+# The significance level of every comparison, the one _NEMENYI_Q_05 is
+# tabulated for (Demsar, JMLR 2006, table 5a).
+ALPHA = 0.05
+
+# Two-sided studentized-range quantiles q_ALPHA(k) / sqrt(2) for the
+# Nemenyi critical distance, methods k = 2..10.
 _NEMENYI_Q_05 = {2: 1.959964, 3: 2.343701, 4: 2.569032, 5: 2.727774,
                  6: 2.849705, 7: 2.948320, 8: 3.030879, 9: 3.101730,
                  10: 3.163684}
 
 
-def nemenyi_cd(n_methods: int, n_datasets: int, alpha: float = 0.05) -> float:
-    """Minimum average-rank gap that separates two methods."""
-    if alpha != 0.05:
-        raise ValueError("critical distances are tabulated for alpha=0.05 only")
+def nemenyi_cd(n_methods: int, n_datasets: int) -> float:
+    """Minimum average-rank gap that separates two methods at level
+    ALPHA."""
     if n_methods not in _NEMENYI_Q_05:
         raise IngestionError(f"critical value table covers 2..10 methods, "
                              f"got {n_methods}")
@@ -435,15 +448,15 @@ class ComparisonReport:
     indistinguishable_pairs: tuple[tuple[int, int], ...]
 
 
-def compare_methods(results, method_names=None, dataset_names=None,
-                    alpha: float = 0.05) -> ComparisonReport:
+def compare_methods(results, method_names=None,
+                    dataset_names=None) -> ComparisonReport:
     """Rank methods per dataset (rank 1 = lowest error, ties share the
     average rank), then test whether the average ranks could be uniform.
 
     Reports the Friedman chi-square statistic with its p-value, plus the
     F-distributed refinement of that statistic (less conservative for few
     datasets) as supplementary fields, and the Nemenyi critical distance
-    with the method pairs it fails to separate.
+    at level ALPHA with the method pairs it fails to separate.
     """
     R = np.asarray(results, dtype=np.float64)
     if R.ndim != 2 or R.shape[0] < 2 or R.shape[1] < 2:
@@ -476,12 +489,12 @@ def compare_methods(results, method_names=None, dataset_names=None,
         id_p = float(sstats.f.sf(id_f, n_methods - 1,
                                  (n_methods - 1) * (n_data - 1)))
 
-    cd = float(nemenyi_cd(n_methods, n_data, alpha))
+    cd = float(nemenyi_cd(n_methods, n_data))
     pairs = tuple((i, j) for i in range(n_methods) for j in range(i + 1, n_methods)
                   if abs(avg[i] - avg[j]) < cd)
     return ComparisonReport(tuple(method_names), tuple(dataset_names), R, ranks,
                             tuple(float(v) for v in avg), float(chi2), p,
-                            id_f, id_p, cd, alpha, pairs)
+                            id_f, id_p, cd, ALPHA, pairs)
 
 
 def comparison_to_csv(report: ComparisonReport, path) -> None:

@@ -49,6 +49,10 @@ def subset_size(rule: str, n: int) -> int:
 
 @dataclass(frozen=True)
 class EnsembleConfig:
+    """An ensemble's settings. The field defaults are the package's
+    defaults, and ``settings`` is the one map from the fields to their
+    keys in an artifact's config block."""
+
     method: str = EXTRA_TREES
     n_trees: int = 100
     subset_rule: str = "log2"
@@ -71,6 +75,10 @@ class EnsembleConfig:
             return SplitSearchPolicy(n, ALL_THRESHOLDS)
         mode = ONE_RANDOM_THRESHOLD if self.method == EXTRA_TREES else ALL_THRESHOLDS
         return SplitSearchPolicy(subset_size(self.subset_rule, n), mode)
+
+    def settings(self) -> dict:
+        return {"ensemble": self.method, "trees": self.n_trees,
+                "subset_rule": self.subset_rule, "seed": self.seed}
 
 
 @dataclass

@@ -2,6 +2,8 @@
 
 A ranker is a picklable callable mapping a (target-free) Dataset to a
 Ranking; the evaluation harness treats all methods through this one shape.
+Its ``settings`` are the method and its config's settings, under their
+keys in an artifact's config block.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ class EnsembleRanker:
     config: EnsembleConfig
     workers: int = 1
 
+    @property
+    def settings(self) -> dict:
+        return {"method": self.score, **self.config.settings()}
+
     def __call__(self, d: Dataset) -> Ranking:
         return _SCORERS[self.score](build(d, self.config, self.workers))
 
@@ -33,6 +39,10 @@ class EnsembleRanker:
 class UReliefRanker:
     config: UReliefConfig
     workers: int = 1
+
+    @property
+    def settings(self) -> dict:
+        return {"method": "urelief", **self.config.settings()}
 
     def __call__(self, d: Dataset) -> Ranking:
         return urelief(d, self.config, workers=self.workers)

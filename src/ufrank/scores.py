@@ -374,14 +374,8 @@ def _row_errors(X: np.ndarray, predicted: np.ndarray, scale: np.ndarray,
 
 
 def _provenance(e: Ensemble, method: str) -> dict:
-    return {
-        "method": method,
-        "dataset": e.dataset.name,
-        "ensemble": e.config.method,
-        "trees": e.config.n_trees,
-        "subset_rule": e.config.subset_rule,
-        "seed": e.config.seed,
-    }
+    return {"method": method, "dataset": e.dataset.name,
+            **e.config.settings()}
 
 
 def ranking_rows(r: Ranking) -> list[dict]:

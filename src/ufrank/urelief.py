@@ -45,7 +45,7 @@ neither B nor the worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -63,7 +63,9 @@ DEFAULT_NEIGHBORS = 30
 class UReliefConfig:
     """``neighbors=None`` resolves to min(DEFAULT_NEIGHBORS, m-1); an
     explicit value must leave at least K other rows (no silent shrinking).
-    ``iterations=None`` resolves to m, visiting every row exactly once."""
+    ``iterations=None`` resolves to m, visiting every row exactly once.
+    The field defaults are the package's defaults, and each field's name
+    is its key in an artifact's config block (``settings``)."""
 
     neighbors: int | None = None
     iterations: int | None = None
@@ -86,6 +88,9 @@ class UReliefConfig:
             raise IngestionError(f"neighbors={k} requires at least {k + 1} "
                                  f"examples, dataset has {m}")
         return k, (m if self.iterations is None else self.iterations)
+
+    def settings(self) -> dict:
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -226,9 +231,6 @@ def urelief_state(d: Dataset, cfg: UReliefConfig,
     p_da = sum_da.sum(axis=0) * scale
     p_joint = sum_joint.sum(axis=0) * scale
 
-    if p_dc == 0.0 and not p_da.any() and not p_joint.any():
-        w = np.zeros(d.n)
-        return UReliefState(w, p_da, p_joint, 0.0)
     p_dc_c = min(max(p_dc, _CLAMP), 1.0 - _CLAMP)
     w = p_joint / p_dc_c - (p_da - p_joint) / (1.0 - p_dc_c)
     return UReliefState(w, p_da, p_joint, p_dc)
@@ -236,10 +238,12 @@ def urelief_state(d: Dataset, cfg: UReliefConfig,
 
 def urelief(d: Dataset, cfg: UReliefConfig | None = None,
             workers: int = 1) -> Ranking:
-    """Rank attributes by URelief weight (descending)."""
+    """Rank attributes by URelief weight (descending). The provenance
+    records K and I as resolved on ``d``."""
     cfg = cfg or UReliefConfig()
     state = urelief_state(d, cfg, workers)
     k, iterations = cfg.resolve(d.m)
-    provenance = {"method": "urelief", "dataset": d.name, "neighbors": k,
-                  "iterations": iterations, "seed": cfg.seed}
-    return Ranking("urelief", state.w, d.attr_names, provenance)
+    resolved = replace(cfg, neighbors=k, iterations=iterations)
+    return Ranking("urelief", state.w, d.attr_names,
+                   {"method": "urelief", "dataset": d.name,
+                    **resolved.settings()})

@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -6,8 +7,9 @@ import numpy as np
 import pytest
 
 from ufrank import (EXTRA_TREES, EnsembleConfig, SynthSpec, build, cli,
-                    load_csv, write_planted)
+                    load_csv, make_ranker, write_planted)
 from ufrank.cli import main
+from ufrank.rankers import METHODS
 
 
 @pytest.fixture()
@@ -42,6 +44,13 @@ def error_record(result, exit_code, kind):
 def eval_record(path, dataset, method, mse):
     path.write_text(json.dumps({"artifact": "eval", "dataset": {"name": dataset},
                                 "method": method, "mse": mse}))
+    return str(path)
+
+
+def text_target_csv(tmp_path):
+    """4 rows of two numeric columns and a text column y: x, y, z, x."""
+    path = tmp_path / "text.csv"
+    path.write_text("a,b,y\n1,4,x\n2,3,y\n3,2,z\n4,1,x\n")
     return str(path)
 
 
@@ -193,6 +202,61 @@ class TestConfigFile:
         assert code == 0
         resolved = stdout_json(out)["config"]
         assert (resolved["neighbors"], resolved["iterations"]) == (23, 24)
+
+
+class TestSettingsHaveOneHome:
+    """A method's defaults are its config's, and the settings its ranker
+    reports are its keys in every artifact's config block."""
+
+    def test_flag_defaults_are_the_config_and_make_ranker_defaults(self):
+        _, commands = cli.build_parser()
+        params = inspect.signature(make_ranker).parameters
+        for method in METHODS:
+            ranker = make_ranker(method)
+            # make_ranker's defaults build the config's defaults
+            assert ranker.config == type(ranker.config)()
+            given = {key: value for key, value in ranker.settings.items()
+                     if key != "method"}
+            for command in ("rank", "eval", "curve"):
+                assert {key: commands[command].get_default(key)
+                        for key in given} == given
+            assert {key: params[key].default for key in given} == given
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_config_blocks_are_the_ranker_settings_plus_the_flags(
+            self, planted_csv, capsys, method):
+        settings = make_ranker(method, trees=2).settings
+        base = ["--data", str(planted_csv), "--target-column", "target",
+                "--method", method, "--trees", "2"]
+        own = {"command", "data", "target_column"}
+        for command, flags, extra in (
+                ("rank", [], set()),
+                ("eval", ["--folds", "2", "--top-k", "1"], {"folds", "top_k"}),
+                ("curve", ["--folds", "2"], {"folds"})):
+            code, out, _ = run_cli(capsys, command, *base, *flags)
+            assert code == 0
+            config = stdout_json(out)["config"]
+            assert set(config) == set(settings) | own | extra
+            if command != "rank":  # rank records URelief's K and I resolved
+                assert {key: config[key] for key in settings} == settings
+
+    def test_compare_has_no_alpha_option(self, tmp_path, capsys):
+        inputs = [eval_record(tmp_path / f"{ds}_{meth}.json", ds, meth, mse)
+                  for ds in ("a", "b")
+                  for meth, mse in (("genie3", 0.25), ("urelief", 0.5))]
+        got = error_record(run_cli(capsys, "compare", *inputs, "--alpha",
+                                   "0.05"), 1, "usage")
+        assert "--alpha" in got
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 0.05}))
+        got = error_record(run_cli(capsys, "compare", *inputs, "--config",
+                                   str(cfg)), 1, "usage")
+        assert got == "config file sets unknown option 'alpha'"
+        code, out, _ = run_cli(capsys, "compare", *inputs)
+        assert code == 0
+        payload = stdout_json(out)
+        assert payload["config"] == {"command": "compare", "alpha": 0.05}
+        assert payload["alpha"] == 0.05
 
 
 class TestExitCodes:
@@ -459,6 +523,16 @@ class TestEvalCurveCompare:
         config = stdout_json(out)["config"]
         assert (config["neighbors"], config["iterations"]) == (5, 24)
 
+    @pytest.mark.parametrize("command, flags", [
+        ("eval", ["--top-k", "1"]), ("curve", [])])
+    def test_text_target_is_a_data_error(self, tmp_path, capsys, command,
+                                         flags):
+        got = error_record(run_cli(capsys, command, "--data",
+                                   text_target_csv(tmp_path),
+                                   "--target-column", "y", "--folds", "2",
+                                   *flags), 2, "data")
+        assert "needs a numeric target" in got
+
     def test_eval_requires_target(self, planted_csv, capsys):
         code, _, err = run_cli(capsys, "eval", "--data", str(planted_csv),
                                "--trees", "5")
@@ -590,6 +664,13 @@ class TestSynthAndAri:
         payload = stdout_json(out)
         assert -0.5 <= payload["ari_median"] <= 1.0
         assert (out_dir / "toy_ari-check_0.json").exists()
+
+    def test_ari_check_takes_text_labels(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "ari-check", "--data",
+                                 text_target_csv(tmp_path), "--target-column",
+                                 "y", "--runs", "2")
+        assert (code, err) == (0, "")
+        assert -1.0 <= stdout_json(out)["ari_median"] <= 1.0
 
     def test_ari_check_needs_target(self, planted_csv, capsys):
         code, _, err = run_cli(capsys, "ari-check", "--data",

@@ -75,6 +75,16 @@ class TestDataset:
             Dataset("bad", ("a",), (Numeric(),), np.zeros((3, 1)),
                     target=np.array([0.0, bad, 1.0]))
 
+    def test_nominal_target_codes_checked(self):
+        X = np.zeros((3, 1))
+        with pytest.raises(ValueError, match="the target holds codes outside"):
+            Dataset("bad", ("a",), (Numeric(),), X, target=[0.0, 2.0, 1.0],
+                    target_kind=Nominal(("x", "y")))
+        d = Dataset("ok", ("a",), (Numeric(),), X, target=[0.0, 1.0, 1.0],
+                    target_kind=Nominal(("x", "y")))
+        assert d.restrict_rows(np.array([1, 2])).target_kind == Nominal(
+            ("x", "y"))
+
     def test_without_target_drops_only_target(self):
         d = small_mixed()
         dt = Dataset(d.name, d.attr_names, d.kinds, d.X,
@@ -182,6 +192,20 @@ class TestCsv:
         d = load_csv(path, target_column="cls")
         assert d.attr_names == ("x", "y")
         np.testing.assert_array_equal(d.target, [0.0, 1.0])
+        assert d.target_kind == Numeric()
+
+    def test_text_target_keeps_its_kind_and_labels(self, tmp_path):
+        path = self.write(tmp_path, "x,cls\n1,red\n2,blue\n3,red\n")
+        d = load_csv(path, target_column="cls")
+        assert d.target_kind == Nominal(("red", "blue"))
+        np.testing.assert_array_equal(d.target, [0.0, 1.0, 0.0])
+        out = tmp_path / "back.csv"
+        write_csv(d, out)
+        assert out.read_text(encoding="utf-8").splitlines()[1:] == [
+            "1.0,red", "2.0,blue", "3.0,red"]
+        back = load_csv(out, target_column="target")
+        assert back.target_kind == d.target_kind
+        np.testing.assert_array_equal(back.target, d.target)
 
     def test_missing_cell_names_line_and_column(self, tmp_path):
         path = self.write(tmp_path, "x,y\n1,\n")

@@ -9,11 +9,11 @@ from scipy import stats as sstats
 import oracles
 from ufrank import evaluate
 from ufrank import (ComputationError, CurveReport, Dataset, FoldPlan,
-                    IngestionError, Numeric, Ranking, adjusted_rand_index,
-                    clustering_hypothesis_ari, compare_methods,
-                    comparison_to_csv, curve_points_csv, cv_mse, error_curve,
-                    k_grid, kmeans, knn_predict, make_planted, nemenyi_cd,
-                    SynthSpec)
+                    IngestionError, Nominal, Numeric, Ranking,
+                    adjusted_rand_index, clustering_hypothesis_ari,
+                    compare_methods, comparison_to_csv, curve_points_csv,
+                    cv_mse, error_curve, k_grid, kmeans, knn_predict,
+                    make_planted, nemenyi_cd, SynthSpec)
 from ufrank.data import json_text
 
 
@@ -372,6 +372,27 @@ class TestErrorCurve:
         with pytest.raises(IngestionError, match="needs a dataset with a target"):
             error_curve(d, fixed_ranker([5, 4, 3, 2, 1]), plan)
 
+    def test_text_target_is_a_data_error(self):
+        # an MSE over category codes would depend on how they are numbered,
+        # so both evaluations refuse a nominal target before ranking a fold
+        d = self.small_fixture()
+        text = Dataset(d.name, d.attr_names, d.kinds, d.X,
+                       np.arange(d.m) % 3, target_kind=Nominal(("x", "y", "z")))
+        plan = FoldPlan.make(d.m, n_folds=4, seed=5)
+
+        def never(view):
+            raise AssertionError("ranked a fold")
+
+        with pytest.raises(IngestionError, match="cv_mse needs a numeric "
+                                                 "target"):
+            cv_mse(text, never, 1, plan)
+        with pytest.raises(IngestionError, match="error_curve needs a "
+                                                 "numeric target"):
+            error_curve(text, never, plan)
+        # the same codes as a numeric target are scored
+        assert cv_mse(dataclasses.replace(text, target_kind=Numeric()),
+                      fixed_ranker([5, 4, 3, 2, 1]), 1, plan) >= 0.0
+
     @pytest.mark.parametrize("magnitude", [1e160, 1e308])
     def test_overflowing_errors_are_a_computation_error(self, magnitude):
         # the target alternates +-magnitude: every value is finite, but the
@@ -564,8 +585,9 @@ class TestNemenyi:
         assert nemenyi_cd(2, 26) == pytest.approx(0.38438, abs=5e-5)
 
     def test_table_bounds_and_alpha(self):
-        with pytest.raises(ValueError, match="alpha"):
-            nemenyi_cd(3, 10, alpha=0.01)
+        # the table is written for the one level every comparison records
+        assert evaluate.ALPHA == 0.05
+        assert compare_methods(np.eye(3)).alpha == evaluate.ALPHA
         with pytest.raises(ValueError, match="2..10"):
             nemenyi_cd(1, 10)
         with pytest.raises(ValueError, match="2..10"):

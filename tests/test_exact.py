@@ -6,8 +6,9 @@ all, and asserts the package's float result within a bound derived in the
 check's docstring (Higham, *Accuracy and Stability of Numerical
 Algorithms*, 2002, chapters 3 and 4), or equal to it where the float
 arithmetic is exact. The tables are the hostile ones: the planted table,
-numeric columns at a large offset with a tiny spread, and a column that
-alternates +-1e160, whose variance overflows.
+numeric columns at a large offset with a tiny spread, rows written three
+times, and a column that alternates +-1e160, whose variance
+overflows.
 """
 
 from fractions import Fraction
@@ -16,8 +17,9 @@ import numpy as np
 import pytest
 
 import oracles
-from ufrank import (Dataset, EnsembleConfig, Numeric, SynthSpec, build,
-                    genie3, make_planted, symbolic)
+from ufrank import (Dataset, EnsembleConfig, FoldPlan, Numeric, SynthSpec,
+                    build, genie3, make_planted, symbolic)
+from ufrank.evaluate import _column_mean, _nearest
 from ufrank.forest import ENSEMBLES
 
 U = Fraction(1, 2 ** 53)  # unit roundoff of float64
@@ -27,9 +29,13 @@ TABLES = ["planted", "offset", "overflow"]
 
 def table(name):
     """The planted 200 x 50 table; a 40 x 6 mixed table whose numeric
-    columns sit at 1e8 with a 1e-3 spread; or 12 rows whose column a
-    alternates +-1e160 beside two N(0, 1) columns."""
+    columns sit at 1e8 with a 1e-3 spread; its first 12 rows, each written
+    three times; or 12 rows whose column a alternates +-1e160 beside two N(0, 1)
+    columns."""
     rng = np.random.default_rng(61)
+    if name == "duplicates":
+        d = table("offset")
+        return Dataset(name, d.attr_names, d.kinds, np.tile(d.X[:12], (3, 1)))
     if name == "planted":
         return make_planted(SynthSpec(m=200, n_informative=5, n_noise=45,
                                       clusters=4, separation=6.0,
@@ -98,3 +104,59 @@ class TestNodeSums:
             assert abs(Fraction(float(g)) - exact) <= gamma * exact
             tested += bool(h)
         assert tested >= 2
+
+
+class TestNearestPick:
+    """The 1NN pick of ``evaluate._nearest`` against exact squared
+    distances, on every fold of a 4-fold plan, over all columns, every
+    other column and the numeric columns.
+
+    For training row j and query q over k selected columns, D_j is the
+    exact sum of (T[j, a] - q[a])**2, and E_j the float distance by direct
+    differences that decides the pick (see _nearest). Each of E_j's k
+    terms is one subtraction and one square, each correctly rounded, and
+    any summation order adds at most k - 1 roundings to a term; so every
+    term carries a factor 1 + theta, |theta| <= g = gamma_(k+2) (Higham,
+    Lemma 3.1 and section 4.2), and, the terms being non-negative,
+    |E_j - D_j| <= g D_j, provided no term underflows or overflows. The
+    pick p has the smallest E, ties to the smallest j, so
+
+        D_p (1 - g) <= E_p <= E_j <= D_j (1 + g)   for every j,
+
+    and E_p < E_j for every j < p. Hence D_p (1 - g) <= D_j (1 + g) for
+    every j, strictly for j < p: the pick is within a factor
+    (1 + g) / (1 - g) of the exact minimum, and at distance 0 it is the
+    first row at distance 0: a query whose two copies are both training
+    rows picks the first. No nonzero difference
+    here underflows when squared, which the check asserts. On the +-1e160
+    column a row of the other sign has D_j >= 4e320, beyond the float
+    range, and E_j = inf; each training fold holds rows of both signs, so
+    E_p is finite and both inequalities hold for those rows too.
+    """
+
+    @pytest.mark.parametrize("name", ["offset", "duplicates", "overflow"])
+    def test_pick_is_within_the_direct_difference_bound(self, name):
+        d = table(name)
+        exact = [[Fraction(float(v)) for v in row] for row in d.X]
+        plan = FoldPlan.make(d.m, 4, seed=0)
+        selections = [np.arange(d.n), np.arange(0, d.n, 2),
+                      np.flatnonzero(d.numeric_mask)]
+        zero_picks = 0
+        for i in range(plan.n_folds):
+            train, test = plan.train_rows(i), plan.test_rows(i)
+            T = d.X[train]
+            for attrs in selections:
+                picks = _nearest(T, d.X[test], _column_mean(T), attrs)
+                k = attrs.size
+                g = (k + 2) * U / (1 - (k + 2) * U)
+                for q, p in zip(test, picks):
+                    diff = T[:, attrs] - d.X[q, attrs]
+                    assert ((diff == 0) | (np.abs(diff) > 1e-150)).all()
+                    dist = [sum((exact[j][a] - exact[q][a]) ** 2
+                                for a in attrs) for j in train]
+                    low = dist[p] * (1 - g)
+                    assert all(dj * (1 + g) > low for dj in dist[:p])
+                    assert all(dj * (1 + g) >= low for dj in dist[p:])
+                    zero_picks += dist[p] == 0
+        if name == "duplicates":
+            assert zero_picks > 0

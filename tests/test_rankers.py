@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 
 import numpy as np
@@ -74,3 +75,24 @@ class TestRankerCalls:
         got = make_ranker("urelief", neighbors=6, iterations=20, seed=5)(d)
         np.testing.assert_array_equal(got.importance, direct.importance)
         assert got.provenance == direct.provenance
+
+
+class TestSettings:
+    def test_each_config_field_has_one_artifact_key(self):
+        for cfg in (EnsembleConfig(), UReliefConfig()):
+            assert len(cfg.settings()) == len(dataclasses.fields(cfg))
+        assert EnsembleConfig("rf", 7, "sqrt", 3).settings() == {
+            "ensemble": "rf", "trees": 7, "subset_rule": "sqrt", "seed": 3}
+        assert UReliefConfig(4, None, 2).settings() == {
+            "neighbors": 4, "iterations": None, "seed": 2}
+
+    def test_rankings_record_the_ranker_settings(self):
+        # URelief's K and I are recorded as resolved on the table ranked
+        d = small_dataset(seed=6)
+        for method in METHODS:
+            ranker = make_ranker(method, trees=3, neighbors=5, seed=2)
+            provenance = ranker(d).provenance
+            assert provenance["dataset"] == d.name
+            resolved = {**ranker.settings, "iterations": d.m} if (
+                method == "urelief") else ranker.settings
+            assert {key: provenance[key] for key in ranker.settings} == resolved

@@ -289,9 +289,13 @@ class TestInvariants:
         d = Dataset("flat", ["a", "k", "b"],
                     [Numeric(), Nominal(("u", "v")), Numeric()], X)
         state = urelief_state(d, UReliefConfig())
-        np.testing.assert_array_equal(state.w, np.zeros(3))
-        assert state.p_diff_clus == 0.0
-        np.testing.assert_array_equal(urelief(d).importance, np.zeros(3))
+        # bytes, so that a -0.0 anywhere fails
+        zeros = np.zeros(3).tobytes()
+        assert state.w.tobytes() == zeros
+        assert state.p_diff_attr.tobytes() == zeros
+        assert state.p_diff_attr_diff_clus.tobytes() == zeros
+        assert np.float64(state.p_diff_clus).tobytes() == np.zeros(1).tobytes()
+        assert urelief(d).importance.tobytes() == zeros
 
 
 class TestIterationModes:
