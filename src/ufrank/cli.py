@@ -15,11 +15,14 @@ evaluate.ALPHA, which its config block records.
 Options resolve as: explicit flags, then values from a --config JSON file,
 then built-in defaults.
 
-Exit codes: 0 success, 1 usage error, 2 data error (also configuration
-the loaded data cannot support, such as more folds than examples), 3
-computation error (also a setting too large to allocate, such as --trees
-or --iterations in the quadrillions). Errors print a one-line JSON record
-to stderr. Any other exception is a bug and propagates with its traceback.
+Exit codes: 0 success, 1 usage error (also an --out that cannot be
+written), 2 data error (also configuration the loaded data cannot
+support, such as more folds than examples), 3 computation error (also a
+setting too large to allocate, such as --trees or --iterations in the
+quadrillions). Errors print a one-line JSON record to stderr. Any other
+exception is a bug and propagates with its traceback. A command writes its
+files under --out first and its JSON to stdout last, so a failed run
+prints nothing to stdout; files written before the failure may remain.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import inspect
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from .data import (ComputationError, Dataset, IngestionError, json_text,
@@ -101,9 +105,11 @@ def _add_method_flags(p: _Parser) -> None:
 
 def _add_common_flags(p: _Parser) -> None:
     p.add_argument("--seed", type=_nonneg, default=0)
-    p.add_argument("--workers", type=_positive,
-                   default=max(1, os.cpu_count() or 1),
-                   help="processes, this one included (default: the cores)")
+    # the cores this process may run on, where the platform reports them
+    affinity = getattr(os, "sched_getaffinity", None)
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+    p.add_argument("--workers", type=_positive, default=cores,
+                   help="processes, this one included (default: usable cores)")
     p.add_argument("--out", default=None, help="directory for artifact files")
     p.add_argument("--config", default=None,
                    help="JSON file of flag defaults (explicit flags win)")
@@ -183,11 +189,11 @@ def _config_file_from(argv: list[str]) -> str | None:
 
 
 def _read_json(path: str, name: str, error: type[Exception]):
-    """The JSON value in file ``path``. An unreadable file, one that is not
-    UTF-8 or not JSON raises ``error``, its message naming the file as
-    ``name``."""
+    """The JSON value in file ``path``, UTF-8 with or without a byte-order
+    mark. An unreadable file, one that is not UTF-8 or not JSON raises
+    ``error``, its message naming the file as ``name``."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {name}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -245,16 +251,31 @@ def _ranker(args):
                        workers=args.workers)
 
 
-def _emit(args, stem: str, payload: dict) -> Path | None:
+def _write(out: str | None, stem: str, payload: dict, mirrors=()) -> int:
+    """The one writer of a command's output. With ``out`` it first writes,
+    under that directory, ``<stem>.json`` holding ``payload`` and each of
+    the (suffix, writer) ``mirrors`` as ``writer(<stem><suffix>)``; then
+    the JSON to stdout, so a run that fails prints nothing. Returns 0,
+    the exit code of success."""
     text = json_text(payload)
+    if out is not None:
+        def files(directory: Path) -> None:
+            (directory / f"{stem}.json").write_text(text, encoding="utf-8")
+            for suffix, write in mirrors:
+                write(directory / f"{stem}{suffix}")
+        _under(out, files)
     sys.stdout.write(text)
-    if args.out is None:
-        return None
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{stem}.json"
-    path.write_text(text, encoding="utf-8")
-    return path
+    return 0
+
+
+def _under(out: str, write):
+    """``write(directory)`` under the --out directory, created if need be.
+    An OSError there is a usage error that names the path."""
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+        return write(Path(out))
+    except OSError as exc:
+        raise UsageError(f"cannot write under --out {out}: {exc}") from exc
 
 
 def _cmd_rank(args) -> int:
@@ -270,11 +291,8 @@ def _cmd_rank(args) -> int:
         "dataset": {"name": d.name, "m": d.m, "n": d.n},
         "ranking": ranking_rows(ranking),
     }
-    stem = f"{d.name}_{args.method}_rank_{args.seed}"
-    path = _emit(args, stem, payload)
-    if path is not None:
-        ranking_to_csv(ranking, path.with_suffix(".csv"))
-    return 0
+    return _write(args.out, f"{d.name}_{args.method}_rank_{args.seed}",
+                  payload, [(".csv", partial(ranking_to_csv, ranking))])
 
 
 def _cmd_eval(args) -> int:
@@ -291,8 +309,8 @@ def _cmd_eval(args) -> int:
         "method": args.method,
         "mse": mse,
     }
-    _emit(args, f"{d.name}_{args.method}_eval_{args.seed}", payload)
-    return 0
+    return _write(args.out, f"{d.name}_{args.method}_eval_{args.seed}",
+                  payload)
 
 
 def _cmd_curve(args) -> int:
@@ -308,10 +326,8 @@ def _cmd_curve(args) -> int:
         **dataclasses.asdict(report),
     }
     stem = f"{d.name}_{args.method}_curve_{args.seed}"
-    path = _emit(args, stem, payload)
-    if path is not None:
-        curve_points_csv(report, path.with_name(f"{stem}_points.csv"))
-    return 0
+    return _write(args.out, stem, payload,
+                  [("_points.csv", partial(curve_points_csv, report))])
 
 
 def _eval_cell(raw: str) -> tuple[str, str, float]:
@@ -350,10 +366,8 @@ def _cmd_compare(args) -> int:
     payload = {"artifact": "compare",
                "config": {"command": "compare", "alpha": report.alpha},
                **dataclasses.asdict(report)}
-    path = _emit(args, "compare", payload)
-    if path is not None:
-        comparison_to_csv(report, path.with_suffix(".csv"))
-    return 0
+    return _write(args.out, "compare", payload,
+                  [(".csv", partial(comparison_to_csv, report))])
 
 
 def _cmd_synth(args) -> int:
@@ -362,10 +376,9 @@ def _cmd_synth(args) -> int:
                          args.separation, args.seed, args.name)
     except ValueError as exc:  # the flags alone are inconsistent
         raise UsageError(str(exc)) from exc
-    csv_path, truth_path = write_planted(spec, args.out)
-    sys.stdout.write(json_text({"artifact": "synth", "csv": str(csv_path),
-                                "truth": str(truth_path)}))
-    return 0
+    csv_path, truth_path = _under(args.out, partial(write_planted, spec))
+    return _write(None, "synth", {"artifact": "synth", "csv": str(csv_path),
+                                  "truth": str(truth_path)})
 
 
 def _cmd_ari(args) -> int:
@@ -382,8 +395,7 @@ def _cmd_ari(args) -> int:
         "dataset": {"name": d.name, "m": d.m, "n": d.n},
         "ari_median": ari,
     }
-    _emit(args, f"{d.name}_ari-check_{args.seed}", payload)
-    return 0
+    return _write(args.out, f"{d.name}_ari-check_{args.seed}", payload)
 
 
 _COMMANDS = {"rank": _cmd_rank, "eval": _cmd_eval, "curve": _cmd_curve,

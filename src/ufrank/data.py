@@ -199,8 +199,9 @@ def compute_stats(d: Dataset) -> AttributeStats:
 
 
 def load_csv(path, schema=None, target_column: str | None = None) -> Dataset:
-    """Load a comma-separated file: header row, UTF-8, decimal point, no
-    missing values. The dataset is named after the file's stem.
+    """Load a comma-separated file: header row, UTF-8 with or without a
+    byte-order mark, decimal point, no missing values. The dataset is
+    named after the file's stem.
 
     A schema is a sequence of entries, one per column: "numeric" or
     Numeric(), "nominal", or a Nominal with a declared domain. The target
@@ -213,7 +214,7 @@ def load_csv(path, schema=None, target_column: str | None = None) -> Dataset:
     """
     path = Path(path)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except FileNotFoundError:
         raise IngestionError(f"no such file: {path}") from None

@@ -179,8 +179,8 @@ def knn_predict(d: Dataset, train_rows, test_row, selected_attrs) -> float:
     """Predict one example's target from its nearest training row over the
     selected attributes: unweighted squared Euclidean by direct
     differences, distance ties to the smallest row index (the screen and
-    exact check of ``_nearest``, with the training rows' mean as
-    origin)."""
+    exact check of ``_nearest`` on whole training rows with their column
+    mean as origin, the layout of the evaluator's folds)."""
     if d.target is None:
         raise ValueError("knn_predict needs a dataset with a target")
     train_rows = np.sort(_check_rows(train_rows, d.m))
@@ -190,12 +190,8 @@ def knn_predict(d: Dataset, train_rows, test_row, selected_attrs) -> float:
         raise ValueError(f"test row must have arity {d.n}")
     if not np.isfinite(x).all():
         raise ValueError("test row must be finite")
-    # only the columns from the first selected one to the last, a copy of
-    # contiguous row pieces; an np.ix_ gather of the selected columns alone
-    # measured slower than the whole rows once most columns are selected
-    span = slice(attrs[0], attrs[-1] + 1)
-    T = d.X[train_rows, span]
-    j = _nearest(T, x[None, span], _column_mean(T), attrs - attrs[0])[0]
+    T = d.X[train_rows]
+    j = _nearest(T, x[None], _column_mean(T), attrs)[0]
     return float(d.target[train_rows[j]])
 
 

@@ -179,6 +179,16 @@ class TestConfigFile:
                                    "--config", str(cfg)), 1, "usage")
         assert got.startswith(message)
 
+    def test_config_file_may_start_with_a_byte_order_mark(
+            self, planted_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps({"seed": 9}).encode())
+        code, out, err = run_cli(capsys, "rank", "--data", str(planted_csv),
+                                 "--target-column", "target", "--trees", "2",
+                                 "--config", str(cfg))
+        assert (code, err) == (0, "")
+        assert stdout_json(out)["config"]["seed"] == 9
+
     def test_config_flag_forms(self, planted_csv, tmp_path, capsys):
         got = error_record(run_cli(capsys, "rank", "--data", str(planted_csv),
                                    "--config"), 1, "usage")
@@ -619,6 +629,19 @@ class TestEvalCurveCompare:
                            2, "data")
         assert message in got
 
+    def test_compare_reads_an_artifact_with_a_byte_order_mark(
+            self, tmp_path, capsys):
+        inputs = [eval_record(tmp_path / f"{ds}_{meth}.json", ds, meth, mse)
+                  for ds in ("a", "b")
+                  for meth, mse in (("genie3", 0.25), ("urelief", 0.5))]
+        first = tmp_path / "a_genie3.json"
+        first.write_bytes(b"\xef\xbb\xbf" + first.read_bytes())
+        code, out, err = run_cli(capsys, "compare", *inputs)
+        assert (code, err) == (0, "")
+        payload = stdout_json(out)
+        assert (payload["methods"], payload["datasets"]) == (
+            ["genie3", "urelief"], ["a", "b"])
+
     def test_compare_rejects_a_duplicate_pair(self, tmp_path, capsys):
         inputs = [eval_record(tmp_path / f"{i}.json", "a", "genie3", 0.5)
                   for i in range(2)]
@@ -677,6 +700,84 @@ class TestSynthAndAri:
                                str(planted_csv))
         assert code == 2
         assert "target" in json.loads(err)["error"]["message"]
+
+
+class TestOutputPaths:
+    """Every command writes its files under --out before its JSON to
+    stdout, so an --out it cannot write is one usage error, exit 1, that
+    names the path, with nothing on stdout."""
+
+    def argv(self, command, csv_path, tmp_path):
+        if command == "compare":
+            return ["compare"] + [
+                eval_record(tmp_path / f"{ds}_{meth}.json", ds, meth, mse)
+                for ds in ("a", "b")
+                for meth, mse in (("genie3", 0.25), ("urelief", 0.5))]
+        if command == "synth":
+            return ["synth", "--m", "12", "--informative", "1", "--noise",
+                    "1", "--clusters", "2"]
+        flags = {"rank": ["--trees", "2"],
+                 "eval": ["--trees", "2", "--folds", "2", "--top-k", "1"],
+                 "curve": ["--trees", "2", "--folds", "2"],
+                 "ari-check": ["--runs", "2"]}[command]
+        return [command, "--data", str(csv_path), "--target-column",
+                "target", *flags]
+
+    @pytest.mark.parametrize("command", ["rank", "eval", "curve", "compare",
+                                         "ari-check", "synth"])
+    def test_out_naming_a_file_is_a_usage_error(self, planted_csv, tmp_path,
+                                                capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        got = error_record(run_cli(capsys, *self.argv(command, planted_csv,
+                                                      tmp_path),
+                                   "--out", str(taken)), 1, "usage")
+        assert str(taken) in got
+        assert taken.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command, mirror", [
+        ("rank", "toy_genie3_rank_0.csv"),
+        ("curve", "toy_genie3_curve_0_points.csv"),
+        ("compare", "compare.csv")])
+    def test_a_directory_in_place_of_the_mirror_is_a_usage_error(
+            self, planted_csv, tmp_path, capsys, command, mirror):
+        out_dir = tmp_path / "art"
+        (out_dir / mirror).mkdir(parents=True)
+        got = error_record(run_cli(capsys, *self.argv(command, planted_csv,
+                                                      tmp_path),
+                                   "--out", str(out_dir)), 1, "usage")
+        assert str(out_dir / mirror) in got
+
+    @pytest.mark.parametrize("command", ["rank", "curve", "compare"])
+    def test_stdout_is_the_json_file_written(self, planted_csv, tmp_path,
+                                             capsys, command):
+        out_dir = tmp_path / "art"
+        code, out, err = run_cli(capsys, *self.argv(command, planted_csv,
+                                                    tmp_path),
+                                 "--out", str(out_dir))
+        assert (code, err) == (0, "")
+        written = sorted(p.name for p in out_dir.iterdir())
+        assert len(written) == 2  # the JSON and its CSV mirror
+        json_file = next(p for p in out_dir.iterdir() if p.suffix == ".json")
+        assert json_file.read_text(encoding="utf-8") == out
+
+
+class TestWorkersDefault:
+    """--workers defaults to the cores this process may run on."""
+
+    def test_default_is_the_affinity_count(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        _, commands = cli.build_parser()
+        assert {commands[c].get_default("workers")
+                for c in ("rank", "eval", "curve", "ari-check")} == {1}
+
+    def test_default_is_the_cpu_count_without_an_affinity(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        _, commands = cli.build_parser()
+        assert commands["rank"].get_default("workers") == 3
 
 
 def test_console_script_round_trip(tmp_path):

@@ -207,6 +207,15 @@ class TestCsv:
         assert back.target_kind == d.target_kind
         np.testing.assert_array_equal(back.target, d.target)
 
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with EF BB BF
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n3,4\n")
+        assert load_csv(path).attr_names == ("a", "b")
+        d = load_csv(path, target_column="a")
+        assert d.attr_names == ("b",)
+        np.testing.assert_array_equal(d.target, [1.0, 3.0])
+
     def test_missing_cell_names_line_and_column(self, tmp_path):
         path = self.write(tmp_path, "x,y\n1,\n")
         with pytest.raises(IngestionError) as info:

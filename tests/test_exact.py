@@ -18,9 +18,10 @@ import pytest
 
 import oracles
 from ufrank import (Dataset, EnsembleConfig, FoldPlan, Numeric, SynthSpec,
-                    build, genie3, make_planted, symbolic)
+                    UReliefConfig, build, genie3, make_planted, symbolic)
 from ufrank.evaluate import _column_mean, _nearest
 from ufrank.forest import ENSEMBLES
+from ufrank.urelief import _CLAMP, _Kernel, urelief_state
 
 U = Fraction(1, 2 ** 53)  # unit roundoff of float64
 
@@ -160,3 +161,103 @@ class TestNearestPick:
                     zero_picks += dist[p] == 0
         if name == "duplicates":
             assert zero_picks > 0
+
+
+def urelief_table(name):
+    """40 x 8: a planted table (3 informative columns, 5 noise), the same
+    table shifted by 1e9, or a random mix of numeric and nominal
+    columns."""
+    if name == "mixed":
+        d = oracles.random_mixed_dataset(np.random.default_rng(2), 40, 8)
+        assert 0 < d.numeric_mask.sum() < d.n
+        return d
+    d = make_planted(SynthSpec(m=40, n_informative=3, n_noise=5, clusters=2,
+                               separation=6.0, seed=5)).without_target()
+    if name == "shifted":
+        return Dataset(name, d.attr_names, d.kinds, d.X + 1e9)
+    return d
+
+
+class TestUReliefWeights:
+    """URelief's state against exact sums over the same float inputs and
+    the neighbours the package picked: each reference's K nearest rows by a
+    stable sort of its float d_X over every row, which is the screened pick
+    bit for bit (see the urelief module; test_urelief checks it).
+
+    Exactly, D_i = |x_oi - x_ri| / R_i on a numeric column of range
+    R_i = max - min > 0, 0 on one of range 0, and [codes differ] on a
+    nominal column; D_X is the mean of the n D_i; and, over the I
+    references and their K neighbours, P_c, P_a and P_j are the sums of
+    D_X, D_i and D_i D_X divided by I K. The weight is W = T1 - T2, with
+    T1 = P_j / P_c and T2 = (P_a - P_j) / (1 - P_c), both >= 0.
+
+    With g_k = gamma_k = k u / (1 - k u) (Higham, Lemma 3.1 and section
+    4.2): the float d_i has one rounding in the difference, one in the
+    range and one in the division, so it is D_i (1 + theta_3); d_X sums n
+    of them and divides by n, theta_(n+3); each d_i d_X adds a product,
+    theta_(n+7). The sums over K neighbours and then I references add
+    theta_(K+I-2), in any order, and the product with the rounded 1/(I K)
+    adds theta_2. Every term is non-negative, so with e = g_M,
+    M = n + K + I + 7, each of p_c, p_a and p_j is within e of P_c, P_a
+    and P_j, relatively.
+
+    The weight subtracts twice, so its bound is absolute. Where
+    P_c <= 3/4 and P_j <= 3 P_a / 4 (checked; the clamp then leaves p_c
+    as it is), P_a + P_j <= 7 (P_a - P_j) and P_c <= 3 (1 - P_c), so
+    fl(p_a - p_j) and fl(1 - p_c) are within 8 e and 4 e of P_a - P_j and
+    1 - P_c, relatively (M >= 40 here, and u <= e / 40 covers their own
+    rounding). Then
+    fl(p_j / p_c) is within 3 e of T1, the second quotient within 13 e
+    of T2, and their rounded difference w satisfies
+
+        |w - W| <= 14 e (T1 + T2).
+    """
+
+    @pytest.mark.parametrize("name", ["planted", "shifted", "mixed"])
+    def test_state_is_within_the_accumulation_bound(self, name):
+        d = urelief_table(name)
+        cfg = UReliefConfig()
+        k, iterations = cfg.resolve(d.m)
+        assert iterations == d.m  # so every row is a reference once
+        state = urelief_state(d, cfg)
+
+        kernel = _Kernel.make(d)
+        X = [[Fraction(float(v)) for v in row] for row in d.X]
+        R = [max(col) - min(col) if numeric else None
+             for col, numeric in zip(zip(*X), d.numeric_mask)]
+
+        def exact_d(r, o):
+            return [Fraction(X[o][i] != X[r][i]) if R[i] is None
+                    else abs(X[o][i] - X[r][i]) / R[i] if R[i] else
+                    Fraction(0) for i in range(d.n)]
+
+        s_c, s_a, s_j = Fraction(0), [Fraction(0)] * d.n, [Fraction(0)] * d.n
+        for r in range(d.m):
+            dm, dx = kernel.exact(r, np.arange(d.m))
+            # no d_i, hence no d_i d_X, is small enough to underflow
+            assert ((dm == 0) | (dm > 1e-150)).all()
+            dx[r] = np.inf
+            for o in np.argsort(dx, kind="stable")[:k]:
+                di = exact_d(r, o)
+                dX = sum(di) / d.n
+                s_c += dX
+                s_a = [a + x for a, x in zip(s_a, di)]
+                s_j = [j + x * dX for j, x in zip(s_j, di)]
+        scale = Fraction(1, iterations * k)
+        p_c = s_c * scale
+        p_a = [a * scale for a in s_a]
+        p_j = [j * scale for j in s_j]
+
+        terms = d.n + k + iterations + 7  # M
+        e = terms * U / (1 - terms * U)
+        assert abs(Fraction(state.p_diff_clus) - p_c) <= e * p_c
+        for got, want in ((state.p_diff_attr, p_a),
+                          (state.p_diff_attr_diff_clus, p_j)):
+            for g, x in zip(got.tolist(), want):
+                assert abs(Fraction(g) - x) <= e * x
+
+        assert _CLAMP < state.p_diff_clus and p_c <= Fraction(3, 4)
+        for a, j, w in zip(p_a, p_j, state.w.tolist()):
+            assert 4 * j <= 3 * a
+            t1, t2 = j / p_c, (a - j) / (1 - p_c)
+            assert abs(Fraction(w) - (t1 - t2)) <= 14 * e * (t1 + t2)

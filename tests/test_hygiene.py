@@ -2,11 +2,11 @@
 uses, no private function, class or method goes unused by package code,
 and ``ufrank.__all__`` lists each public name once, each one real. Every
 np.add.reduceat sums integers, so float segments have one summation
-order. The demos and scripts are read, not run: every package name they
-import resolves, and every keyword they pass to a package callable is one
-of its parameters. One check runs the package in a fresh interpreter:
-importing it loads no scipy module, and each command loads only the one it
-uses."""
+order. One function, the CLI's writer, writes to stdout. The demos and
+scripts are read, not run: every package name they import resolves, and
+every keyword they pass to a package callable is one of its parameters.
+One check runs the package in a fresh interpreter: importing it loads no
+scipy module, and each command loads only the one it uses."""
 
 import ast
 import importlib
@@ -189,6 +189,34 @@ def test_every_add_reduceat_sums_integers():
                 untyped.append(f"{path.name}:{call.lineno}")
     assert calls > 0
     assert untyped == []
+
+
+def writes_to_stdout(call):
+    """Whether a call is ``sys.stdout.write(...)`` or ``print(...)``."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id == "print"
+    return (isinstance(func, ast.Attribute) and func.attr == "write"
+            and ast.unparse(func.value) == "sys.stdout")
+
+
+def test_one_writer_writes_to_stdout():
+    # a command writes its files under --out first and its JSON to stdout
+    # last, in cli._write, so that a run that fails prints nothing
+    writes = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs = [node for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            if writes_to_stdout(call):
+                inside = [f for f in defs
+                          if f.lineno <= call.lineno <= f.end_lineno]
+                # the innermost enclosing function starts last
+                owner = max(inside, key=lambda f: f.lineno, default=None)
+                writes.append(f"{path.name}:"
+                              f"{owner.name if owner else '<module>'}")
+    assert writes == ["cli.py:_write"]
 
 
 SCIPY_PROBE = """
