@@ -20,6 +20,9 @@ paths (artifacts embed the --data path they were given):
               urelief with K = 5 and I = 50, rank by symbolic on 10
               bagged trees with every attribute a candidate, and eval by
               rf-score on 20 random-forest trees with a sqrt sample
+    config    a --config file of method symbolic, 10 trees and seed 4,
+              ranked with an explicit --trees 5, so that the config
+              block records flags over config over built-ins
 
 Every other step runs each method at its default settings. The package
 is imported from this checkout's ``src/``.
@@ -35,6 +38,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -47,6 +51,7 @@ from ufrank.cli import main as cli_main  # noqa: E402
 DATA = "data/planted_s0.csv"
 SECOND = "data/planted_s1.csv"
 MIXED = "data/mixed_s0.csv"
+CONFIG = "config/rank_settings.json"
 EVAL_METHODS = ("genie3", "urelief")
 # two of the seed-0 table's informative columns
 TEXT_COLUMNS = ("x11", "x18")
@@ -67,8 +72,17 @@ def write_mixed() -> None:
         csv.writer(fh).writerows(rows)
 
 
+def write_config() -> None:
+    """CONFIG: flag defaults for the config step, one of them, --trees,
+    overridden on its command line."""
+    Path(CONFIG).parent.mkdir()
+    Path(CONFIG).write_text(json.dumps({"method": "symbolic", "trees": 10,
+                                        "seed": 4}), encoding="utf-8")
+
+
 def sequence(workers: int) -> list:
-    """The steps in order: CLI argument lists, and write_mixed."""
+    """The steps in order: CLI argument lists, write_mixed and
+    write_config."""
     w = ["--workers", str(workers)]
     target = ["--data", DATA, "--target-column", "target"]
     steps = [["synth", "--m", "200", "--informative", "5", "--noise", "45",
@@ -98,6 +112,8 @@ def sequence(workers: int) -> list:
                "bagging", "--trees", "10", "--subset-rule", "all"],
               ["eval", *settings, "--method", "rf-score", "--ensemble", "rf",
                "--trees", "20", "--subset-rule", "sqrt"]]
+    steps += [write_config, ["rank", *target, "--config", CONFIG,
+                             "--trees", "5", *w, "--out", "config"]]
     return steps
 
 

@@ -13,7 +13,11 @@ they need a numeric target. Compare tests at the fixed level
 evaluate.ALPHA, which its config block records.
 
 Options resolve as: explicit flags, then values from a --config JSON file,
-then built-in defaults.
+then built-in defaults. argparse reads --config as every other flag: the
+last one wins, and --config=FILE and unambiguous prefixes such as --conf
+work too. The command line is parsed first, so a command-line error is
+reported before a config-file error, both with exit code 1; a config file
+then seeds the parsers' defaults and the command line is parsed again.
 
 Exit codes: 0 success, 1 usage error (also an --out that cannot be
 written), 2 data error (also configuration the loaded data cannot
@@ -111,6 +115,10 @@ def _add_common_flags(p: _Parser) -> None:
     p.add_argument("--workers", type=_positive, default=cores,
                    help="processes, this one included (default: usable cores)")
     p.add_argument("--out", default=None, help="directory for artifact files")
+    _add_config_flag(p)
+
+
+def _add_config_flag(p: _Parser) -> None:
     p.add_argument("--config", default=None,
                    help="JSON file of flag defaults (explicit flags win)")
 
@@ -147,8 +155,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         "compare", help="rank-based comparison of eval artifacts")
     p.add_argument("inputs", nargs="+", help="eval JSON artifacts")
     p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None,
-                   help="JSON file of flag defaults (explicit flags win)")
+    _add_config_flag(p)
 
     p = commands["synth"] = sub.add_parser(
         "synth", help="generate a planted-feature dataset")
@@ -161,8 +168,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--name", default=SynthSpec.name)
     p.add_argument("--seed", type=_nonneg, default=SynthSpec.seed)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None,
-                   help="JSON file of flag defaults (explicit flags win)")
+    _add_config_flag(p)
 
     p = commands["ari-check"] = sub.add_parser(
         "ari-check", help="median ARI of k-means clusters vs class labels")
@@ -175,17 +181,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     _add_common_flags(p)
 
     return parser, commands
-
-
-def _config_file_from(argv: list[str]) -> str | None:
-    for i, token in enumerate(argv):
-        if token == "--config":
-            if i + 1 >= len(argv):
-                raise UsageError("--config requires a file path")
-            return argv[i + 1]
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
 
 
 def _read_json(path: str, name: str, error: type[Exception]):
@@ -413,10 +408,10 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
     try:
-        config_path = _config_file_from(argv)
-        if config_path is not None:
-            _apply_config_defaults(commands, config_path)
         args = parser.parse_args(argv)
+        if args.config is not None:
+            _apply_config_defaults(commands, args.config)
+            args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         return _fail(1, "usage", str(exc))

@@ -78,32 +78,30 @@ class Ranking:
         return self.order[:k]
 
 
-def _per_tree_node_sums(e: Ensemble, weight: np.ndarray) -> np.ndarray:
-    """(trees, n): for each tree and attribute, the sum of ``weight`` over
-    the tree's internal nodes testing the attribute. One np.add.at over
-    (tree, attribute) adds each cell's nodes in node order."""
+def _node_score(e: Ensemble, method: str, weight: np.ndarray) -> Ranking:
+    """The ranking ``method`` whose importance of x_i is the mean over
+    trees of ``weight`` summed over the tree's internal nodes testing x_i.
+    One np.add.at over (tree, attribute) adds each cell's nodes in node
+    order, and the (trees, n) cells are summed over trees."""
     f = e.forest
     inner = np.flatnonzero(f.attr >= 0)
     tree = np.repeat(np.arange(e.n_trees), np.diff(f.node_start))
-    out = np.zeros((e.n_trees, e.dataset.n))
-    np.add.at(out, (tree[inner], f.attr[inner]), weight[inner])
-    return out
+    per_tree = np.zeros((e.n_trees, e.dataset.n))
+    np.add.at(per_tree, (tree[inner], f.attr[inner]), weight[inner])
+    imp = per_tree.sum(axis=0) / e.n_trees
+    return Ranking(method, imp, e.dataset.attr_names, _provenance(e, method))
 
 
 def genie3(e: Ensemble) -> Ranking:
     """Importance of x_i: mean over trees of the summed h* of nodes testing
     x_i. Attributes never tested score 0."""
-    per_tree = _per_tree_node_sums(e, e.forest.h_star)
-    imp = per_tree.sum(axis=0) / e.n_trees
-    return Ranking("genie3", imp, e.dataset.attr_names, _provenance(e, "genie3"))
+    return _node_score(e, "genie3", e.forest.h_star)
 
 
 def symbolic(e: Ensemble) -> Ranking:
     """Importance of x_i: mean over trees of the summed example counts of
     nodes testing x_i."""
-    per_tree = _per_tree_node_sums(e, e.forest.n_reached.astype(np.float64))
-    imp = per_tree.sum(axis=0) / e.n_trees
-    return Ranking("symbolic", imp, e.dataset.attr_names, _provenance(e, "symbolic"))
+    return _node_score(e, "symbolic", e.forest.n_reached.astype(np.float64))
 
 
 # out-of-bag cells (rows x n) that one batch of trees may hold. A batch

@@ -88,9 +88,10 @@ def _candidate_splits_all(d, rows, attr, dens):
     return out
 
 
-def ref_candidates_all(d, rows, dens, attr_order):
+def ref_candidates_all(d, rows, dens, attr_order, h=ref_h):
     """Every valid exhaustive-policy candidate in enumeration order:
-    a list of (attr, ("threshold"|"category", value), h, yes_mask)."""
+    a list of (attr, ("threshold"|"category", value), h, yes_mask), each
+    scored by ``h(d, rows, yes_mask, dens)``."""
     rows = np.asarray(rows, dtype=np.intp)
     out = []
     for attr in attr_order:
@@ -100,25 +101,32 @@ def ref_candidates_all(d, rows, dens, attr_order):
         for descriptor, mask in _candidate_splits_all(d, rows, attr, dens):
             if not mask.any() or mask.all():
                 continue
-            out.append((attr, descriptor, ref_h(d, rows, mask, dens), mask))
+            out.append((attr, descriptor, h(d, rows, mask, dens), mask))
     return out
 
 
 def ref_candidates_one_random(d, rows, dens, policy_size, rng):
     """Replay of the one-random-threshold draws of a lone node: n uniform
-    keys, whose ascending order is the sampled attribute order (the first
-    k = min(policy_size, n) are the candidates), then k uniforms, one per
-    candidate in sampled order. A numeric candidate with range [lo, hi]
-    over the rows tests x <= lo + (hi - lo) * u and is valid when that lies
-    strictly inside (lo, hi); a nominal one tests x == present[floor(u *
-    len(present))] over its present codes in ascending order and is valid
-    with two or more present. Valid candidates come back in sampled order
-    with quality judged by ref_h."""
-    rows = np.asarray(rows, dtype=np.intp)
-    k = min(policy_size, d.n)
+    keys, then k = min(policy_size, n) uniforms, the candidates as
+    ref_candidates_drawn finds them from those draws."""
     keys = rng.random((1, d.n))[0]
-    draws = rng.random((1, k))[0]
-    cand = sorted(range(d.n), key=lambda a: (keys[a], a))[:k]
+    draws = rng.random((1, min(policy_size, d.n)))[0]
+    return ref_candidates_drawn(d, rows, dens, keys, draws)
+
+
+def ref_candidates_drawn(d, rows, dens, keys, draws, h=ref_h):
+    """One-random-threshold candidates from a node's draws: the ascending
+    order of the n ``keys`` is the sampled attribute order, and the first
+    k = len(draws) attributes are the candidates, each with the uniform of
+    ``draws`` at its place in that order. A numeric candidate with range
+    [lo, hi] over the rows tests x <= lo + (hi - lo) * u and is valid when
+    that lies strictly inside (lo, hi); a nominal one tests x ==
+    present[floor(u * len(present))] over its present codes in ascending
+    order and is valid with two or more present. Valid candidates come
+    back in sampled order, each scored by ``h(d, rows, yes_mask,
+    dens)``."""
+    rows = np.asarray(rows, dtype=np.intp)
+    cand = sorted(range(d.n), key=lambda a: (keys[a], a))[:len(draws)]
     out = []
     for attr, u in zip(cand, draws):
         col = d.X[rows, attr]
@@ -134,7 +142,7 @@ def ref_candidates_one_random(d, rows, dens, policy_size, rng):
             if not lo < theta < hi:
                 continue
             descriptor, mask = ("threshold", float(theta)), col <= theta
-        out.append((attr, descriptor, ref_h(d, rows, mask, dens), mask))
+        out.append((attr, descriptor, h(d, rows, mask, dens), mask))
     return out
 
 

@@ -192,7 +192,7 @@ class TestConfigFile:
     def test_config_flag_forms(self, planted_csv, tmp_path, capsys):
         got = error_record(run_cli(capsys, "rank", "--data", str(planted_csv),
                                    "--config"), 1, "usage")
-        assert got == "--config requires a file path"
+        assert got == "argument --config: expected one argument"
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 9}))
         code, out, _ = run_cli(capsys, "rank", "--data", str(planted_csv),
@@ -200,6 +200,47 @@ class TestConfigFile:
                                f"--config={cfg}")
         assert code == 0
         assert stdout_json(out)["config"]["seed"] == 9
+
+    def config_seed(self, capsys, planted_csv, *flags):
+        """The seed a successful two-tree rank run with ``flags`` records."""
+        code, out, err = run_cli(capsys, "rank", "--data", str(planted_csv),
+                                 "--target-column", "target", "--trees", "2",
+                                 *flags)
+        assert (code, err) == (0, "")
+        return stdout_json(out)["config"]["seed"]
+
+    def test_the_last_config_wins(self, planted_csv, tmp_path, capsys):
+        first, last = tmp_path / "a.json", tmp_path / "b.json"
+        first.write_text(json.dumps({"seed": 3}))
+        last.write_text(json.dumps({"seed": 9}))
+        assert self.config_seed(capsys, planted_csv, "--config", str(first),
+                                "--config", str(last)) == 9
+        assert self.config_seed(capsys, planted_csv, "--config", str(last),
+                                f"--config={first}") == 3
+
+    def test_a_later_missing_config_is_a_usage_error(self, planted_csv,
+                                                     tmp_path, capsys):
+        first, missing = tmp_path / "a.json", tmp_path / "missing.json"
+        first.write_text(json.dumps({"seed": 3}))
+        got = error_record(run_cli(capsys, "rank", "--data", str(planted_csv),
+                                   "--target-column", "target", "--config",
+                                   str(first), "--config", str(missing)),
+                           1, "usage")
+        assert got.startswith("cannot read config file")
+        assert str(missing) in got
+
+    def test_a_prefix_of_config_applies_the_file(self, planted_csv, tmp_path,
+                                                 capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 9}))
+        assert self.config_seed(capsys, planted_csv, "--conf", str(cfg)) == 9
+
+    def test_a_command_line_error_comes_before_a_config_error(
+            self, planted_csv, tmp_path, capsys):
+        got = error_record(run_cli(capsys, "rank", "--data", str(planted_csv),
+                                   "--config", str(tmp_path / "missing.json"),
+                                   "--trees", "0"), 1, "usage")
+        assert got == "argument --trees: must be positive"
 
     def test_config_null_restores_a_null_default(self, planted_csv, tmp_path,
                                                  capsys):
