@@ -197,23 +197,25 @@ def _read_json(path: str, name: str, error: type[Exception]):
 
 def _apply_config_defaults(commands: dict[str, _Parser], path: str) -> None:
     """Seed parser defaults from a JSON object of flag values. Explicit
-    command-line flags still override; unknown keys or values a flag would
-    reject are usage errors."""
+    command-line flags still override. A key must name a flag that some
+    command lets the command line leave out, other than --config and
+    --help; any other key, or a value the flag would reject, is a usage
+    error."""
     raw = _read_json(path, "config file", UsageError)
     if not isinstance(raw, dict):
         raise UsageError("config file must hold a JSON object of flag values")
 
-    known: set[str] = set()
+    settable: dict[str, list] = {}
     for sub in commands.values():
-        known.update(a.dest for a in sub._actions)
+        for action in sub._actions:
+            if (action.option_strings and not action.required
+                    and action.dest not in ("config", "help")):
+                settable.setdefault(action.dest, []).append((sub, action))
     for key, value in raw.items():
         dest = key.replace("-", "_")
-        if dest not in known:
+        if dest not in settable:
             raise UsageError(f"config file sets unknown option {key!r}")
-        for sub in commands.values():
-            action = next((a for a in sub._actions if a.dest == dest), None)
-            if action is None:
-                continue
+        for sub, action in settable[dest]:
             # a flag takes one string; null only restores a null default
             if value is None and action.default is None:
                 converted = None

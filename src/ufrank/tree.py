@@ -384,8 +384,9 @@ def _grow_stack(d: Dataset, ws: SplitWorkspace, policy: SplitSearchPolicy,
     concatenates the frontiers of the trees still growing, in tree order,
     into one search_frontier call; every tree first takes its own
     draw_frontier blocks from its own generator. A tree whose level split
-    nothing leaves the stack. The levels' node records, one after another,
-    are in the order FlatTree.from_node lays out in one call."""
+    nothing leaves the stack. Each level's node records are one entry of
+    the levels that FlatTree.from_node lays out: the r-th split node's
+    children are entries 2r (yes) and 2r + 1 (no) of the next level."""
     tree = np.arange(len(bags))  # the tree of each frontier node
     counts = np.array([b.size for b in bags])
     rows = np.concatenate(bags)
@@ -410,9 +411,7 @@ def _grow_stack(d: Dataset, ws: SplitWorkspace, policy: SplitSearchPolicy,
         counts = np.bincount(child, minlength=2 * n_split + 2)[:2 * n_split]
         rows = rows[order[:counts.sum()]]
         tree = np.repeat(tree[split], 2)
-
-    n_reached, attr, value, h = (np.concatenate(a) for a in zip(*levels))
-    return FlatTree.from_node(attr, value, n_reached, h, len(bags))
+    return FlatTree.from_node(levels)
 
 
 @dataclass
@@ -431,9 +430,10 @@ class FlatTree:
     ``skip[v]``, 1 + the size of its yes subtree, and ``skip`` is 0 at
     leaves. No link depends on where its tree lies in the record, so
     ``trees`` slices every node array and ``concat`` joins them as they
-    are. Only ``node_start`` counts from
-    the record's first node; a one-tree record, as grow_tree returns it,
-    has ``node_start`` [0, nodes].
+    are. Only ``node_start`` counts from the record's first node; a
+    one-tree record, as grow_tree returns it, has ``node_start`` [0,
+    nodes]. Growth keeps each stack's nodes in depth levels, and
+    ``from_node`` lays them out in preorder from there, a level at a time.
 
     The record holds no leaf predictions: only rf-score needs them, and it
     rebuilds them from each tree's bootstrap rows (see
@@ -448,46 +448,45 @@ class FlatTree:
     node_start: np.ndarray
 
     @classmethod
-    def from_node(cls, attr, value, n_reached, h_star, trees) -> "FlatTree":
-        """The record of ``trees`` trees from their node records in level
-        order, the depth levels of all trees together as _grow_stack grows
-        them: the first ``trees`` records are the roots, in tree order, and
-        the r-th internal node's children are records trees + 2r (yes) and
-        trees + 2r + 1 (no). Each test's ``value`` is encoded as in
-        FrontierSplits (NaN at leaves); its kind is left to the dataset. One
-        call lays out every tree in preorder, yes child first, one depth at
-        a time from subtree sizes: a root starts after the trees before it,
-        a yes child follows its parent, and a no child follows its yes
-        sibling's subtree, so an internal node's ``skip`` is 1 + the size of
-        its yes subtree.
+    def from_node(cls, levels) -> "FlatTree":
+        """The record of the trees whose depth levels, as _grow_stack grows
+        them, are ``levels``: each level is (n_reached, attr, value, h) of
+        its nodes, the first level holds the roots in tree order, and the
+        r-th split node (``attr`` >= 0) of a level has its children at
+        entries 2r (yes) and 2r + 1 (no) of the next. Each test's
+        ``value`` is encoded as in FrontierSplits (NaN at leaves); its
+        kind is left to the dataset. One pass up the levels gives each
+        node's subtree size, and so each split node's ``skip``, 1 + the
+        size of its yes subtree; one pass down gives each node's preorder
+        position: a root starts after the trees before it, a yes child
+        follows its parent and a no child follows its yes sibling's
+        subtree. Each level's fields are then scattered into place.
 
         The name dates from when this flattened linked node objects. It is
         kept because the benchmark wraps ``FlatTree.from_node`` by name and
         reports its time as ``tree.flatten_s``; without it every traced run
         would fail.
         """
-        inner = np.flatnonzero(attr >= 0)
-        child = np.full((attr.size, 2), -1, dtype=np.intp)
-        child[inner] = trees + 2 * np.arange(inner.size)[:, None] + np.array([0, 1])
-        depths = [np.arange(trees)]
-        while (inner := depths[-1][attr[depths[-1]] >= 0]).size:
-            depths.append(child[inner].ravel())
-        size = np.ones(attr.size, dtype=np.intp)
-        for level in reversed(depths):
-            inner = level[attr[level] >= 0]
-            size[inner] += size[child[inner]].sum(axis=1)
-        node_start = np.append(0, np.cumsum(size[:trees]))
-        pre = np.zeros(attr.size, dtype=np.intp)
-        pre[:trees] = node_start[:-1]
-        for level in depths:
-            inner = level[attr[level] >= 0]
-            yes, no = child[inner].T
-            pre[yes] = pre[inner] + 1
-            pre[no] = pre[yes] + size[yes]
-        skip = np.where(attr >= 0, 1 + size[child[:, 0]], 0)
-        order = np.argsort(pre)
-        return cls(attr[order], value[order], skip[order], n_reached[order],
-                   h_star[order], node_start)
+        skips, size = [], np.zeros(0, dtype=np.intp)
+        for _, attr, _, _ in reversed(levels):
+            split = attr >= 0
+            yes, no = size[0::2], size[1::2]  # the sizes of the level below
+            skip = np.zeros(attr.size, dtype=np.intp)
+            skip[split] = 1 + yes
+            size = np.ones(attr.size, dtype=np.intp)
+            size[split] += yes + no
+            skips.insert(0, skip)
+        node_start = np.append(0, np.cumsum(size))
+        fields = [np.empty(node_start[-1], dtype=t)
+                  for t in (np.intp, np.float64, np.intp, np.intp, np.float64)]
+        at = node_start[:-1]  # the preorder position of each node of a level
+        for (n_reached, attr, value, h), skip in zip(levels, skips):
+            for out, field in zip(fields, (attr, value, skip, n_reached, h)):
+                out[at] = field
+            split = attr >= 0
+            at = np.column_stack([at[split] + 1,
+                                  at[split] + skip[split]]).ravel()
+        return cls(*fields, node_start)
 
     @classmethod
     def concat(cls, parts) -> "FlatTree":
@@ -504,9 +503,9 @@ class FlatTree:
     @cached_property
     def child(self) -> np.ndarray:
         """(yes, no) node ids of each node, -1 at leaves, computed from
-        ``skip`` at the first access. The package reads ``skip``; this form
-        is for readers outside it, such as the benchmark's tree depth,
-        which reads it once per internal node."""
+        ``skip`` at the first access. The package reads ``skip``; this
+        form has one reader besides its own test, outside the package:
+        ``perfbench/measure.py::tree_depth``, once per internal node."""
         node = np.arange(self.skip.size)
         return np.where((self.skip > 0)[:, None],
                         np.column_stack([node + 1, node + self.skip]), -1)

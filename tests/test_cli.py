@@ -147,6 +147,21 @@ class TestConfigFile:
                                "--config", str(tmp_path / "missing.json"))
         assert code == 1
 
+    @pytest.mark.parametrize("values", [
+        {"config": "nonexistent.json"}, {"help": "x"},
+        {"data": "nowhere.csv"}, {"inputs": "a.json"}],
+        ids=["config", "help", "data", "inputs"])
+    def test_config_keys_without_an_optional_flag_are_rejected(
+            self, planted_csv, tmp_path, capsys, values):
+        # --config and --help set no default, --data is required and
+        # compare's inputs are positional, so no such key can seed a flag
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        got = error_record(run_cli(capsys, "rank", "--data", str(planted_csv),
+                                   "--trees", "2", "--config", str(cfg)),
+                           1, "usage")
+        assert got == f"config file sets unknown option {next(iter(values))!r}"
+
     @pytest.mark.parametrize("command,values", [
         ("rank", {"trees": None}), ("rank", {"trees": [3]}),
         ("rank", {"method": ["genie3"]}), ("rank", {"data": {"a": 1}}),

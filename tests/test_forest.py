@@ -376,8 +376,11 @@ class TestRelativeLinks:
         # each tree's rows reach the leaves the oracle walk sends them to
         rows = np.arange(d.m)
         for t, flat in enumerate(e.flats):
-            np.testing.assert_array_equal(flat.child,
-                                          oracles.ref_children(flat.attr))
+            inner = np.flatnonzero(flat.attr >= 0)
+            np.testing.assert_array_equal(
+                inner + flat.skip[inner],
+                oracles.ref_children(flat.attr)[inner, 1])
+            np.testing.assert_array_equal(np.delete(flat.skip, inner), 0)
             node_rows = oracles.ref_node_rows(d, flat, rows)
             leaf = np.empty(d.m, dtype=np.intp)
             for node in np.flatnonzero(flat.attr < 0):

@@ -460,7 +460,7 @@ class TestGrowTree:
                          np.random.default_rng(0))
         np.testing.assert_array_equal(tree.attr, [0, -1, -1])
         assert tree.value[0] == 5.0 and d.numeric_mask[tree.attr[0]]
-        np.testing.assert_array_equal(tree.child[0], [1, 2])
+        np.testing.assert_array_equal(tree.skip, [2, 0, 0])
         np.testing.assert_array_equal(tree.n_reached, [4, 2, 2])
 
     def test_partition_property_and_h_star_recompute(self):
@@ -523,7 +523,7 @@ class TestGrowTree:
             assert tree.value[0] == res.value[0]
             assert tree.h_star[0].tobytes() == res.h[0].tobytes()
             node_rows = oracles.ref_node_rows(d, tree, rows)
-            yes, no = tree.child[0]
+            yes, no = 1, tree.skip[0]
             np.testing.assert_array_equal(node_rows[yes], rows[res.yes])
             np.testing.assert_array_equal(node_rows[no], rows[~res.yes])
         assert roots >= 20
@@ -542,6 +542,32 @@ class TestGrowTree:
             grow_tree(d, np.array([], dtype=np.intp),
                       SplitSearchPolicy(1, ALL_THRESHOLDS),
                       np.random.default_rng(0))
+
+
+class TestLevelLayout:
+    def test_from_node_lays_out_a_stack_from_its_depth_levels(self):
+        # three trees: a lone leaf, a stump, and a tree whose yes child
+        # splits again, so the third level holds that one tree's nodes
+        nan = np.nan
+        levels = [
+            (np.array([3, 4, 6]), np.array([-1, 0, 1]),
+             np.array([nan, 0.5, 1.5]), np.array([0.0, 0.4, 0.6])),
+            (np.array([1, 3, 4, 2]), np.array([-1, -1, 2, -1]),
+             np.array([nan, nan, 2.5, nan]), np.array([0.0, 0.0, 0.3, 0.0])),
+            (np.array([1, 3]), np.array([-1, -1]),
+             np.array([nan, nan]), np.array([0.0, 0.0])),
+        ]
+        flat = FlatTree.from_node(levels)
+        np.testing.assert_array_equal(flat.node_start, [0, 1, 4, 9])
+        np.testing.assert_array_equal(flat.attr,
+                                      [-1, 0, -1, -1, 1, 2, -1, -1, -1])
+        np.testing.assert_array_equal(flat.skip, [0, 2, 0, 0, 4, 2, 0, 0, 0])
+        np.testing.assert_array_equal(flat.n_reached,
+                                      [3, 4, 1, 3, 6, 4, 1, 3, 2])
+        np.testing.assert_array_equal(
+            flat.value, [nan, 0.5, nan, nan, 1.5, 2.5, nan, nan, nan])
+        np.testing.assert_array_equal(
+            flat.h_star, [0.0, 0.4, 0.0, 0.0, 0.6, 0.3, 0.0, 0.0, 0.0])
 
 
 class TestPredictAndRouting:
@@ -592,10 +618,13 @@ class TestSerialization:
         internal = np.flatnonzero(tree.attr >= 0)
         leaves = np.flatnonzero(tree.attr < 0)
         assert leaves.size == internal.size + 1
-        # preorder, yes first: an internal node's yes child follows it, and
-        # every node but the root has exactly one parent, listed before it
-        np.testing.assert_array_equal(tree.child[internal, 0], internal + 1)
-        assert (tree.child[internal] > internal[:, None]).all()
-        children = np.sort(tree.child[internal].ravel())
+        # preorder, yes first: an internal node's yes child v + 1 follows
+        # it, its no child v + skip[v] follows that, and every node but the
+        # root has exactly one parent, listed before it
+        no = internal + tree.skip[internal]
+        assert (tree.skip[internal] > 1).all()
+        np.testing.assert_array_equal(
+            no, oracles.ref_children(tree.attr)[internal, 1])
+        children = np.sort(np.concatenate([internal + 1, no]))
         np.testing.assert_array_equal(children, np.arange(1, tree.attr.size))
-        np.testing.assert_array_equal(tree.child[leaves], -1)
+        np.testing.assert_array_equal(tree.skip[leaves], 0)
